@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +59,7 @@ from .mtriple import (
     curvature_fd,
     make_triple,
 )
-from .reporting import ReportValueError, canonical_json, config_hash, emit_report
+from .reporting import ReportValueError, canonical_json, config_hash, emit_report, encode_report
 from .surfaces import (
     FlatFrontData,
     ImproperAffineData,
@@ -192,7 +191,8 @@ def domain_to_json(domain: DomainSpec) -> dict:
     return {"kind": "truncated_plane", "radius": domain.radius, "punctures": punct}
 
 
-def triple_from_json(cfg, pointer: str) -> MTriple:
+def _triple_parts(cfg, pointer: str) -> tuple:
+    """(domain, f, g, m) of a triple object, before any regularity check."""
     if not isinstance(cfg, dict):
         raise ConfigError(pointer, "expected a triple object")
     domain = domain_from_json(_need(cfg, "domain", pointer), f"{pointer}/domain")
@@ -201,7 +201,11 @@ def triple_from_json(cfg, pointer: str) -> MTriple:
     m = _need(cfg, "m", pointer)
     if not isinstance(m, int) or m < 1:
         raise ConfigError(f"{pointer}/m", "m must be a positive integer")
-    return make_triple(domain, f, g, m)
+    return domain, f, g, m
+
+
+def triple_from_json(cfg, pointer: str) -> MTriple:
+    return make_triple(*_triple_parts(cfg, pointer))
 
 
 def triple_to_json(t: MTriple) -> dict:
@@ -211,6 +215,13 @@ def triple_to_json(t: MTriple) -> dict:
         "g": to_source(t.g),
         "m": t.m,
     }
+
+
+def _as_seed(value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError("/seed", f"expected an integer seed: {exc}") from exc
 
 
 def property_from_json(cfg, pointer: str):
@@ -243,21 +254,17 @@ def _mesh_for(triple: MTriple, resolution: int, refine: bool = True):
 
 def _handle_triple(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     triple_cfg = _need(cfg, "triple", "")
-    domain = domain_from_json(_need(triple_cfg, "domain", "/triple"), "/triple/domain")
-    f = _as_expr(_need(triple_cfg, "f", "/triple"), "/triple/f")
-    g = _as_expr(_need(triple_cfg, "g", "/triple"), "/triple/g")
-    m = _need(triple_cfg, "m", "/triple")
-    if not isinstance(m, int) or m < 1:
-        raise ConfigError("/triple/m", "m must be a positive integer")
+    domain, f, g, m = _triple_parts(triple_cfg, "/triple")
+    # regularity is reported, not enforced: a failing triple still gets a report
     report = check_regularity(domain, f, g, m)
-    out = {"triple": triple_cfg, "regularity": report.to_json_dict()}
+    out = {"triple": triple_cfg, "regularity": report}
     ok = report.overall
     if action == "check":
         if ok:
             t = MTriple(domain, f, g, m, report)
             anchor = domain.anchor()
             out["curvature_at_anchor"] = curvature(t, anchor)
-            out["anchor"] = [anchor.real, anchor.imag]
+            out["anchor"] = anchor
         return out, ok
     if action == "curvature":
         if not ok:
@@ -265,16 +272,10 @@ def _handle_triple(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         t = MTriple(domain, f, g, m, report)
         pts = [_as_complex(p, f"/points/{k}") for k, p in enumerate(_need(cfg, "points", ""))]
         h = float(cfg.get("fd_step", 1e-3))
-        rows = []
-        for p in pts:
-            rows.append(
-                {
-                    "point": [p.real, p.imag],
-                    "curvature": curvature(t, p),
-                    "curvature_fd": curvature_fd(t, p, h),
-                }
-            )
-        out["points"] = rows
+        out["points"] = [
+            {"point": p, "curvature": curvature(t, p), "curvature_fd": curvature_fd(t, p, h)}
+            for p in pts
+        ]
         out["fd_step"] = h
         return out, True
     raise ConfigError("/subcommand", f"unknown triple action {action!r}")
@@ -294,8 +295,8 @@ def _handle_estimate(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     c = curvature_constant(prop, triple.m)
     out = {
         "triple": triple_to_json(triple),
-        "property": prop_report.to_json_dict(),
-        "estimate": est.to_json_dict(),
+        "property": prop_report,
+        "estimate": est,
         "constant": c,
     }
     return out, est.verdict != "fail"
@@ -324,16 +325,18 @@ def _surface_data(cfg: dict):
     return cls_name, data, synth
 
 
+def _period_rows(data, cycles) -> list:
+    return [
+        period_residuals(data, [_as_complex(p, f"/cycles/{k}/{j}") for j, p in enumerate(cyc)])
+        for k, cyc in enumerate(cycles)
+    ]
+
+
 def _handle_surface(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     cls_name, data, synth = _surface_data(cfg)
     out: dict = {"class": cls_name, "domain": domain_to_json(data.domain)}
     if action == "periods":
-        cycles = _need(cfg, "cycles", "")
-        rows = []
-        for k, cyc in enumerate(cycles):
-            pts = [_as_complex(p, f"/cycles/{k}/{j}") for j, p in enumerate(cyc)]
-            rows.append(period_residuals(data, pts).to_json_dict())
-        out["periods"] = rows
+        out["periods"] = _period_rows(data, _need(cfg, "cycles", ""))
         return out, True
     resolution = int(opts.resolution or cfg.get("resolution", 120))
     ones = lambda zs: np.ones(np.shape(zs))
@@ -341,8 +344,7 @@ def _handle_surface(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     if action == "singular":
         if cls_name == "minimal":
             raise ConfigError("/class", "the minimal class has no singular locus")
-        loci = singular_locus(data, mesh)
-        out["singular_locus"] = [[[p.real, p.imag] for p in poly] for poly in loci]
+        out["singular_locus"] = singular_locus(data, mesh)
         return out, True
     if action != "synth":
         raise ConfigError("/subcommand", f"unknown surface action {action!r}")
@@ -351,20 +353,13 @@ def _handle_surface(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         surface = synth(data, mesh, step)
     else:
         surface = synth(data, mesh)
-    invariants = immersion_check(surface, data).to_json_dict()
-    out["invariants"] = invariants
+    out["invariants"] = immersion_check(surface, data)
     if cls_name == "minimal":
-        out["gauss_normal"] = gauss_normal_check(surface, data.g).to_json_dict()
-    if cls_name != "minimal":
-        loci = singular_locus(data, mesh)
-        out["singular_locus"] = [[[p.real, p.imag] for p in poly] for poly in loci]
-    else:
+        out["gauss_normal"] = gauss_normal_check(surface, data.g)
         out["singular_locus"] = []
-    periods = []
-    for k, cyc in enumerate(cfg.get("cycles", [])):
-        pts = [_as_complex(p, f"/cycles/{k}/{j}") for j, p in enumerate(cyc)]
-        periods.append(period_residuals(data, pts).to_json_dict())
-    out["periods"] = periods
+    else:
+        out["singular_locus"] = singular_locus(data, mesh)
+    out["periods"] = _period_rows(data, cfg.get("cycles", []))
     outdir = Path(opts.out)
     formats = cfg.get("exports", ["obj", "ply", "csv"])
     for fmt in formats:
@@ -395,12 +390,11 @@ def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         grid = int(cfg.get("grid", 120))
         family = lambda n: parse_mero(template.replace("{n}", repr(n)))
         rep = marty_sup(family, indices, Disk(center, radius), grid, label=template)
-        return {"marty": rep.to_json_dict()}, True
+        return {"marty": rep}, True
     if action == "zalcman":
         h = _as_expr(_need(cfg, "h", ""), "/h")
         grid = int(cfg.get("searchgrid", 300))
-        res = zalcman_rescale(h, grid)
-        return {"zalcman": res.to_json_dict()}, True
+        return {"zalcman": zalcman_rescale(h, grid)}, True
     if action == "fujimoto":
         f = _as_expr(_need(cfg, "f", ""), "/f")
         values = tuple(
@@ -411,8 +405,7 @@ def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         resolution = int(opts.resolution or cfg.get("resolution", 150))
         ones = lambda zs: np.ones(np.shape(zs))
         mesh = build_mesh(Disk(0, radius), ones, resolution, refine_punctures=False)
-        rep = fujimoto_ratio(f, values, eta, radius, mesh)
-        return {"fujimoto": rep.to_json_dict()}, True
+        return {"fujimoto": fujimoto_ratio(f, values, eta, radius, mesh)}, True
     if action == "completeness":
         triple = triple_from_json(_need(cfg, "triple", ""), "/triple")
         eps = [float(e) for e in _need(cfg, "eps_levels", "")]
@@ -425,15 +418,9 @@ def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
                 targets.append("infinity")
             else:
                 targets.append(_as_complex(tg, f"/targets/{k}"))
-        jobs = max(1, opts.jobs)
-        if jobs > 1 and len(targets) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                reports = list(pool.map(lambda t: completeness_probe(triple, t, eps), targets))
-        else:
-            reports = [completeness_probe(triple, t, eps) for t in targets]
         return {
             "triple": triple_to_json(triple),
-            "completeness": [r.to_json_dict() for r in reports],
+            "completeness": [completeness_probe(triple, t, eps) for t in targets],
         }, True
     raise ConfigError("/subcommand", f"unknown probe action {action!r}")
 
@@ -450,18 +437,18 @@ def _handle_example(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         triple = optimal_example(m, alphas, None if radius is None else float(radius))
     except ValueError as exc:
         raise ConfigError("/alphas", str(exc)) from exc
-    omitted = [[a.real, a.imag] for a in alphas]
-    out = {
-        "triple": triple_to_json(triple),
-        "regularity": triple.regularity.to_json_dict(),
-        "omitted_values": omitted + ["infinity"],
-        "omitted_count": len(alphas) + 1,
-    }
     resolution = int(opts.resolution or cfg.get("resolution", 150))
     mesh = _mesh_for(triple, resolution, refine=False)
     prop = Omits(tuple([ExtComplex(a) for a in alphas] + [INFINITY]))
-    out["omission_check"] = property_check(triple.g, prop, mesh).to_json_dict()
-    return out, bool(out["omission_check"]["verdict"])
+    check = property_check(triple.g, prop, mesh)
+    out = {
+        "triple": triple_to_json(triple),
+        "regularity": triple.regularity,
+        "omitted_values": alphas + ["infinity"],
+        "omitted_count": len(alphas) + 1,
+        "omission_check": check,
+    }
+    return out, bool(check.verdict)
 
 
 _HANDLERS = {
@@ -499,8 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="run directory (default from config)")
         p.add_argument("--resolution", type=int, default=None, help="mesh resolution override")
-        p.add_argument("--seed", type=int, default=None, help="random seed override")
-        p.add_argument("--jobs", type=int, default=1, help="max parallel workers for probes")
+        p.add_argument("--seed", type=int, default=None, help="seed echoed in the report")
     return parser
 
 
@@ -526,13 +512,18 @@ def main(argv=None) -> int:
     if not isinstance(cfg, dict):
         print(_error_object("config", "config root must be an object", "/"), file=sys.stderr)
         return EXIT_ERROR
-
-    if opts.out is None:
-        opts.out = cfg.get("output_dir", "run")
-    seed = opts.seed if opts.seed is not None else int(cfg.get("seed", 0))
-    np.random.seed(seed)
+    try:
+        cfg_sha256 = config_hash(cfg)
+    except ReportValueError as exc:  # json.loads accepts NaN and overflows to inf
+        print(_error_object("config", f"config is not canonical JSON: {exc}"), file=sys.stderr)
+        return EXIT_ERROR
 
     try:
+        seed = opts.seed if opts.seed is not None else _as_seed(cfg.get("seed", 0))
+        if opts.out is None:
+            opts.out = cfg.get("output_dir", "run")
+            if not isinstance(opts.out, str):
+                raise ConfigError("/output_dir", "expected a directory path string")
         report, ok = _HANDLERS[opts.group](opts.action, cfg, opts)
     except ConfigError as exc:
         print(_error_object("schema", exc.message, exc.pointer), file=sys.stderr)
@@ -540,19 +531,26 @@ def main(argv=None) -> int:
     except (PropertyViolation, RegularityViolation, NonHolomorphic) as exc:
         print(_error_object("verdict", str(exc)), file=sys.stderr)
         return EXIT_VERDICT
+    except OSError as exc:  # e.g. surface exports into an --out that is a file
+        print(_error_object("io", str(exc)), file=sys.stderr)
+        return EXIT_ERROR
     except Exception as exc:  # noqa: BLE001 - the CLI contract forbids bare tracebacks
         detail = traceback.format_exception_only(type(exc), exc)[-1].strip()
         print(_error_object(type(exc).__name__, detail), file=sys.stderr)
         return EXIT_ERROR
 
+    report = encode_report(report)
     report["tool"] = {"name": "mtriples", "version": __version__}
-    report["config_sha256"] = config_hash(cfg)
+    report["config_sha256"] = cfg_sha256
     report["seed"] = seed
     report["subcommand"] = f"{opts.group} {opts.action}"
     try:
         path = emit_report(report, Path(opts.out) / "report.json")
     except ReportValueError as exc:
         print(_error_object("report", str(exc)), file=sys.stderr)
+        return EXIT_ERROR
+    except OSError as exc:
+        print(_error_object("io", f"cannot write report: {exc}"), file=sys.stderr)
         return EXIT_ERROR
     print(path)
     verdict = "pass" if ok else "FAIL"

@@ -33,7 +33,6 @@ from .expr import (
     spherical_gradient,
     spherical_gradient_array,
     substitute,
-    to_source,
     _div,
     _mul,
 )
@@ -108,16 +107,6 @@ class PropertyReport:
     witness: complex  # node where the extremum is attained
     near_points: tuple
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "extremum": self.extremum,
-            "threshold": self.threshold,
-            "verdict": self.verdict,
-            "witness": [self.witness.real, self.witness.imag],
-            "near_points": [[p.real, p.imag] for p in self.near_points],
-        }
-
 
 def property_check(
     g: MeroExpr, prop: PropertySpec, mesh: MeshedDomain, delta: float = OMITS_DELTA_DEFAULT
@@ -188,18 +177,6 @@ class EstimateReport:
     arg_max_index: int
     resolution: int
     note: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sup": self.sup,
-            "constant_squared": self.constant_squared,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "arg_max": [self.arg_max.real, self.arg_max.imag],
-            "arg_max_index": self.arg_max_index,
-            "resolution": self.resolution,
-            "note": self.note,
-        }
 
 
 def verify_estimate(
@@ -275,15 +252,6 @@ class FujimotoReport:
     q: int
     radius: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "sup": self.sup,
-            "arg_max": [self.arg_max.real, self.arg_max.imag],
-            "eta": self.eta,
-            "q": self.q,
-            "radius": self.radius,
-        }
-
 
 def fujimoto_ratio(
     f: MeroExpr,
@@ -340,17 +308,6 @@ class NormalityReport:
     region_center: complex
     region_radius: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "indices": list(self.indices),
-            "sups": list(self.sups),
-            "slope": self.slope,
-            "verdict": self.verdict,
-            "region_center": [self.region_center.real, self.region_center.imag],
-            "region_radius": self.region_radius,
-        }
-
 
 def _disk_grid(center: complex, radius: float, resolution: int) -> np.ndarray:
     s = 2.0 * radius / resolution
@@ -405,16 +362,6 @@ class ZalcmanResult:
     gradient_at_zero: float
     envelope_max_violation: float
     grid: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rescaled": to_source(self.rescaled),
-            "center": [self.center.real, self.center.imag],
-            "scale": self.scale,
-            "gradient_at_zero": self.gradient_at_zero,
-            "envelope_max_violation": self.envelope_max_violation,
-            "grid": self.grid,
-        }
 
 
 def _conformal_gradient_grid(h: MeroExpr, pts: np.ndarray) -> np.ndarray:

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 from scipy.spatial import cKDTree
 
 from .mtriple import Annulus, Disk, DomainSpec, MTriple, Rectangle, TruncatedPlane
@@ -65,31 +65,30 @@ class MeshedDomain:
     spacing: float
     domain: DomainSpec
     lattice_ij: np.ndarray  # (n, 2) lattice indices, -1 for off-lattice nodes
-    _csr: object = field(default=None, repr=False)
-    _adjacency: object = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def csr(self):
-        if self._csr is None:
-            n = self.n_nodes
-            m = coo_matrix(
-                (self.weights, (self.edges_i, self.edges_j)), shape=(n, n)
-            ).tocsr()
-            object.__setattr__(self, "_csr", m)
-        return self._csr
+    def spanning_tree(self, root: int) -> tuple[np.ndarray, np.ndarray]:
+        """Breadth-first tree from ``root``: parent of each node (-1 at the
+        root) and the visit order.
 
-    def adjacency(self) -> list:
-        """Neighbor lists (undirected)."""
-        if self._adjacency is None:
-            adj = [[] for _ in range(self.n_nodes)]
-            for a, b in zip(self.edges_i, self.edges_j):
-                adj[a].append(b)
-                adj[b].append(a)
-            object.__setattr__(self, "_adjacency", adj)
-        return self._adjacency
+        Each row of the symmetric CSR graph keeps its neighbours in edge
+        order, as a queue-based BFS over the edge list would meet them;
+        sorting the column indices would change the tree.
+        """
+        n = self.n_nodes
+        rows = np.concatenate([self.edges_i, self.edges_j])
+        cols = np.concatenate([self.edges_j, self.edges_i])
+        edge = np.tile(np.arange(len(self.edges_i)), 2)
+        by_row = np.lexsort((edge, rows))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        graph = csr_matrix((np.ones(len(rows)), cols[by_row], indptr), shape=(n, n))
+        order, pred = breadth_first_order(graph, root, directed=True, return_predecessors=True)
+        if len(order) < n:
+            raise MeshError("mesh is not connected; cannot span it from the base point")
+        return np.maximum(pred, -1), order
 
     def node_nearest(self, z: complex) -> int:
         return int(np.argmin(np.abs(self.nodes - z)))
@@ -435,19 +434,6 @@ class CompletenessReport:
     residual: float
     stable: bool
     divergence_evidence: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "eps_levels": list(self.eps_levels),
-            "lengths": list(self.lengths),
-            "model": self.model,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual": self.residual,
-            "stable": self.stable,
-            "divergence_evidence": self.divergence_evidence,
-        }
 
 
 def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:

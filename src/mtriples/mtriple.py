@@ -271,21 +271,6 @@ class RegularityReport:
     overall: bool
     checked: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "point": [e.point.real, e.point.imag],
-                    "f_order": e.f_order,
-                    "g_order": e.g_order,
-                    "verdict": e.verdict,
-                }
-                for e in self.entries
-            ],
-            "overall": self.overall,
-            "checked": self.checked,
-        }
-
 
 def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
     c = np.trim_zeros(np.asarray(coeffs, dtype=complex), "f")

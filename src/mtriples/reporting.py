@@ -3,10 +3,14 @@
 Reports must be byte-identical across runs with the same config and seed,
 so floats are rendered with a fixed 17-significant-digit format and any
 non-finite number aborts serialization instead of leaking into a report.
+``encode_report`` turns the result objects of the library (dataclasses,
+complex numbers, arrays, expressions) into the plain values that
+``canonical_json`` renders.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["canonical_json", "emit_report", "config_hash", "ReportValueError"]
+from .expr import MeroExpr, to_source
+
+__all__ = ["canonical_json", "emit_report", "encode_report", "config_hash", "ReportValueError"]
 
 
 class ReportValueError(ValueError):
@@ -62,6 +68,25 @@ def _render(obj, out: list) -> None:
         out.append("]")
     else:
         raise ReportValueError(f"unserializable object of type {type(obj).__name__}")
+
+
+def encode_report(obj):
+    """Plain JSON values for a report: expressions become source text,
+    dataclasses dicts of their fields, complex numbers ``[re, im]`` pairs
+    and complex arrays row-major lists of such pairs."""
+    if isinstance(obj, MeroExpr):  # expression nodes are dataclasses too
+        return to_source(obj)
+    if dataclasses.is_dataclass(obj):
+        return {f.name: encode_report(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.ndarray):
+        return encode_report(obj.ravel().tolist()) if np.iscomplexobj(obj) else obj.tolist()
+    if isinstance(obj, dict):
+        return {k: encode_report(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [encode_report(v) for v in obj]
+    return obj
 
 
 def canonical_json(obj) -> str:

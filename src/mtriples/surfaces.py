@@ -27,11 +27,12 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .expr import (
+    Add,
     Const,
     EvalError,
     MeroExpr,
@@ -42,11 +43,17 @@ from .expr import (
     eval_array,
     eval_array_checked,
     is_rational,
-    parse_mero,
     rational_form,
 )
 from .geodesy import MeshedDomain, MeshError
-from .mtriple import DomainSpec, MTriple, curvature_array, make_triple, metric_density_array
+from .mtriple import (
+    DomainSpec,
+    MTriple,
+    _as_expr,
+    curvature_array,
+    make_triple,
+    metric_density_array,
+)
 from .quadrature import QuadratureError, simpson_polyline, simpson_segments
 
 __all__ = [
@@ -74,17 +81,17 @@ __all__ = [
 SINGULAR_FLAG_TOL = 1e-3
 
 
-def _as_expr(e) -> MeroExpr:
-    return parse_mero(e) if isinstance(e, str) else e
-
-
 # ---------------------------------------------------------------------------
 # Representation data
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class MinimalData:
+class _VectorData:
+    """Weierstrass data (f, g) of a vector-valued class: the vertices are
+    Re of the integral of the class's three representation forms."""
+
+    kind: ClassVar[str]
     f: MeroExpr
     g: MeroExpr
     domain: DomainSpec
@@ -103,23 +110,36 @@ class MinimalData:
 
 
 @dataclass(frozen=True)
-class MaxfaceData:
-    f: MeroExpr
-    g: MeroExpr
-    domain: DomainSpec
-    base_point: complex = 0j
+class MinimalData(_VectorData):
+    kind: ClassVar[str] = "minimal"
+
+    def forms(self) -> tuple:
+        """((1 - g^2), i(1 + g^2), 2g) f"""
+        one, g2 = Const(1 + 0j), Pow(self.g, 2)
+        return (
+            Mul(Sub(one, g2), self.f),
+            Mul(Mul(Const(1j), Add(one, g2)), self.f),
+            Mul(Mul(Const(2 + 0j), self.g), self.f),
+        )
+
+
+@dataclass(frozen=True)
+class MaxfaceData(_VectorData):
+    kind: ClassVar[str] = "maxface"
 
     def __post_init__(self):
-        object.__setattr__(self, "f", _as_expr(self.f))
-        object.__setattr__(self, "g", _as_expr(self.g))
-        object.__setattr__(self, "base_point", complex(self.base_point))
-        object.__setattr__(self, "_triple", make_triple(self.domain, self.f, self.g, 2))
+        super().__post_init__()
         if isinstance(self.g, Const) and abs(abs(self.g.value) - 1.0) < 1e-15:
             raise ValueError("|g| identically 1: the data is singular everywhere")
 
-    @property
-    def triple(self) -> MTriple:
-        return self._triple
+    def forms(self) -> tuple:
+        """(-2g, 1 + g^2, i(1 - g^2)) f"""
+        one, g2 = Const(1 + 0j), Pow(self.g, 2)
+        return (
+            Mul(Mul(Const(-2 + 0j), self.g), self.f),
+            Mul(Add(one, g2), self.f),
+            Mul(Mul(Const(1j), Sub(one, g2)), self.f),
+        )
 
 
 @dataclass(frozen=True)
@@ -194,45 +214,15 @@ class PeriodResidual:
     values: np.ndarray  # 3 reals / 1 real / 2x2 complex deviation
     norm: float
 
-    def to_json_dict(self) -> dict:
-        if self.kind == "flatfront":
-            dev = self.values
-            vals = [[dev[r, c].real, dev[r, c].imag] for r in range(2) for c in range(2)]
-        else:
-            vals = [float(v) for v in np.atleast_1d(self.values)]
-        return {"kind": self.kind, "values": vals, "norm": self.norm}
-
 
 # ---------------------------------------------------------------------------
 # Spanning-tree integration
 # ---------------------------------------------------------------------------
 
 
-def _spanning_tree(mesh: MeshedDomain, root: int):
-    """BFS tree over the mesh graph; returns parent array and visit order."""
-    n = mesh.n_nodes
-    parent = np.full(n, -1, dtype=int)
-    seen = np.zeros(n, dtype=bool)
-    seen[root] = True
-    order = [root]
-    queue = deque([root])
-    adj = mesh.adjacency()
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parent[v] = u
-                order.append(v)
-                queue.append(v)
-    if not np.all(seen):
-        raise MeshError("mesh is not connected; cannot span it from the base point")
-    return parent, np.asarray(order, dtype=int)
-
-
 def _integrate_tree(mesh: MeshedDomain, root: int, integrands: Sequence, rel_tol: float = 1e-10):
     """Cumulative integrals of each integrand from the root to every node."""
-    parent, order = _spanning_tree(mesh, root)
+    parent, order = mesh.spanning_tree(root)
     child = order[1:]
     za = mesh.nodes[parent[child]]
     zb = mesh.nodes[child]
@@ -252,34 +242,6 @@ def _expr_vec(e: MeroExpr):
     return lambda zs: eval_array_checked(e, zs)
 
 
-def _minimal_forms(f: MeroExpr, g: MeroExpr):
-    one = Const(1 + 0j)
-    i_const = Const(1j)
-    g2 = Pow(g, 2)
-    return (
-        Mul(Sub(one, g2), f),
-        Mul(Mul(i_const, _addexpr(one, g2)), f),
-        Mul(Mul(Const(2 + 0j), g), f),
-    )
-
-
-def _maxface_forms(f: MeroExpr, g: MeroExpr):
-    one = Const(1 + 0j)
-    i_const = Const(1j)
-    g2 = Pow(g, 2)
-    return (
-        Mul(Mul(Const(-2 + 0j), g), f),
-        Mul(_addexpr(one, g2), f),
-        Mul(Mul(i_const, Sub(one, g2)), f),
-    )
-
-
-def _addexpr(a: MeroExpr, b: MeroExpr) -> MeroExpr:
-    from .expr import Add
-
-    return Add(a, b)
-
-
 def seam_mismatch(data: WeierstrassData, mesh: MeshedDomain, surface: "SurfaceMesh") -> float:
     """Largest defect across non-tree edges of the integrated vertex values.
 
@@ -287,30 +249,18 @@ def seam_mismatch(data: WeierstrassData, mesh: MeshedDomain, surface: "SurfaceMe
     multiply connected mesh closes iff the data satisfies the period
     condition; otherwise the defect equals the corresponding cycle residual.
     """
-    root = mesh.node_nearest(data.base_point)
-    parent, _ = _spanning_tree(mesh, root)
-    tree_pairs = {(min(c, p), max(c, p)) for c, p in enumerate(parent) if p >= 0}
-    non_tree = [
-        (a, b)
-        for a, b in zip(mesh.edges_i, mesh.edges_j)
-        if (min(a, b), max(a, b)) not in tree_pairs
-    ]
-    if not non_tree:
-        return 0.0
-    ai = np.array([a for a, _ in non_tree])
-    bi = np.array([b for _, b in non_tree])
-    za, zb = mesh.nodes[ai], mesh.nodes[bi]
-
-    if isinstance(data, MinimalData):
-        forms = _minimal_forms(data.f, data.g)
-        psi = surface.vertices
-    elif isinstance(data, MaxfaceData):
-        forms = _maxface_forms(data.f, data.g)
-        psi = surface.vertices
-    else:
+    if not isinstance(data, _VectorData):
         raise TypeError("seam mismatch is defined for the vector-valued classes")
+    parent, _ = mesh.spanning_tree(mesh.node_nearest(data.base_point))
+    ei, ej = mesh.edges_i, mesh.edges_j
+    non_tree = ~((parent[ej] == ei) | (parent[ei] == ej))
+    if not np.any(non_tree):
+        return 0.0
+    ai, bi = ei[non_tree], ej[non_tree]
+    za, zb = mesh.nodes[ai], mesh.nodes[bi]
+    psi = surface.vertices
     worst = 0.0
-    for k, form in enumerate(forms):
+    for k, form in enumerate(data.forms()):
         seg = simpson_segments(_expr_vec(form), za, zb, rel_tol=1e-10)
         defect = psi[ai, k] + seg.real - psi[bi, k]
         worst = max(worst, float(np.max(np.abs(defect))))
@@ -332,8 +282,7 @@ def _base_vertex_diags(triple: MTriple, zs: np.ndarray) -> dict:
 def synth_minimal(data: MinimalData, mesh: MeshedDomain) -> SurfaceMesh:
     """Integrate the Euclidean representation forms over the mesh."""
     root = mesh.node_nearest(data.base_point)
-    forms = _minimal_forms(data.f, data.g)
-    vals, _ = _integrate_tree(mesh, root, [_expr_vec(e) for e in forms])
+    vals, _ = _integrate_tree(mesh, root, [_expr_vec(e) for e in data.forms()])
     vertices = vals.real.T.copy()
     zs = mesh.nodes
     gv = eval_array(data.g, zs)
@@ -353,8 +302,7 @@ def synth_minimal(data: MinimalData, mesh: MeshedDomain) -> SurfaceMesh:
 def synth_maxface(data: MaxfaceData, mesh: MeshedDomain) -> SurfaceMesh:
     """Integrate the Lorentzian representation forms; flag |g| = 1 vertices."""
     root = mesh.node_nearest(data.base_point)
-    forms = _maxface_forms(data.f, data.g)
-    vals, _ = _integrate_tree(mesh, root, [_expr_vec(e) for e in forms])
+    vals, _ = _integrate_tree(mesh, root, [_expr_vec(e) for e in data.forms()])
     vertices = vals.real.T.copy()
     zs = mesh.nodes
     gv = eval_array(data.g, zs)
@@ -471,7 +419,7 @@ def synth_flatfront(data: FlatFrontData, mesh: MeshedDomain, step: float) -> Sur
     if step > 1e-2 * data.domain.diameter():
         raise ValueError("step must be at most 1% of the domain diameter")
     root = mesh.node_nearest(data.base_point)
-    parent, order = _spanning_tree(mesh, root)
+    parent, order = mesh.spanning_tree(root)
     n = mesh.n_nodes
     lifts = np.zeros((n, 2, 2), dtype=complex)
     lifts[root] = np.eye(2)
@@ -535,23 +483,14 @@ def period_residuals(data: WeierstrassData, cycle: Sequence[complex], step: floa
     pts = np.asarray([complex(p) for p in cycle], dtype=complex)
     if abs(pts[0] - pts[-1]) > 1e-14:
         pts = np.append(pts, pts[0])
-    if isinstance(data, MinimalData) or isinstance(data, MaxfaceData):
-        forms = (
-            _minimal_forms(data.f, data.g)
-            if isinstance(data, MinimalData)
-            else _maxface_forms(data.f, data.g)
-        )
+    if isinstance(data, _VectorData):
         try:
             vals = np.array(
-                [simpson_polyline(_expr_vec(e), pts, rel_tol=1e-12).real for e in forms]
+                [simpson_polyline(_expr_vec(e), pts, rel_tol=1e-12).real for e in data.forms()]
             )
         except QuadratureError as exc:
             raise EvalError(f"pole on the cycle: {exc}") from exc
-        return PeriodResidual(
-            kind="minimal" if isinstance(data, MinimalData) else "maxface",
-            values=vals,
-            norm=float(np.linalg.norm(vals)),
-        )
+        return PeriodResidual(kind=data.kind, values=vals, norm=float(np.linalg.norm(vals)))
     if isinstance(data, ImproperAffineData):
         fdg = Mul(data.F, derivative(data.G))
         try:
@@ -580,15 +519,6 @@ class ImmersionReport:
     metric_deviation: float  # | |psi_u|^2 - lambda^2 | / lambda^2
     laplacian: Optional[float]  # |FD Laplacian| / lambda^2 (minimal class)
     n_checked: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "conformal_asymmetry": self.conformal_asymmetry,
-            "cross_term": self.cross_term,
-            "metric_deviation": self.metric_deviation,
-            "laplacian": self.laplacian,
-            "n_checked": self.n_checked,
-        }
 
 
 def _lattice_stencil(mesh: MeshedDomain, exclude: np.ndarray | None):
@@ -705,13 +635,6 @@ class GaussNormalReport:
     max_angle: float
     arg_max: complex
     n_checked: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_angle": self.max_angle,
-            "arg_max": [self.arg_max.real, self.arg_max.imag],
-            "n_checked": self.n_checked,
-        }
 
 
 def gauss_normal_check(surface: SurfaceMesh, g: MeroExpr) -> GaussNormalReport:

@@ -6,18 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 EXE = [sys.executable, "-m", "mtriples.cli"]
 
 DISK = {"kind": "disk", "center": [0, 0], "radius": 1.0, "punctures": []}
 
 
-def run_cli(tmp_path, group, action, cfg, name="cfg", extra=None):
+def run_cli(tmp_path, group, action, cfg, name="cfg"):
     cfg_path = tmp_path / f"{name}.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / f"out_{name}"
     cmd = EXE + [group, action, "--config", str(cfg_path), "--out", str(out)]
-    if extra:
-        cmd += extra
     proc = subprocess.run(cmd, capture_output=True, text=True)
     report = None
     report_path = out / "report.json"
@@ -186,7 +186,7 @@ class TestProbeCommands:
             "targets": [[1, 0], "infinity"],
             "eps_levels": [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6],
         }
-        proc, report, _ = run_cli(tmp_path, "probe", "completeness", cfg, extra=["--jobs", "2"])
+        proc, report, _ = run_cli(tmp_path, "probe", "completeness", cfg)
         assert proc.returncode == 0
         assert all(r["divergence_evidence"] for r in report["completeness"])
 
@@ -234,6 +234,71 @@ class TestReportHygiene:
         assert proc.returncode == 1
         err = json.loads(proc.stderr.splitlines()[0])
         assert err["error"]["kind"] == "io"
+
+    def test_non_integer_seed_is_schema_error(self, tmp_path):
+        cfg = {"triple": {"domain": DISK, "f": "1", "g": "z", "m": 2}, "seed": "abc"}
+        proc, report, _ = run_cli(tmp_path, "triple", "check", cfg)
+        assert proc.returncode == 1
+        assert report is None
+        err = json.loads(proc.stderr.splitlines()[0])
+        assert err["error"]["kind"] == "schema"
+        assert err["error"]["pointer"] == "/seed"
+        # whatever int() accepts stays a valid seed
+        proc, report, _ = run_cli(tmp_path, "triple", "check", dict(cfg, seed="7"), name="ok")
+        assert proc.returncode == 0
+        assert report["seed"] == 7
+
+    def test_non_path_output_dir_is_schema_error(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"triple": {"domain": DISK, "f": "1", "g": "z", "m": 2}, "output_dir": {"a": 1}}
+        ))
+        proc = subprocess.run(
+            EXE + ["triple", "check", "--config", str(cfg_path)], capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        err = json.loads(proc.stderr.splitlines()[0])
+        assert err["error"]["kind"] == "schema"
+        assert err["error"]["pointer"] == "/output_dir"
+
+    @pytest.mark.parametrize(
+        "group, action, cfg",
+        [
+            ("triple", "check", {"triple": {"domain": DISK, "f": "1", "g": "z", "m": 2}}),
+            ("surface", "synth", {"class": "minimal", "f": "1", "g": "z", "domain": DISK,
+                                  "resolution": 20, "exports": ["obj"]}),
+        ],
+    )
+    def test_out_naming_a_file_is_io_error(self, tmp_path, group, action, cfg):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        proc = subprocess.run(
+            EXE + [group, action, "--config", str(cfg_path), "--out", str(taken)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        err = json.loads(proc.stderr.splitlines()[0])
+        assert err["error"]["kind"] == "io"
+        assert taken.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("number", ["NaN", "1e400"])
+    def test_non_finite_config_number(self, tmp_path, number):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            '{"triple": {"domain": {"kind": "disk", "radius": 1.0}, "f": "1", "g": "z", "m": 2},'
+            f' "note": {number}}}'
+        )
+        proc = subprocess.run(
+            EXE + ["triple", "check", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        err = json.loads(proc.stderr.splitlines()[0])
+        assert err["error"]["kind"] == "config"
 
     def test_invalid_json_config(self, tmp_path):
         bad = tmp_path / "bad.json"

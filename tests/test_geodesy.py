@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mtriples.geodesy import (
+    MeshedDomain,
     MeshError,
     boundary_distance_field,
     build_mesh,
@@ -18,6 +19,7 @@ from mtriples.geodesy import (
     write_nodes_csv,
 )
 from mtriples.mtriple import Annulus, Disk, Rectangle, TruncatedPlane, make_triple
+from mtriples.reporting import encode_report
 
 ONES = lambda zs: np.ones(np.shape(zs))
 
@@ -87,6 +89,59 @@ class TestBuildMesh:
         elines = (tmp_path / "edges.csv").read_text().splitlines()
         assert elines[0] == "i,j,weight"
         assert len(elines) == len(disk_mesh.weights) + 1
+
+
+def _reference_bfs(mesh, root):
+    """Queue BFS over neighbour lists built in edge order."""
+    adj = [[] for _ in range(mesh.n_nodes)]
+    for a, b in zip(mesh.edges_i.tolist(), mesh.edges_j.tolist()):
+        adj[a].append(b)
+        adj[b].append(a)
+    parent = [-1] * mesh.n_nodes
+    seen = {root}
+    order = [root]
+    for u in order:  # appending while iterating makes the list the queue
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                parent[v] = u
+                order.append(v)
+    return parent, order
+
+
+class TestSpanningTree:
+    @pytest.mark.parametrize(
+        "domain, refine",
+        [(Annulus(0, 0.5, 2.0), False), (Disk(0, 1.0, punctures=(0.3 + 0.2j,)), True)],
+    )
+    def test_matches_reference_bfs(self, domain, refine):
+        mesh = build_mesh(domain, ONES, 40, refine_punctures=refine)
+        assert mesh.boundary_adjacent.any()  # ghost edges
+        assert mesh.puncture_adjacent.any() == refine  # ring edges
+        for root in (mesh.node_nearest(domain.anchor()), mesh.n_nodes - 1):
+            parent, order = mesh.spanning_tree(root)
+            want_parent, want_order = _reference_bfs(mesh, root)
+            assert np.array_equal(parent, want_parent)
+            assert np.array_equal(order, want_order)
+
+    def test_unreached_node_raises(self):
+        nodes = np.array([0, 1, 2], dtype=complex)
+        flags = np.zeros(3, dtype=bool)
+        mesh = MeshedDomain(
+            nodes=nodes,
+            edges_i=np.array([0]),
+            edges_j=np.array([1]),
+            weights=np.ones(1),
+            interior=~flags,
+            boundary_adjacent=flags,
+            puncture_adjacent=flags,
+            resolution=8,
+            spacing=1.0,
+            domain=Disk(0, 3.0),
+            lattice_ij=np.full((3, 2), -1),
+        )
+        with pytest.raises(MeshError):
+            mesh.spanning_tree(0)
 
 
 class TestDistanceField:
@@ -202,7 +257,7 @@ class TestCompletenessProbe:
 
     def test_report_serializes(self, optimal_triple):
         rep = completeness_probe(optimal_triple, 1 + 0j, self.EPS)
-        d = rep.to_json_dict()
+        d = encode_report(rep)
         assert d["divergence_evidence"] is True
         assert len(d["lengths"]) == len(self.EPS)
 

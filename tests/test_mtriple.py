@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mtriples.expr import Const, Mul, parse_mero
+from mtriples.reporting import encode_report
 from mtriples.mtriple import (
     Annulus,
     Disk,
@@ -93,7 +94,7 @@ class TestRegularity:
 
     def test_report_serializes(self):
         rep = check_regularity(Disk(0, 2.0), parse_mero("z^2"), parse_mero("1/z^2"), 1)
-        d = rep.to_json_dict()
+        d = encode_report(rep)
         assert d["overall"] and d["checked"]
         assert d["entries"][0]["f_order"] == 2
         assert d["entries"][0]["g_order"] == -2

@@ -1,12 +1,21 @@
-"""Canonical JSON: determinism, float format, non-finite refusal."""
+"""Canonical JSON: determinism, float format, non-finite refusal; the
+report encoder."""
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from mtriples.reporting import ReportValueError, canonical_json, config_hash, emit_report
+from mtriples.expr import parse_mero
+from mtriples.reporting import (
+    ReportValueError,
+    canonical_json,
+    config_hash,
+    emit_report,
+    encode_report,
+)
 
 
 class TestCanonicalJson:
@@ -45,3 +54,44 @@ class TestCanonicalJson:
     def test_emit_writes_trailing_newline(self, tmp_path):
         path = emit_report({"a": 1}, tmp_path / "r.json")
         assert path.read_text() == '{"a":1}\n'
+
+
+@dataclass(frozen=True)
+class _Inner:
+    point: complex
+    note: str
+
+
+@dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    items: tuple
+    missing: object
+
+
+class TestEncodeReport:
+    def test_expression_becomes_source_text(self):
+        @dataclass(frozen=True)
+        class Holder:
+            expr: object
+
+        got = encode_report(Holder(parse_mero("z^2 + 1")))
+        assert got == {"expr": "z^2 + 1"}
+
+    def test_complex_matrix_row_major_pairs(self):
+        m = np.array([[1 + 2j, 3 - 4j], [5j, -6 + 0j]])
+        got = encode_report(m)
+        assert got == [[1.0, 2.0], [3.0, -4.0], [0.0, 5.0], [-6.0, 0.0]]
+
+    def test_none_becomes_null(self):
+        assert canonical_json(encode_report({"x": None})) == '{"x":null}'
+
+    def test_nested_dataclasses(self):
+        obj = _Outer(_Inner(0.5 - 1j, "ok"), (1j, np.arange(2.0)), None)
+        got = encode_report(obj)
+        assert got == {
+            "inner": {"point": [0.5, -1.0], "note": "ok"},
+            "items": [[0.0, 1.0], [0.0, 1.0]],
+            "missing": None,
+        }
+        assert json.loads(canonical_json(got)) == got

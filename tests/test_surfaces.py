@@ -60,9 +60,7 @@ class TestMinimal:
         data, mesh, surf = enneper
         rng = np.random.default_rng(1)
         ids = rng.choice(np.nonzero(mesh.interior)[0], 50, replace=False)
-        from mtriples.surfaces import _minimal_forms
-
-        forms = _minimal_forms(data.f, data.g)
+        forms = data.forms()
         za = np.zeros(len(ids), dtype=complex)
         zb = mesh.nodes[ids]
         for k, form in enumerate(forms):
