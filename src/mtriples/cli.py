@@ -18,10 +18,13 @@ object on stderr, never a bare stack trace.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -127,68 +130,44 @@ def _as_expr(value, pointer: str):
         raise ConfigError(pointer, f"bad expression: {exc}") from exc
 
 
+_DOMAINS = {cls.kind: cls for cls in (Disk, Annulus, Rectangle, TruncatedPlane)}
+
+
 def domain_from_json(cfg, pointer: str) -> DomainSpec:
+    """Decode a domain object field by field from its class's dataclass fields."""
     if not isinstance(cfg, dict):
         raise ConfigError(pointer, "expected a domain object")
     kind = _need(cfg, "kind", pointer)
-    punctures = tuple(
-        _as_complex(p, f"{pointer}/punctures/{k}")
-        for k, p in enumerate(cfg.get("punctures", []))
-    )
+    if not isinstance(kind, str) or kind not in _DOMAINS:
+        raise ConfigError(f"{pointer}/kind", f"unknown domain kind {kind!r}")
+    cls = _DOMAINS[kind]
+    types = get_type_hints(cls)
+    args = {}
+    for f in dataclasses.fields(cls):
+        at = f"{pointer}/{f.name}"
+        if f.name == "punctures":
+            points = cfg.get("punctures", [])
+            if not isinstance(points, list):
+                raise ConfigError(at, "expected a list of points")
+            args[f.name] = tuple(_as_complex(p, f"{at}/{k}") for k, p in enumerate(points))
+        elif types[f.name] is complex:
+            value = cfg.get(f.name, 0) if f.name == "center" else _need(cfg, f.name, pointer)
+            args[f.name] = _as_complex(value, at)
+        else:
+            try:
+                args[f.name] = float(_need(cfg, f.name, pointer))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(at, f"expected a number: {exc}") from exc
+            if not math.isfinite(args[f.name]):  # float() reads the strings "inf" and "nan"
+                raise ConfigError(at, "expected a finite number")
     try:
-        if kind == "disk":
-            return Disk(
-                _as_complex(cfg.get("center", 0), f"{pointer}/center"),
-                float(_need(cfg, "radius", pointer)),
-                punctures,
-            )
-        if kind == "annulus":
-            return Annulus(
-                _as_complex(cfg.get("center", 0), f"{pointer}/center"),
-                float(_need(cfg, "r_inner", pointer)),
-                float(_need(cfg, "r_outer", pointer)),
-                punctures,
-            )
-        if kind == "rectangle":
-            return Rectangle(
-                _as_complex(_need(cfg, "corner_min", pointer), f"{pointer}/corner_min"),
-                _as_complex(_need(cfg, "corner_max", pointer), f"{pointer}/corner_max"),
-                punctures,
-            )
-        if kind == "truncated_plane":
-            return TruncatedPlane(float(_need(cfg, "radius", pointer)), punctures)
-    except ConfigError:
-        raise
+        return cls(**args)
     except ValueError as exc:
         raise ConfigError(pointer, str(exc)) from exc
-    raise ConfigError(f"{pointer}/kind", f"unknown domain kind {kind!r}")
 
 
 def domain_to_json(domain: DomainSpec) -> dict:
-    punct = [[p.real, p.imag] for p in domain.punctures]
-    if isinstance(domain, Disk):
-        return {
-            "kind": "disk",
-            "center": [domain.center.real, domain.center.imag],
-            "radius": domain.radius,
-            "punctures": punct,
-        }
-    if isinstance(domain, Annulus):
-        return {
-            "kind": "annulus",
-            "center": [domain.center.real, domain.center.imag],
-            "r_inner": domain.r_inner,
-            "r_outer": domain.r_outer,
-            "punctures": punct,
-        }
-    if isinstance(domain, Rectangle):
-        return {
-            "kind": "rectangle",
-            "corner_min": [domain.corner_min.real, domain.corner_min.imag],
-            "corner_max": [domain.corner_max.real, domain.corner_max.imag],
-            "punctures": punct,
-        }
-    return {"kind": "truncated_plane", "radius": domain.radius, "punctures": punct}
+    return {"kind": domain.kind, **encode_report(domain)}
 
 
 def _triple_parts(cfg, pointer: str) -> tuple:
@@ -217,11 +196,16 @@ def triple_to_json(t: MTriple) -> dict:
     }
 
 
-def _as_seed(value) -> int:
+def _as_int(value, pointer: str) -> int:
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError("/seed", f"expected an integer seed: {exc}") from exc
+        raise ConfigError(pointer, f"expected an integer: {exc}") from exc
+
+
+def _resolution(cfg: dict, opts, default: int) -> int:
+    """Mesh resolution: ``--resolution``, else the config's, else ``default``."""
+    return _as_int(opts.resolution or cfg.get("resolution", default), "/resolution")
 
 
 def property_from_json(cfg, pointer: str):
@@ -286,7 +270,7 @@ def _handle_estimate(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         raise ConfigError("/subcommand", f"unknown estimate action {action!r}")
     triple = triple_from_json(_need(cfg, "triple", ""), "/triple")
     prop = property_from_json(_need(cfg, "property", ""), "/property")
-    resolution = int(opts.resolution or cfg.get("resolution", 200))
+    resolution = _resolution(cfg, opts, 200)
     # puncture rings act as ideal-boundary sources for the distance field;
     # the property check stands off from them on its own
     mesh = _mesh_for(triple, resolution, refine=True)
@@ -338,7 +322,7 @@ def _handle_surface(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     if action == "periods":
         out["periods"] = _period_rows(data, _need(cfg, "cycles", ""))
         return out, True
-    resolution = int(opts.resolution or cfg.get("resolution", 120))
+    resolution = _resolution(cfg, opts, 120)
     ones = lambda zs: np.ones(np.shape(zs))
     mesh = build_mesh(data.domain, ones, resolution, refine_punctures=False)
     if action == "singular":
@@ -402,7 +386,7 @@ def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         )
         eta = float(_need(cfg, "eta", ""))
         radius = float(_need(cfg, "radius", ""))
-        resolution = int(opts.resolution or cfg.get("resolution", 150))
+        resolution = _resolution(cfg, opts, 150)
         ones = lambda zs: np.ones(np.shape(zs))
         mesh = build_mesh(Disk(0, radius), ones, resolution, refine_punctures=False)
         return {"fujimoto": fujimoto_ratio(f, values, eta, radius, mesh)}, True
@@ -437,7 +421,7 @@ def _handle_example(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         triple = optimal_example(m, alphas, None if radius is None else float(radius))
     except ValueError as exc:
         raise ConfigError("/alphas", str(exc)) from exc
-    resolution = int(opts.resolution or cfg.get("resolution", 150))
+    resolution = _resolution(cfg, opts, 150)
     mesh = _mesh_for(triple, resolution, refine=False)
     prop = Omits(tuple([ExtComplex(a) for a in alphas] + [INFINITY]))
     check = property_check(triple.g, prop, mesh)
@@ -519,7 +503,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
     try:
-        seed = opts.seed if opts.seed is not None else _as_seed(cfg.get("seed", 0))
+        seed = opts.seed if opts.seed is not None else _as_int(cfg.get("seed", 0), "/seed")
         if opts.out is None:
             opts.out = cfg.get("output_dir", "run")
             if not isinstance(opts.out, str):

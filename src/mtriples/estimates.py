@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 MESH_TOLERANCE = 0.05
+MARTY_GROWTH_THRESHOLD = 0.2  # log-log slope of the suprema above which growth is unbounded
 OMITS_DELTA_DEFAULT = 1e-3
 
 _MESH_TOLERANCE_NOTE = (
@@ -183,7 +184,6 @@ def verify_estimate(
     triple: MTriple,
     prop: PropertySpec,
     mesh: MeshedDomain,
-    tolerance: float = MESH_TOLERANCE,
 ) -> EstimateReport:
     """sup over interior nodes of |K| d^2 against the squared constant."""
     check = property_check(triple.g, prop, mesh)
@@ -206,11 +206,11 @@ def verify_estimate(
         c2 = None
     else:
         c2 = c * c
-        verdict = "pass" if sup <= c2 * (1.0 + tolerance) else "fail"
+        verdict = "pass" if sup <= c2 * (1.0 + MESH_TOLERANCE) else "fail"
     return EstimateReport(
         sup=sup,
         constant_squared=c2,
-        tolerance=tolerance,
+        tolerance=MESH_TOLERANCE,
         verdict=verdict,
         arg_max=complex(mesh.nodes[idx[k]]),
         arg_max_index=int(idx[k]),
@@ -323,7 +323,6 @@ def marty_sup(
     region: Disk,
     grid: int = 120,
     label: str = "",
-    growth_threshold: float = 0.2,
 ) -> NormalityReport:
     """Per-member supremum of the spherical gradient over a compact disk.
 
@@ -342,7 +341,7 @@ def marty_sup(
         slope = float(np.polyfit(np.log(idx), np.log(sups), 1)[0])
     else:
         slope = 0.0
-    verdict = "unbounded-growth" if slope > growth_threshold else "bounded"
+    verdict = "unbounded-growth" if slope > MARTY_GROWTH_THRESHOLD else "bounded"
     return NormalityReport(
         label=label,
         indices=tuple(idx),

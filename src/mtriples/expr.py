@@ -69,9 +69,9 @@ __all__ = [
     "invert_expr",
 ]
 
-# Defaults for the numeric order estimator; callers may override per call.
-DEFAULT_ORDER_RADII = (1e-3, 1e-4, 1e-5)
-DEFAULT_ORDER_SNAP_TOL = 0.2
+# Numeric order estimator: sample radii and the integer-snapping tolerance.
+_ORDER_RADII = (1e-3, 1e-4, 1e-5)
+_ORDER_SNAP_TOL = 0.2
 _ORDER_ANGLES = 8
 _LIMIT_SAMPLE_RADIUS = 1e-4
 
@@ -711,22 +711,18 @@ def _resolve_by_order(e: MeroExpr, z0: complex) -> ExtComplex:
     raise EvalError(f"could not resolve finite limit at z={z0}")
 
 
-def local_order(
-    e: MeroExpr,
-    z0: complex,
-    radii: tuple[float, ...] = DEFAULT_ORDER_RADII,
-    snap_tol: float = DEFAULT_ORDER_SNAP_TOL,
-) -> int:
+def local_order(e: MeroExpr, z0: complex) -> int:
     """Net vanishing order at ``z0``: zeros positive, poles negative, else 0.
 
-    Least-squares slope of the angle-averaged log-magnitude against log radius,
-    snapped to the nearest integer within ``snap_tol``.
+    Least-squares slope of the angle-averaged log-magnitude against log radius
+    over ``_ORDER_RADII``, snapped to the nearest integer within
+    ``_ORDER_SNAP_TOL``.
     """
     if not is_rational(e):
         raise RationalFormError("local_order requires a rational expression")
     z0 = complex(z0)
     mean_logs = []
-    for r in radii:
+    for r in _ORDER_RADII:
         got = None
         for attempt in range(4):
             try:
@@ -741,15 +737,15 @@ def local_order(
         if got is None:
             raise OrderUndeterminedError(f"cannot sample magnitudes near z={z0}")
         mean_logs.append(got)
-    xs = [math.log(r) for r in radii]
+    xs = [math.log(r) for r in _ORDER_RADII]
     xbar = sum(xs) / len(xs)
     ybar = sum(mean_logs) / len(mean_logs)
     denom = sum((x - xbar) ** 2 for x in xs)
     slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, mean_logs)) / denom
     nearest = round(slope)
-    if abs(slope - nearest) > snap_tol:
+    if abs(slope - nearest) > _ORDER_SNAP_TOL:
         raise OrderUndeterminedError(
-            f"order slope {slope:.4f} at z={z0} is farther than {snap_tol} from an integer"
+            f"order slope {slope:.4f} at z={z0} is farther than {_ORDER_SNAP_TOL} from an integer"
         )
     return int(nearest)
 

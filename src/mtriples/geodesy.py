@@ -21,7 +21,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 from scipy.spatial import cKDTree
 
-from .mtriple import Annulus, Disk, DomainSpec, MTriple, Rectangle, TruncatedPlane
+from .mtriple import DomainSpec, MTriple, segment_point_dist
 from .quadrature import QuadratureError, gauss4_segments, simpson_segments
 
 __all__ = [
@@ -133,43 +133,6 @@ def _as_density(density: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return fvec
 
 
-def _ghost_points(domain: DomainSpec, spacing: float) -> np.ndarray:
-    """Source points on the inset boundary curve(s), spaced ~spacing/2."""
-    inset = BOUNDARY_INSET_FRACTION * domain.scale()
-    step = spacing / 2.0
-    pts = []
-    if isinstance(domain, (Disk, TruncatedPlane)):
-        center = domain.center if isinstance(domain, Disk) else 0j
-        r = domain.radius - inset if isinstance(domain, Disk) else domain.radius * (
-            1.0 - BOUNDARY_INSET_FRACTION
-        )
-        n = max(16, int(math.ceil(2 * math.pi * r / step)))
-        ang = 2 * math.pi * np.arange(n) / n
-        pts.append(center + r * np.exp(1j * ang))
-    elif isinstance(domain, Annulus):
-        r_out = domain.r_outer * (1.0 - BOUNDARY_INSET_FRACTION)
-        r_in = domain.r_inner * (1.0 + BOUNDARY_INSET_FRACTION)
-        for r in (r_out, r_in):
-            n = max(16, int(math.ceil(2 * math.pi * r / step)))
-            ang = 2 * math.pi * np.arange(n) / n
-            pts.append(domain.center + r * np.exp(1j * ang))
-    elif isinstance(domain, Rectangle):
-        lo = domain.corner_min + inset * (1 + 1j)
-        hi = domain.corner_max - inset * (1 + 1j)
-        w, h = hi.real - lo.real, hi.imag - lo.imag
-        nx = max(2, int(math.ceil(w / step)))
-        ny = max(2, int(math.ceil(h / step)))
-        xs = np.linspace(lo.real, hi.real, nx)
-        ys = np.linspace(lo.imag, hi.imag, ny)
-        pts.append(xs + 1j * lo.imag)
-        pts.append(xs + 1j * hi.imag)
-        pts.append(lo.real + 1j * ys[1:-1])
-        pts.append(hi.real + 1j * ys[1:-1])
-    else:
-        raise TypeError(f"unsupported domain {domain!r}")
-    return np.concatenate(pts)
-
-
 def _puncture_rings(p: complex, spacing: float):
     """Geometric refinement rings around a puncture down to the core radius."""
     r0 = 3.2 * spacing
@@ -184,13 +147,6 @@ def _puncture_rings(p: complex, spacing: float):
     n_ang = 16
     ang = 2 * math.pi * np.arange(n_ang) / n_ang
     return [p + r * np.exp(1j * ang) for r in radii]
-
-
-def _segment_point_dist(za: np.ndarray, zb: np.ndarray, p: complex) -> np.ndarray:
-    d = zb - za
-    L2 = np.abs(d) ** 2
-    t = np.clip(((p - za) * np.conj(d)).real / np.where(L2 > 0, L2, 1.0), 0.0, 1.0)
-    return np.abs(za + t * d - p)
 
 
 def build_mesh(
@@ -221,23 +177,7 @@ def build_mesh(
     )
     zz = anchor + (ii + 1j * jj) * spacing
 
-    # vectorized containment for the four shapes
-    if isinstance(domain, Disk):
-        inside = np.abs(zz - domain.center) < domain.radius - margin
-    elif isinstance(domain, TruncatedPlane):
-        inside = np.abs(zz) < domain.radius * (1 - BOUNDARY_INSET_FRACTION) - 0.35 * spacing
-    elif isinstance(domain, Annulus):
-        r = np.abs(zz - domain.center)
-        inside = (r > domain.r_inner + margin) & (r < domain.r_outer - margin)
-    elif isinstance(domain, Rectangle):
-        inside = (
-            (zz.real > domain.corner_min.real + margin)
-            & (zz.real < domain.corner_max.real - margin)
-            & (zz.imag > domain.corner_min.imag + margin)
-            & (zz.imag < domain.corner_max.imag - margin)
-        )
-    else:
-        raise TypeError(f"unsupported domain {domain!r}")
+    inside = domain.contains(zz, margin)
 
     core = max(PUNCTURE_CORE_RADIUS, 0.3 * spacing)
     lattice_excl = 3.2 * spacing if refine_punctures else core
@@ -278,7 +218,7 @@ def build_mesh(
             ring_ids = []
             ring_pos = {}
             for ring in _puncture_rings(p, spacing):
-                keep = np.array([domain.contains(w, margin=0.0) for w in ring])
+                keep = domain.contains(ring)
                 ids = np.full(len(ring), -1, dtype=int)
                 ids[keep] = next_id + np.arange(int(keep.sum()))
                 next_id += int(keep.sum())
@@ -310,7 +250,7 @@ def build_mesh(
     edges_i.append(np.asarray(ring_i, dtype=int))
     edges_j.append(np.asarray(ring_j, dtype=int))
 
-    ghosts = _ghost_points(domain, spacing)
+    ghosts = domain.rim(BOUNDARY_INSET_FRACTION, spacing / 2.0)
     ghost_start = next_id
     next_id += len(ghosts)
     nodes.append(ghosts)
@@ -332,13 +272,11 @@ def build_mesh(
     ei = np.concatenate(edges_i).astype(int)
     ej = np.concatenate(edges_j).astype(int)
 
-    # drop segments that dip into an annular hole or pass a puncture core
+    # drop segments that leave the domain (an annular hole) or pass a puncture core
     za, zb = all_nodes[ei], all_nodes[ej]
-    keep = np.ones(len(ei), dtype=bool)
-    if isinstance(domain, Annulus):
-        keep &= _segment_point_dist(za, zb, domain.center) > domain.r_inner
+    keep = domain.keeps_segments(za, zb)
     for p in domain.punctures:
-        keep &= _segment_point_dist(za, zb, p) > 0.8 * PUNCTURE_CORE_RADIUS
+        keep &= segment_point_dist(za, zb, p) > 0.8 * PUNCTURE_CORE_RADIUS
     ei, ej = ei[keep], ej[keep]
 
     fvec = _as_density(density)
@@ -492,7 +430,7 @@ def completeness_probe(
             raise ValueError("anchor too close to the probe target")
         u = (tgt - anchor) / gap
         for p in triple.domain.punctures:
-            if abs(p - tgt) > 1e-9 and _segment_point_dist(
+            if abs(p - tgt) > 1e-9 and segment_point_dist(
                 np.array([anchor]), np.array([tgt]), p
             )[0] < 1e-3:
                 raise ValueError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
     "curvature",
     "curvature_array",
     "curvature_fd",
+    "segment_point_dist",
 ]
 
 _BIG_G = 1e6  # switch to the reciprocal route beyond this magnitude of g
@@ -83,7 +84,14 @@ class _DomainBase:
                 if abs(p - q) <= 1e-12:
                     raise ValueError(f"punctures {p} and {q} coincide")
 
-    # subclasses implement: contains, boundary_gap, bbox, anchor, scale
+    # subclasses implement: kind, contains (scalars or arrays), rim(inset, step)
+    # (points a relative ``inset`` inside the boundary, about ``step`` apart),
+    # boundary_gap, bbox, anchor, scale
+
+    def keeps_segments(self, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+        """Which segments za -> zb between points of the region stay inside
+        it; all of them on a convex shape."""
+        return np.ones(np.shape(za), dtype=bool)
 
     def diameter(self) -> float:
         x0, x1, y0, y1 = self.bbox()
@@ -95,8 +103,24 @@ class _DomainBase:
         return min(abs(z - p) for p in self.punctures)
 
 
+def _circle(center: complex, r: float, step: float) -> np.ndarray:
+    """At least 16 equally spaced points on a circle, about ``step`` apart."""
+    n = max(16, int(math.ceil(2 * math.pi * r / step)))
+    ang = 2 * math.pi * np.arange(n) / n
+    return center + r * np.exp(1j * ang)
+
+
+def segment_point_dist(za: np.ndarray, zb: np.ndarray, p: complex) -> np.ndarray:
+    """Distance from ``p`` to each segment za -> zb."""
+    d = zb - za
+    L2 = np.abs(d) ** 2
+    t = np.clip(((p - za) * np.conj(d)).real / np.where(L2 > 0, L2, 1.0), 0.0, 1.0)
+    return np.abs(za + t * d - p)
+
+
 @dataclass(frozen=True)
 class Disk(_DomainBase):
+    kind: ClassVar[str] = "disk"
     center: complex
     radius: float
     punctures: tuple = ()
@@ -107,8 +131,11 @@ class Disk(_DomainBase):
         object.__setattr__(self, "center", complex(self.center))
         self._validate_punctures()
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
+    def contains(self, z, margin: float = 0.0):
         return abs(z - self.center) < self.radius - margin
+
+    def rim(self, inset: float, step: float) -> np.ndarray:
+        return _circle(self.center, self.radius - inset * self.scale(), step)
 
     def boundary_gap(self, z: complex) -> float:
         return self.radius - abs(z - self.center)
@@ -126,6 +153,7 @@ class Disk(_DomainBase):
 
 @dataclass(frozen=True)
 class Annulus(_DomainBase):
+    kind: ClassVar[str] = "annulus"
     center: complex
     r_inner: float
     r_outer: float
@@ -137,9 +165,20 @@ class Annulus(_DomainBase):
         object.__setattr__(self, "center", complex(self.center))
         self._validate_punctures()
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
+    def contains(self, z, margin: float = 0.0):
         r = abs(z - self.center)
-        return self.r_inner + margin < r < self.r_outer - margin
+        return (self.r_inner + margin < r) & (r < self.r_outer - margin)
+
+    def rim(self, inset: float, step: float) -> np.ndarray:
+        return np.concatenate(
+            [
+                _circle(self.center, self.r_outer * (1.0 - inset), step),
+                _circle(self.center, self.r_inner * (1.0 + inset), step),
+            ]
+        )
+
+    def keeps_segments(self, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+        return segment_point_dist(za, zb, self.center) > self.r_inner
 
     def boundary_gap(self, z: complex) -> float:
         r = abs(z - self.center)
@@ -158,6 +197,7 @@ class Annulus(_DomainBase):
 
 @dataclass(frozen=True)
 class Rectangle(_DomainBase):
+    kind: ClassVar[str] = "rectangle"
     corner_min: complex
     corner_max: complex
     punctures: tuple = ()
@@ -172,10 +212,23 @@ class Rectangle(_DomainBase):
             raise ValueError("rectangle corners must span a nonempty region")
         self._validate_punctures()
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
+    def contains(self, z, margin: float = 0.0):
         return (
-            self.corner_min.real + margin < z.real < self.corner_max.real - margin
-            and self.corner_min.imag + margin < z.imag < self.corner_max.imag - margin
+            (self.corner_min.real + margin < z.real)
+            & (z.real < self.corner_max.real - margin)
+            & (self.corner_min.imag + margin < z.imag)
+            & (z.imag < self.corner_max.imag - margin)
+        )
+
+    def rim(self, inset: float, step: float) -> np.ndarray:
+        d = inset * self.scale()
+        lo = self.corner_min + d * (1 + 1j)
+        hi = self.corner_max - d * (1 + 1j)
+        w, h = hi.real - lo.real, hi.imag - lo.imag
+        xs = np.linspace(lo.real, hi.real, max(2, int(math.ceil(w / step))))
+        ys = np.linspace(lo.imag, hi.imag, max(2, int(math.ceil(h / step))))
+        return np.concatenate(
+            [xs + 1j * lo.imag, xs + 1j * hi.imag, lo.real + 1j * ys[1:-1], hi.real + 1j * ys[1:-1]]
         )
 
     def boundary_gap(self, z: complex) -> float:
@@ -212,6 +265,7 @@ class TruncatedPlane(_DomainBase):
     boundary source and completeness probes toward infinity integrate past it.
     """
 
+    kind: ClassVar[str] = "truncated_plane"
     radius: float
     punctures: tuple = ()
 
@@ -220,8 +274,11 @@ class TruncatedPlane(_DomainBase):
             raise ValueError("truncation radius must be positive")
         self._validate_punctures()
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
+    def contains(self, z, margin: float = 0.0):
         return abs(z) < self.radius - margin
+
+    def rim(self, inset: float, step: float) -> np.ndarray:
+        return _circle(0j, self.radius * (1.0 - inset), step)
 
     def boundary_gap(self, z: complex) -> float:
         return self.radius - abs(z)

@@ -33,6 +33,11 @@ _GL4_W = np.array(
 )
 
 
+GAUSS4_REL_TOL = 1e-9
+GAUSS4_MAX_DEPTH = 14
+SIMPSON_MAX_DEPTH = 24
+
+
 class QuadratureError(ValueError):
     """Non-finite integrand sample or failure to converge."""
 
@@ -41,8 +46,6 @@ def gauss4_segments(
     fvec: Callable[[np.ndarray], np.ndarray],
     za: np.ndarray,
     zb: np.ndarray,
-    rel_tol: float = 1e-9,
-    max_depth: int = 14,
 ) -> np.ndarray:
     """Line integral of a real density along segments za -> zb.
 
@@ -77,14 +80,14 @@ def gauss4_segments(
     smooth = spread <= 0.05 * np.abs(whole)
     totals[smooth] = whole[smooth]
     seg, a, b, whole = seg[~smooth], a[~smooth], b[~smooth], whole[~smooth]
-    tol = rel_tol * (np.abs(whole) + 1e-30)
+    tol = GAUSS4_REL_TOL * (np.abs(whole) + 1e-30)
     depth = 0
     while seg.size:
         m = 0.5 * (a + b)
         left = panel(seg, a, m)
         right = panel(seg, m, b)
         two = left + right
-        done = (np.abs(two - whole) <= tol) | (depth >= max_depth)
+        done = (np.abs(two - whole) <= tol) | (depth >= GAUSS4_MAX_DEPTH)
         np.add.at(totals, seg[done], two[done])
         cont = ~done
         seg = np.concatenate([seg[cont], seg[cont]])
@@ -101,7 +104,6 @@ def simpson_segments(
     za: np.ndarray,
     zb: np.ndarray,
     rel_tol: float = 1e-10,
-    max_depth: int = 24,
 ) -> np.ndarray:
     """Adaptive Simpson integral of f dz along each straight segment.
 
@@ -142,7 +144,7 @@ def simpson_segments(
     tol = rel_tol * scale
     depth = 0
     while seg.size:
-        if depth >= max_depth:
+        if depth >= SIMPSON_MAX_DEPTH:
             # accept the current estimates rather than loop forever
             np.add.at(totals, seg, s_whole)
             break

@@ -220,7 +220,7 @@ class PeriodResidual:
 # ---------------------------------------------------------------------------
 
 
-def _integrate_tree(mesh: MeshedDomain, root: int, integrands: Sequence, rel_tol: float = 1e-10):
+def _integrate_tree(mesh: MeshedDomain, root: int, integrands: Sequence):
     """Cumulative integrals of each integrand from the root to every node."""
     parent, order = mesh.spanning_tree(root)
     child = order[1:]
@@ -229,7 +229,7 @@ def _integrate_tree(mesh: MeshedDomain, root: int, integrands: Sequence, rel_tol
     out = np.zeros((len(integrands), mesh.n_nodes), dtype=complex)
     try:
         for k, fvec in enumerate(integrands):
-            seg = simpson_segments(fvec, za, zb, rel_tol=rel_tol)
+            seg = simpson_segments(fvec, za, zb, rel_tol=1e-10)
             acc = out[k]
             for c, v in zip(child, seg):
                 acc[c] = acc[parent[c]] + v

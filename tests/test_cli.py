@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from mtriples.cli import domain_from_json, domain_to_json
+
 EXE = [sys.executable, "-m", "mtriples.cli"]
 
 DISK = {"kind": "disk", "center": [0, 0], "radius": 1.0, "punctures": []}
@@ -24,6 +26,25 @@ def run_cli(tmp_path, group, action, cfg, name="cfg"):
     if report_path.exists():
         report = json.loads(report_path.read_text())
     return proc, report, out
+
+
+@pytest.mark.parametrize(
+    "cfg, filled",
+    [
+        ({"kind": "disk", "radius": 1.5}, {"center": [0, 0], "punctures": []}),
+        ({"kind": "disk", "center": [0.5, -1], "radius": 2, "punctures": [[0.5, 0]]}, {}),
+        ({"kind": "annulus", "center": [1, 1], "r_inner": 0.5, "r_outer": 2.0,
+          "punctures": [[2.5, 1]]}, {}),
+        ({"kind": "rectangle", "corner_min": [-1, -0.5], "corner_max": [2, 1]},
+         {"punctures": []}),
+        ({"kind": "truncated_plane", "radius": 3.0, "punctures": [[1, 0], [-1, 0]]}, {}),
+    ],
+    ids=["disk-no-center", "disk", "annulus", "rectangle", "truncated_plane"],
+)
+def test_domain_json_round_trip(cfg, filled):
+    out = domain_to_json(domain_from_json(cfg, "/domain"))
+    assert out == {**cfg, **filled}
+    assert domain_to_json(domain_from_json(out, "/domain")) == out
 
 
 class TestTripleCommands:
@@ -247,6 +268,27 @@ class TestReportHygiene:
         proc, report, _ = run_cli(tmp_path, "triple", "check", dict(cfg, seed="7"), name="ok")
         assert proc.returncode == 0
         assert report["seed"] == 7
+
+    @pytest.mark.parametrize(
+        "field, value", [("radius", [1]), ("radius", "inf"), ("punctures", 5), ("center", "x")]
+    )
+    def test_malformed_domain_field_is_schema_error(self, tmp_path, field, value):
+        cfg = {"triple": {"domain": dict(DISK, **{field: value}), "f": "1", "g": "z", "m": 2}}
+        proc, report, _ = run_cli(tmp_path, "triple", "check", cfg)
+        assert proc.returncode == 1
+        assert report is None
+        err = json.loads(proc.stderr.splitlines()[0])
+        assert err["error"]["kind"] == "schema"
+        assert err["error"]["pointer"] == f"/triple/domain/{field}"
+
+    def test_non_integer_resolution_is_schema_error(self, tmp_path):
+        cfg = dict(TestEstimateCommand.CFG, resolution="abc")
+        proc, report, _ = run_cli(tmp_path, "estimate", "verify", cfg)
+        assert proc.returncode == 1
+        assert report is None
+        err = json.loads(proc.stderr.splitlines()[0])
+        assert err["error"]["kind"] == "schema"
+        assert err["error"]["pointer"] == "/resolution"
 
     def test_non_path_output_dir_is_schema_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -23,6 +23,13 @@ from mtriples.mtriple import (
 
 from _helpers import random_regular_triple, sample_points_away
 
+SHAPES = [
+    Disk(0.3 - 0.2j, 1.5),
+    Annulus(0.1j, 0.5, 2.0),
+    Rectangle(-1 - 0.5j, 2 + 1j),
+    TruncatedPlane(2.5),
+]
+
 
 class TestDomains:
     def test_puncture_must_be_interior(self):
@@ -51,6 +58,40 @@ class TestDomains:
         rect = Rectangle(0, 2 + 1j)
         assert rect.contains(1 + 0.5j)
         assert not rect.contains(-0.1 + 0.5j)
+
+    @pytest.mark.parametrize("margin", [0.0, 0.2])
+    @pytest.mark.parametrize("domain", SHAPES, ids=lambda d: type(d).__name__)
+    def test_contains_on_array_matches_points(self, domain, margin):
+        rng = np.random.default_rng(1)
+        x0, x1, y0, y1 = domain.bbox()
+        zs = rng.uniform(x0 - 0.5, x1 + 0.5, 400) + 1j * rng.uniform(y0 - 0.5, y1 + 0.5, 400)
+        got = domain.contains(zs, margin)
+        assert got.shape == zs.shape
+        assert got.tolist() == [bool(domain.contains(complex(z), margin)) for z in zs]
+        assert 0 < got.sum() < zs.size
+
+    @pytest.mark.parametrize(
+        "domain, gap",
+        [
+            (SHAPES[0], lambda z: 1.5e-3),
+            (SHAPES[1], lambda z: 1e-3 * (2.0 if abs(z - 0.1j) > 1.0 else 0.5)),
+            (SHAPES[2], lambda z: 0.75e-3),
+            (SHAPES[3], lambda z: 2.5e-3),
+        ],
+        ids=["disk", "annulus", "rectangle", "truncated_plane"],
+    )
+    def test_rim_lies_inside_at_the_inset(self, domain, gap):
+        pts = domain.rim(1e-3, 0.05)
+        assert len(pts) >= 16
+        assert np.all(domain.contains(pts))
+        for z in pts:
+            assert abs(domain.boundary_gap(z) - gap(z)) < 1e-12
+
+    def test_annulus_drops_chords_through_the_hole(self):
+        za = np.array([-1.0 + 0j, 1.0 + 0j])
+        zb = np.array([1.0 + 0j, 1.0 + 1.0j])
+        assert Annulus(0, 0.5, 2.0).keeps_segments(za, zb).tolist() == [False, True]
+        assert Disk(0, 2.0).keeps_segments(za, zb).tolist() == [True, True]
 
 
 class TestRegularity:
