@@ -115,6 +115,16 @@ def _as_complex(value, pointer: str) -> complex:
     raise ConfigError(pointer, "expected a number or an [re, im] pair")
 
 
+def _as_float(value, pointer: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(pointer, f"expected a number: {exc}") from exc
+    if not math.isfinite(x):  # float() reads the strings "inf" and "nan"
+        raise ConfigError(pointer, "expected a finite number")
+    return x
+
+
 def _as_ext(value, pointer: str) -> ExtComplex:
     if value in ("inf", "infinity"):
         return INFINITY
@@ -154,12 +164,7 @@ def domain_from_json(cfg, pointer: str) -> DomainSpec:
             value = cfg.get(f.name, 0) if f.name == "center" else _need(cfg, f.name, pointer)
             args[f.name] = _as_complex(value, at)
         else:
-            try:
-                args[f.name] = float(_need(cfg, f.name, pointer))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(at, f"expected a number: {exc}") from exc
-            if not math.isfinite(args[f.name]):  # float() reads the strings "inf" and "nan"
-                raise ConfigError(at, "expected a finite number")
+            args[f.name] = _as_float(_need(cfg, f.name, pointer), at)
     try:
         return cls(**args)
     except ValueError as exc:
@@ -333,7 +338,9 @@ def _handle_surface(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     if action != "synth":
         raise ConfigError("/subcommand", f"unknown surface action {action!r}")
     if cls_name == "flat_front":
-        step = float(cfg.get("step", 1e-3 * data.domain.diameter()))
+        step = _as_float(cfg.get("step", 1e-3 * data.domain.diameter()), "/step")
+        if step <= 0:
+            raise ConfigError("/step", "expected a positive number")
         surface = synth(data, mesh, step)
     else:
         surface = synth(data, mesh)

@@ -220,10 +220,30 @@ class PeriodResidual:
 # ---------------------------------------------------------------------------
 
 
+def _tree_levels(parent: np.ndarray, order: np.ndarray) -> list:
+    """Slices of ``order[1:]``, one per BFS depth, shallowest first.
+
+    A breadth-first order lists children in the order their parents were
+    visited, so the parents' positions never decrease along ``order[1:]``
+    and the nodes of one depth form one run: the children of the run
+    before it.
+    """
+    pos = np.empty(len(order), dtype=np.intp)
+    pos[order] = np.arange(len(order))
+    parent_pos = pos[parent[order[1:]]]
+    levels = []
+    lo, hi = 0, int(np.searchsorted(parent_pos, 1))
+    while lo < hi:
+        levels.append(slice(lo, hi))
+        lo, hi = hi, int(np.searchsorted(parent_pos, hi + 1))
+    return levels
+
+
 def _integrate_tree(mesh: MeshedDomain, root: int, integrands: Sequence):
     """Cumulative integrals of each integrand from the root to every node."""
     parent, order = mesh.spanning_tree(root)
     child = order[1:]
+    levels = _tree_levels(parent, order)
     za = mesh.nodes[parent[child]]
     zb = mesh.nodes[child]
     out = np.zeros((len(integrands), mesh.n_nodes), dtype=complex)
@@ -231,8 +251,8 @@ def _integrate_tree(mesh: MeshedDomain, root: int, integrands: Sequence):
         for k, fvec in enumerate(integrands):
             seg = simpson_segments(fvec, za, zb, rel_tol=1e-10)
             acc = out[k]
-            for c, v in zip(child, seg):
-                acc[c] = acc[parent[c]] + v
+            for s in levels:
+                acc[child[s]] = acc[parent[child[s]]] + seg[s]
     except QuadratureError as exc:
         raise EvalError(f"integrand pole on a tree edge: {exc}") from exc
     return out, parent
@@ -386,48 +406,87 @@ def synth_improper_affine(data: ImproperAffineData, mesh: MeshedDomain) -> Surfa
     )
 
 
-def _rk4_edge(L: np.ndarray, za: complex, zb: complex, omega, theta, step: float) -> np.ndarray:
-    """March L' = L @ [[0, theta], [omega, 0]] along one straight segment."""
-    length = abs(zb - za)
-    n = max(1, int(math.ceil(length / step)))
-    ts = np.linspace(0.0, 1.0, 2 * n + 1)
-    pts = za + ts * (zb - za)
-    om = eval_array_checked(omega, pts)
-    th = eval_array_checked(theta, pts)
-    if np.any(~np.isfinite(om)) or np.any(~np.isfinite(th)):
-        raise EvalError("form coefficient has a pole on an integration edge")
-    dz = (zb - za) / n
+def _require_step(step: float) -> None:
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be a positive finite number, got {step!r}")
 
-    def coeff(idx: int) -> np.ndarray:
-        return np.array([[0.0, th[idx]], [om[idx], 0.0]], dtype=complex)
 
-    out = L.copy()
-    for k in range(n):
-        a0 = coeff(2 * k)
-        a1 = coeff(2 * k + 1)
-        a2 = coeff(2 * k + 2)
-        k1 = out @ a0
-        k2 = (out + 0.5 * dz * k1) @ a1
-        k3 = (out + 0.5 * dz * k2) @ a1
-        k4 = (out + dz * k3) @ a2
-        out = out + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _div_real(a: np.ndarray, d) -> np.ndarray:
+    """a / d for real d > 0, rounded as Python's complex division does it
+    (numpy's multiplies by the reciprocal)."""
+    out = np.empty_like(a)
+    out.real = (a.real + a.imag * 0.0) / d
+    out.imag = (a.imag - a.real * 0.0) / d
     return out
+
+
+def _rk4_edges(
+    lifts: np.ndarray, za: np.ndarray, zb: np.ndarray, omega, theta, step: float
+) -> np.ndarray:
+    """March L' = L @ [[0, theta], [omega, 0]] along the segments za -> zb.
+
+    ``lifts`` (k, 2, 2) holds the start values.  Each segment takes
+    max(1, ceil(|zb - za| / step)) RK4 steps with the forms sampled at the
+    step ends and midpoints, and all segments are stepped together: sorted
+    by step count, a segment leaves the batch once its steps are done.
+    Every value is rounded as when one segment is stepped on its own.
+    """
+    delta = zb - za
+    # np.hypot is libm's hypot, as Python's abs(complex); numpy's complex abs
+    # can differ in the last bit, which moves ceil() at an exact multiple
+    n = np.maximum(1, np.ceil(np.hypot(delta.real, delta.imag) / step)).astype(np.intp)
+    by_steps = np.argsort(-n, kind="stable")
+    n, za, delta = n[by_steps], za[by_steps], delta[by_steps]
+    k, most = len(n), int(n[0])
+    coeff = np.zeros((k, 2 * most + 1, 2, 2), dtype=complex)
+    lo = 0
+    while lo < k:
+        m = int(n[lo])
+        hi = lo + int(np.count_nonzero(n == m))
+        ts = np.linspace(0.0, 1.0, 2 * m + 1)
+        pts = za[lo:hi, None] + ts * delta[lo:hi, None]
+        om = eval_array_checked(omega, pts)
+        th = eval_array_checked(theta, pts)
+        if np.any(~np.isfinite(om)) or np.any(~np.isfinite(th)):
+            raise EvalError("form coefficient has a pole on an integration edge")
+        coeff[lo:hi, : 2 * m + 1, 0, 1] = th
+        coeff[lo:hi, : 2 * m + 1, 1, 0] = om
+        lo = hi
+    dz = _div_real(delta, n)
+    half = (0.5 * dz)[:, None, None]
+    sixth = _div_real(dz, 6.0)[:, None, None]
+    dz = dz[:, None, None]
+    out = lifts[by_steps]
+    active = k
+    for j in range(most):
+        active = int(np.count_nonzero(n[:active] > j))
+        L = out[:active]
+        a0, a1, a2 = (coeff[:active, 2 * j + i] for i in range(3))
+        k1 = L @ a0
+        k2 = (L + half[:active] * k1) @ a1
+        k3 = (L + half[:active] * k2) @ a1
+        k4 = (L + dz[:active] * k3) @ a2
+        out[:active] = L + sixth[:active] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    result = np.empty_like(out)
+    result[by_steps] = out
+    return result
 
 
 def synth_flatfront(data: FlatFrontData, mesh: MeshedDomain, step: float) -> SurfaceMesh:
     """Integrate the Legendrian-lift ODE and project psi = L L* to the ball."""
+    _require_step(step)
     if step > 1e-2 * data.domain.diameter():
         raise ValueError("step must be at most 1% of the domain diameter")
     root = mesh.node_nearest(data.base_point)
     parent, order = mesh.spanning_tree(root)
-    n = mesh.n_nodes
-    lifts = np.zeros((n, 2, 2), dtype=complex)
+    child = order[1:]
+    zs = mesh.nodes
+    lifts = np.zeros((mesh.n_nodes, 2, 2), dtype=complex)
     lifts[root] = np.eye(2)
-    for v in order[1:]:
+    for s in _tree_levels(parent, order):
+        v = child[s]
         p = parent[v]
-        lifts[v] = _rk4_edge(
-            lifts[p], complex(mesh.nodes[p]), complex(mesh.nodes[v]), data.omega, data.theta, step
-        )
+        lifts[v] = _rk4_edges(lifts[p], zs[p], zs[v], data.omega, data.theta, step)
     dets = lifts[:, 0, 0] * lifts[:, 1, 1] - lifts[:, 0, 1] * lifts[:, 1, 0]
     drift = float(np.max(np.abs(dets - 1.0)))
     if drift > 1e-6:
@@ -441,7 +500,6 @@ def synth_flatfront(data: FlatFrontData, mesh: MeshedDomain, step: float) -> Sur
     x2 = psi[:, 1, 0].imag
     x3 = 0.5 * (a - c)
     ball = np.column_stack([x1, x2, x3]) / (1.0 + x0)[:, None]
-    zs = mesh.nodes
     om = eval_array_checked(data.omega, zs)
     th = eval_array_checked(data.theta, zs)
     with np.errstate(all="ignore"):
@@ -499,10 +557,11 @@ def period_residuals(data: WeierstrassData, cycle: Sequence[complex], step: floa
             raise EvalError(f"pole on the cycle: {exc}") from exc
         return PeriodResidual(kind="improper_affine", values=np.array([val]), norm=abs(val))
     if isinstance(data, FlatFrontData):
-        L = np.eye(2, dtype=complex)
-        for a, b in zip(pts[:-1], pts[1:]):
-            L = _rk4_edge(L, complex(a), complex(b), data.omega, data.theta, step)
-        dev = L - np.eye(2)
+        _require_step(step)
+        L = np.eye(2, dtype=complex)[None]
+        for i in range(len(pts) - 1):
+            L = _rk4_edges(L, pts[i : i + 1], pts[i + 1 : i + 2], data.omega, data.theta, step)
+        dev = L[0] - np.eye(2)
         return PeriodResidual(kind="flatfront", values=dev, norm=float(np.max(np.abs(dev))))
     raise TypeError(f"unsupported data {data!r}")
 

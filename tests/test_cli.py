@@ -176,6 +176,18 @@ class TestSurfaceCommand:
         assert abs(abs(third) - 4 * math.pi) < 1e-6
 
 
+    @pytest.mark.parametrize("step", ["abc", 0, -1, "inf"])
+    def test_bad_step_is_schema_error(self, tmp_path, step):
+        cfg = {"class": "flat_front", "omega": "1", "theta": "z/2", "domain": DISK,
+               "resolution": 20, "step": step}
+        proc, report, _ = run_cli(tmp_path, "surface", "synth", cfg)
+        assert proc.returncode == 1
+        assert report is None
+        err = json.loads(proc.stderr.splitlines()[0])
+        assert err["error"]["kind"] == "schema"
+        assert err["error"]["pointer"] == "/step"
+
+
 class TestProbeCommands:
     def test_zalcman(self, tmp_path):
         proc, report, _ = run_cli(

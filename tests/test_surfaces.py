@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from mtriples import surfaces
+from mtriples.expr import EvalError
 from mtriples.geodesy import build_mesh
 from mtriples.mtriple import Annulus, Disk
 from mtriples.quadrature import simpson_segments
@@ -278,10 +280,11 @@ class TestFlatFront:
 
     def test_det_drift_per_unit_arc(self):
         # traceless coefficient matrix keeps det constant; RK4 drift stays tiny
-        from mtriples.surfaces import _rk4_edge
+        from mtriples.surfaces import _rk4_edges
 
-        L = np.eye(2, dtype=complex)
-        L = _rk4_edge(L, 0j, 1 + 0j, parse_mero("1"), parse_mero("z"), 1e-3)
+        L = np.eye(2, dtype=complex)[None]
+        za, zb = np.array([0j]), np.array([1 + 0j])
+        L = _rk4_edges(L, za, zb, parse_mero("1"), parse_mero("z"), 1e-3)[0]
         det = L[0, 0] * L[1, 1] - L[0, 1] * L[1, 0]
         assert abs(det - 1.0) <= 1e-10
 
@@ -318,6 +321,139 @@ class TestFlatFront:
         mesh = build_mesh(dom, ONES, 40)
         with pytest.raises(ValueError):
             synth_flatfront(FlatFrontData("1", "0", dom, 0j), mesh, step=0.5)
+
+    @pytest.mark.parametrize("step", [-5.0, 0.0, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, step):
+        dom = Disk(0, 1.0)
+        mesh = build_mesh(dom, ONES, 60)
+        data = FlatFrontData("1", "z/2", dom, 0j)
+        with pytest.raises(ValueError, match="step"):
+            synth_flatfront(data, mesh, step=step)
+        with pytest.raises(ValueError, match="step"):
+            period_residuals(data, [0.5, 0.5j, -0.5], step=step)
+
+    def test_cycle_through_a_pole_raises(self):
+        dom = Disk(0, 1.0, punctures=(0j,))
+        data = FlatFrontData("1/z", "1", dom, 0.5)
+        with pytest.raises(EvalError):
+            period_residuals(data, [0j, 0.5, 0.5j], step=0.01)
+
+
+def _reference_rk4_edge(L, za, zb, omega, theta, step):
+    """The per-edge RK4 loop that the batched kernel replaced."""
+    length = abs(zb - za)
+    n = max(1, int(math.ceil(length / step)))
+    ts = np.linspace(0.0, 1.0, 2 * n + 1)
+    pts = za + ts * (zb - za)
+    om = eval_array_checked(omega, pts)
+    th = eval_array_checked(theta, pts)
+    if np.any(~np.isfinite(om)) or np.any(~np.isfinite(th)):
+        raise EvalError("form coefficient has a pole on an integration edge")
+    dz = (zb - za) / n
+
+    def coeff(idx):
+        return np.array([[0.0, th[idx]], [om[idx], 0.0]], dtype=complex)
+
+    out = L.copy()
+    for k in range(n):
+        a0, a1, a2 = coeff(2 * k), coeff(2 * k + 1), coeff(2 * k + 2)
+        k1 = out @ a0
+        k2 = (out + 0.5 * dz * k1) @ a1
+        k3 = (out + 0.5 * dz * k2) @ a1
+        k4 = (out + dz * k3) @ a2
+        out = out + (dz / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
+
+
+def _reference_lifts(data, mesh, step):
+    """Flat-front lifts stepped one tree edge at a time in BFS order."""
+    root = mesh.node_nearest(data.base_point)
+    parent, order = mesh.spanning_tree(root)
+    lifts = np.zeros((mesh.n_nodes, 2, 2), dtype=complex)
+    lifts[root] = np.eye(2)
+    for v in order[1:]:
+        p = parent[v]
+        lifts[v] = _reference_rk4_edge(
+            lifts[p], complex(mesh.nodes[p]), complex(mesh.nodes[v]), data.omega, data.theta, step
+        )
+    return lifts
+
+
+def _reference_integrate_tree(mesh, root, integrands):
+    """Edge integrals accumulated one node at a time in BFS order."""
+    parent, order = mesh.spanning_tree(root)
+    child = order[1:]
+    za = mesh.nodes[parent[child]]
+    zb = mesh.nodes[child]
+    out = np.zeros((len(integrands), mesh.n_nodes), dtype=complex)
+    for k, fvec in enumerate(integrands):
+        seg = simpson_segments(fvec, za, zb, rel_tol=1e-10)
+        acc = out[k]
+        for c, v in zip(child, seg):
+            acc[c] = acc[parent[c]] + v
+    return out, parent
+
+
+TREE_DOMAINS = [
+    (Disk(0, 1.0), False),
+    (Annulus(0, 0.5, 2.0), False),
+    (Disk(0, 1.0, punctures=(0.3 + 0.2j,)), True),  # with puncture ring edges
+]
+
+
+def _roots(domain, mesh):
+    return (mesh.node_nearest(domain.anchor()), mesh.n_nodes - 1)
+
+
+class TestLevelSynchronousTree:
+    @pytest.mark.parametrize("domain, refine", TREE_DOMAINS)
+    def test_levels_are_bfs_depths(self, domain, refine):
+        mesh = build_mesh(domain, ONES, 30, refine_punctures=refine)
+        for root in _roots(domain, mesh):
+            parent, order = mesh.spanning_tree(root)
+            depth = np.zeros(mesh.n_nodes, dtype=int)
+            for v in order[1:]:
+                depth[v] = depth[parent[v]] + 1
+            levels = surfaces._tree_levels(parent, order)
+            assert levels[0].start == 0 and levels[-1].stop == mesh.n_nodes - 1
+            for d, s in enumerate(levels, start=1):
+                assert np.all(depth[order[1:][s]] == d)
+                assert s.stop > s.start
+            assert all(a.stop == b.start for a, b in zip(levels, levels[1:]))
+
+    @pytest.mark.parametrize("domain, refine", TREE_DOMAINS)
+    def test_flatfront_lifts_match_per_edge_reference(self, domain, refine):
+        mesh = build_mesh(domain, ONES, 30, refine_punctures=refine)
+        step = 5e-3 * domain.diameter()
+        for root in _roots(domain, mesh):
+            # theta = 0 makes exact zeros, so compare bit patterns, signs of zero included
+            for omega, theta in (("1 + z/3", "z/2"), ("1", "0")):
+                data = FlatFrontData(omega, theta, domain, mesh.nodes[root])
+                got = synth_flatfront(data, mesh, step=step).lift_matrices
+                want = _reference_lifts(data, mesh, step)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            parent, order = mesh.spanning_tree(root)
+            child = order[1:]
+            steps = np.ceil(np.abs(mesh.nodes[child] - mesh.nodes[parent[child]]) / step)
+            mixed = [len(set(steps[s])) > 1 for s in surfaces._tree_levels(parent, order)]
+            assert any(mixed)
+
+    @pytest.mark.parametrize("domain, refine", TREE_DOMAINS)
+    def test_vertices_match_per_node_reference(self, domain, refine, monkeypatch):
+        mesh = build_mesh(domain, ONES, 30, refine_punctures=refine)
+        for root in _roots(domain, mesh):
+            base = mesh.nodes[root]
+            cases = [
+                (synth_minimal, MinimalData("1", "z", domain, base)),
+                (synth_maxface, MaxfaceData("1", "z/3", domain, base)),
+                (synth_improper_affine, ImproperAffineData("z^2/4", "z", domain, base)),
+            ]
+            for synth, data in cases:
+                got = synth(data, mesh).vertices
+                with monkeypatch.context() as m:
+                    m.setattr(surfaces, "_integrate_tree", _reference_integrate_tree)
+                    want = synth(data, mesh).vertices
+                assert np.array_equal(got, want)
 
 
 @pytest.fixture(scope="module")
