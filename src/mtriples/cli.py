@@ -125,6 +125,13 @@ def _as_float(value, pointer: str) -> float:
     return x
 
 
+def _as_positive(value, pointer: str) -> float:
+    x = _as_float(value, pointer)
+    if x <= 0:
+        raise ConfigError(pointer, "expected a positive number")
+    return x
+
+
 def _as_ext(value, pointer: str) -> ExtComplex:
     if value in ("inf", "infinity"):
         return INFINITY
@@ -217,8 +224,9 @@ def property_from_json(cfg, pointer: str):
     if not isinstance(cfg, dict):
         raise ConfigError(pointer, "expected a property object")
     if "bounded" in cfg:
+        limit = _as_float(cfg["bounded"], f"{pointer}/bounded")
         try:
-            return Bounded(float(cfg["bounded"]))
+            return Bounded(limit)
         except ValueError as exc:
             raise ConfigError(f"{pointer}/bounded", str(exc)) from exc
     if "omits" in cfg:
@@ -260,7 +268,7 @@ def _handle_triple(action: str, cfg: dict, opts) -> tuple[dict, bool]:
             return out, False
         t = MTriple(domain, f, g, m, report)
         pts = [_as_complex(p, f"/points/{k}") for k, p in enumerate(_need(cfg, "points", ""))]
-        h = float(cfg.get("fd_step", 1e-3))
+        h = _as_positive(cfg.get("fd_step", 1e-3), "/fd_step")
         out["points"] = [
             {"point": p, "curvature": curvature(t, p), "curvature_fd": curvature_fd(t, p, h)}
             for p in pts
@@ -276,10 +284,11 @@ def _handle_estimate(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     triple = triple_from_json(_need(cfg, "triple", ""), "/triple")
     prop = property_from_json(_need(cfg, "property", ""), "/property")
     resolution = _resolution(cfg, opts, 200)
+    delta = _as_positive(cfg.get("delta", 1e-3), "/delta")
     # puncture rings act as ideal-boundary sources for the distance field;
     # the property check stands off from them on its own
     mesh = _mesh_for(triple, resolution, refine=True)
-    prop_report = property_check(triple.g, prop, mesh, float(cfg.get("delta", 1e-3)))
+    prop_report = property_check(triple.g, prop, mesh, delta)
     est = verify_estimate(triple, prop, mesh)
     c = curvature_constant(prop, triple.m)
     out = {
@@ -338,9 +347,7 @@ def _handle_surface(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     if action != "synth":
         raise ConfigError("/subcommand", f"unknown surface action {action!r}")
     if cls_name == "flat_front":
-        step = _as_float(cfg.get("step", 1e-3 * data.domain.diameter()), "/step")
-        if step <= 0:
-            raise ConfigError("/step", "expected a positive number")
+        step = _as_positive(cfg.get("step", 1e-3 * data.domain.diameter()), "/step")
         surface = synth(data, mesh, step)
     else:
         surface = synth(data, mesh)
@@ -374,32 +381,35 @@ def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         template = _need(cfg, "family", "")
         if not isinstance(template, str) or "{n}" not in template:
             raise ConfigError("/family", "expected an expression template with {n}")
-        indices = [int(n) for n in _need(cfg, "indices", "")]
+        indices = [_as_int(n, f"/indices/{k}") for k, n in enumerate(_need(cfg, "indices", ""))]
         region_cfg = _need(cfg, "region", "")
+        if not isinstance(region_cfg, dict):
+            raise ConfigError("/region", "expected a region object")
         center = _as_complex(region_cfg.get("center", 0), "/region/center")
-        radius = float(_need(region_cfg, "radius", "/region"))
-        grid = int(cfg.get("grid", 120))
+        radius = _as_float(_need(region_cfg, "radius", "/region"), "/region/radius")
+        grid = _as_int(cfg.get("grid", 120), "/grid")
         family = lambda n: parse_mero(template.replace("{n}", repr(n)))
         rep = marty_sup(family, indices, Disk(center, radius), grid, label=template)
         return {"marty": rep}, True
     if action == "zalcman":
         h = _as_expr(_need(cfg, "h", ""), "/h")
-        grid = int(cfg.get("searchgrid", 300))
+        grid = _as_int(cfg.get("searchgrid", 300), "/searchgrid")
         return {"zalcman": zalcman_rescale(h, grid)}, True
     if action == "fujimoto":
         f = _as_expr(_need(cfg, "f", ""), "/f")
         values = tuple(
             _as_ext(v, f"/omits/{k}") for k, v in enumerate(_need(cfg, "omits", ""))
         )
-        eta = float(_need(cfg, "eta", ""))
-        radius = float(_need(cfg, "radius", ""))
+        eta = _as_float(_need(cfg, "eta", ""), "/eta")
+        radius = _as_float(_need(cfg, "radius", ""), "/radius")
         resolution = _resolution(cfg, opts, 150)
         ones = lambda zs: np.ones(np.shape(zs))
         mesh = build_mesh(Disk(0, radius), ones, resolution, refine_punctures=False)
         return {"fujimoto": fujimoto_ratio(f, values, eta, radius, mesh)}, True
     if action == "completeness":
         triple = triple_from_json(_need(cfg, "triple", ""), "/triple")
-        eps = [float(e) for e in _need(cfg, "eps_levels", "")]
+        eps_cfg = _need(cfg, "eps_levels", "")
+        eps = [_as_float(e, f"/eps_levels/{k}") for k, e in enumerate(eps_cfg)]
         targets_cfg = cfg.get("targets")
         if targets_cfg is None:
             targets_cfg = [_need(cfg, "target", "")]
@@ -424,8 +434,9 @@ def _handle_example(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         raise ConfigError("/m", "m must be a positive integer")
     alphas = [_as_complex(a, f"/alphas/{k}") for k, a in enumerate(_need(cfg, "alphas", ""))]
     radius = cfg.get("radius")
+    radius = None if radius is None else _as_float(radius, "/radius")
     try:
-        triple = optimal_example(m, alphas, None if radius is None else float(radius))
+        triple = optimal_example(m, alphas, radius)
     except ValueError as exc:
         raise ConfigError("/alphas", str(exc)) from exc
     resolution = _resolution(cfg, opts, 150)

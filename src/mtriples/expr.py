@@ -74,10 +74,19 @@ _ORDER_RADII = (1e-3, 1e-4, 1e-5)
 _ORDER_SNAP_TOL = 0.2
 _ORDER_ANGLES = 8
 _LIMIT_SAMPLE_RADIUS = 1e-4
+_BIG = 1e6  # array entries past this magnitude are repaired point by point
+# Parser caps: nesting of parentheses, exp( and unary minus, and the depth of
+# the tree.  The derivative of a tree of depth d is at most about 3d deep, so
+# under Python's default recursion limit of 1000 the recursive derivative,
+# evaluators and printer still finish on an accepted tree and on its
+# derivative.
+_MAX_NESTING = 100
+_MAX_DEPTH = 120
 
 
 class ParseError(ValueError):
-    """Syntax or identifier error; ``offset`` is the byte position."""
+    """Syntax or identifier error, or input past the nesting and depth caps;
+    ``offset`` is the byte position."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
@@ -309,6 +318,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -323,6 +333,14 @@ class _Parser:
         if tok[0] != kind:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
+
+    def nested(self, offset: int, parse):
+        if self.nesting >= _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", offset)
+        self.nesting += 1
+        node = parse()
+        self.nesting -= 1
+        return node
 
     def parse_expr(self) -> MeroExpr:
         node = self.parse_term()
@@ -363,18 +381,18 @@ class _Parser:
                 return Const(1j)
             if text == "exp":
                 self.expect("(")
-                inner = self.parse_expr()
+                inner = self.nested(offset, self.parse_expr)
                 self.expect(")")
                 return Exp(inner)
             raise ParseError(f"unknown identifier {text!r}", offset)
         if kind == "(":
             self.advance()
-            inner = self.parse_expr()
+            inner = self.nested(offset, self.parse_expr)
             self.expect(")")
             return inner
         if kind == "-":
             self.advance()
-            return Neg(self.parse_atom())
+            return Neg(self.nested(offset, self.parse_atom))
         raise ParseError(f"unexpected token {text!r}", offset)
 
 
@@ -385,7 +403,24 @@ def parse_mero(src: str) -> MeroExpr:
     tok = parser.peek()
     if tok[0] != "end":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
+    if _depth(node) > _MAX_DEPTH:
+        raise ParseError(f"expression tree deeper than {_MAX_DEPTH} levels", 0)
     return node
+
+
+def _depth(e: MeroExpr) -> int:
+    """Levels of the tree, counted without recursion."""
+    deepest, stack = 0, [(e, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        if isinstance(node, (Add, Sub, Mul, Div)):
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+        elif isinstance(node, (Exp, Neg)):
+            stack.append((node.arg, level + 1))
+        elif isinstance(node, Pow):
+            stack.append((node.base, level + 1))
+    return deepest
 
 
 # ---------------------------------------------------------------------------
@@ -791,14 +826,22 @@ def eval_array_checked(e: MeroExpr, zs: np.ndarray) -> np.ndarray:
     Entries where the expression has a genuine pole stay infinite; removable
     sites are replaced by their local limits.
     """
+    zs = np.asarray(zs, dtype=complex)
     vals = eval_array(e, zs)
-    flat = vals.ravel()
-    zflat = np.asarray(zs, dtype=complex).ravel()
-    bad = np.nonzero(~np.isfinite(flat))[0]
-    for k in bad:
-        v = eval_ext(e, complex(zflat[k]))
-        flat[k] = complex("inf") if v.is_inf else v.value
-    return vals
+
+    def at_point(z):
+        v = eval_ext(e, z)
+        return complex("inf") if v.is_inf else v.value
+
+    return _repair(vals, ~np.isfinite(vals), zs, at_point)
+
+
+def _repair(out: np.ndarray, bad: np.ndarray, zs: np.ndarray, at_point) -> np.ndarray:
+    """Overwrite the ``bad`` entries of ``out`` by ``at_point`` at their points."""
+    flat, zf = out.ravel(), zs.ravel()
+    for k in np.nonzero(bad.ravel())[0]:
+        flat[k] = at_point(complex(zf[k]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -861,6 +904,11 @@ def stereographic(v) -> np.ndarray:
     return np.array([2.0 * (z.real / r) * t, 2.0 * (z.imag / r) * t, nz])
 
 
+def _gradient_of(v, d):
+    """2*sqrt(2)*|d| / (1 + |v|^2) on Python complex numbers or on numpy arrays."""
+    return 2.0 * math.sqrt(2.0) * abs(d) / (1.0 + abs(v) ** 2)
+
+
 def spherical_gradient(e: MeroExpr, z: complex) -> float:
     """Length of the Euclidean gradient of the sphere-valued map at ``z``.
 
@@ -868,17 +916,13 @@ def spherical_gradient(e: MeroExpr, z: complex) -> float:
     from the reciprocal expression.
     """
     v = eval_ext(e, z)
-    if not v.is_inf and abs(v.value) <= 1.0:
-        d = eval_ext(derivative(e), z)
-        if d.is_inf:
-            raise EvalError(f"derivative has a pole at z={z} where the value is finite")
-        return 2.0 * math.sqrt(2.0) * abs(d.value) / (1.0 + abs(v.value) ** 2)
-    inv = invert_expr(e)
-    w = eval_ext(inv, z)
-    dw = eval_ext(derivative(inv), z)
-    if w.is_inf or dw.is_inf:
+    if v.is_inf or abs(v.value) > 1.0:
+        e = invert_expr(e)
+        v = eval_ext(e, z)
+    d = eval_ext(derivative(e), z)
+    if v.is_inf or d.is_inf:
         raise EvalError(f"spherical gradient indeterminate at z={z}")
-    return 2.0 * math.sqrt(2.0) * abs(dw.value) / (1.0 + abs(w.value) ** 2)
+    return _gradient_of(v.value, d.value)
 
 
 def spherical_gradient_array(e: MeroExpr, zs: np.ndarray) -> np.ndarray:
@@ -887,14 +931,9 @@ def spherical_gradient_array(e: MeroExpr, zs: np.ndarray) -> np.ndarray:
     fv = eval_array(e, zs)
     dv = eval_array(derivative(e), zs)
     with np.errstate(all="ignore"):
-        out = 2.0 * math.sqrt(2.0) * np.abs(dv) / (1.0 + np.abs(fv) ** 2)
-        big = np.abs(fv) > 1e6
-    bad = ~np.isfinite(out) | big
-    flat = out.ravel()
-    zf = zs.ravel()
-    for k in np.nonzero(bad.ravel())[0]:
-        flat[k] = spherical_gradient(e, complex(zf[k]))
-    return out
+        out = _gradient_of(fv, dv)
+        bad = ~np.isfinite(out) | (np.abs(fv) > _BIG)
+    return _repair(out, bad, zs, lambda z: spherical_gradient(e, z))
 
 
 # ---------------------------------------------------------------------------

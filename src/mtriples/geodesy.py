@@ -502,26 +502,21 @@ def hyperbolic_distance(z1: complex, z2: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
-def write_nodes_csv(mesh: MeshedDomain, path) -> None:
+def _write_csv(path, header: list, columns: list) -> None:
+    """One row per entry of the equal-length ``columns``; ``.tolist()`` gives
+    plain Python numbers, so floats print as shortest round-trip decimals."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["id", "x", "y", "interior", "boundary_adjacent", "puncture_adjacent"])
-        for k, z in enumerate(mesh.nodes):
-            w.writerow(
-                [
-                    k,
-                    repr(z.real),
-                    repr(z.imag),
-                    int(mesh.interior[k]),
-                    int(mesh.boundary_adjacent[k]),
-                    int(mesh.puncture_adjacent[k]),
-                ]
-            )
+        w.writerow(header)
+        w.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+def write_nodes_csv(mesh: MeshedDomain, path) -> None:
+    header = ["id", "x", "y", "interior", "boundary_adjacent", "puncture_adjacent"]
+    flags = [mesh.interior, mesh.boundary_adjacent, mesh.puncture_adjacent]
+    columns = [np.arange(mesh.n_nodes), mesh.nodes.real, mesh.nodes.imag]
+    _write_csv(path, header, columns + [f.astype(int) for f in flags])
 
 
 def write_edges_csv(mesh: MeshedDomain, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "weight"])
-        for a, b, wt in zip(mesh.edges_i, mesh.edges_j, mesh.weights):
-            w.writerow([int(a), int(b), repr(float(wt))])
+    _write_csv(path, ["i", "j", "weight"], [mesh.edges_i, mesh.edges_j, mesh.weights.astype(float)])

@@ -31,8 +31,10 @@ from .expr import (
     local_order,
     parse_mero,
     rational_form,
+    _BIG,
     _mul,
     _pow,
+    _repair,
 )
 
 __all__ = [
@@ -56,7 +58,6 @@ __all__ = [
     "segment_point_dist",
 ]
 
-_BIG_G = 1e6  # switch to the reciprocal route beyond this magnitude of g
 _PUNCTURE_EPS = 1e-12
 
 
@@ -435,54 +436,47 @@ def make_triple(domain: DomainSpec, f, g, m: int) -> MTriple:
     return MTriple(domain=domain, f=f, g=g, m=m, regularity=report)
 
 
-def _guard_point(t: MTriple, z: complex):
+def _density_of(gv, fv, m: int):
+    """(1 + |g|^2)^(m/2) |f| for point and array callers alike: the builtin ``abs``
+    and ``**`` keep CPython's rounding on complex numbers and numpy's on arrays."""
+    return (1.0 + abs(gv) ** 2) ** (m / 2.0) * abs(fv)
+
+
+def _curvature_of(gv, fv, gd, m: int):
+    """-2m |g'|^2 / ((1 + |g|^2)^(m+2) |f|^2), typed like ``_density_of``."""
+    den = (1.0 + abs(gv) ** 2) ** (m + 2) * abs(fv) ** 2
+    return -2.0 * m * abs(gd) ** 2 / den
+
+
+def _point_values(t: MTriple, z: complex, slope: bool) -> tuple:
+    """Finite (g, f), or (g, f, g') with ``slope``, at z; where g is infinite or
+    |g| > _BIG, the pair (1/g, g^m f), which gives the same density and curvature."""
     if t.domain.puncture_gap(z) < _PUNCTURE_EPS:
         raise EvalError(f"evaluation at a puncture: z={z}")
-
-
-def _reduced_pair(t: MTriple) -> tuple[MeroExpr, MeroExpr]:
-    """(1/g, g^m * f): the substitution that stays finite across poles of g."""
-    return invert_expr(t.g), _mul(_pow(t.g, t.m), t.f)
+    gv = eval_ext(t.g, z)
+    if gv.is_inf or abs(gv.value) > _BIG:
+        ginv = invert_expr(t.g)
+        gv, gd = eval_ext(ginv, z), slope and eval_ext(derivative(ginv), z)
+        fv = eval_ext(_mul(_pow(t.g, t.m), t.f), z)
+    else:
+        fv, gd = eval_ext(t.f, z), slope and eval_ext(derivative(t.g), z)
+    vals = (gv, fv, gd) if slope else (gv, fv)
+    if any(v.is_inf for v in vals):
+        raise EvalError(f"metric data not finite at z={z}")
+    return tuple(v.value for v in vals)
 
 
 def metric_density(t: MTriple, z: complex) -> float:
     """Metric density (1 + |g|^2)^(m/2) |f| at a point, finite across g-poles."""
-    _guard_point(t, z)
-    gv = eval_ext(t.g, z)
-    if not gv.is_inf and abs(gv.value) <= _BIG_G:
-        fv = eval_ext(t.f, z)
-        if fv.is_inf:
-            raise EvalError(f"f has a pole at z={z}")
-        return (1.0 + abs(gv.value) ** 2) ** (t.m / 2.0) * abs(fv.value)
-    ginv, fred = _reduced_pair(t)
-    gv2 = eval_ext(ginv, z)
-    fv2 = eval_ext(fred, z)
-    if gv2.is_inf or fv2.is_inf:
-        raise EvalError(f"density indeterminate at z={z}")
-    return (1.0 + abs(gv2.value) ** 2) ** (t.m / 2.0) * abs(fv2.value)
+    return _density_of(*_point_values(t, z, slope=False), t.m)
 
 
 def curvature(t: MTriple, z: complex) -> float:
     """Closed-form Gaussian curvature; nonpositive, zero where g' vanishes."""
-    _guard_point(t, z)
-    gv = eval_ext(t.g, z)
-    if not gv.is_inf and abs(gv.value) <= _BIG_G:
-        fv = eval_ext(t.f, z)
-        gd = eval_ext(derivative(t.g), z)
-        if fv.is_inf or gd.is_inf:
-            raise EvalError(f"curvature indeterminate at z={z}")
-        if fv.value == 0:
-            raise EvalError(f"f vanishes at z={z}; metric is degenerate there")
-        den = (1.0 + abs(gv.value) ** 2) ** (t.m + 2) * abs(fv.value) ** 2
-        return -2.0 * t.m * abs(gd.value) ** 2 / den
-    ginv, fred = _reduced_pair(t)
-    gv2 = eval_ext(ginv, z)
-    gd2 = eval_ext(derivative(ginv), z)
-    fv2 = eval_ext(fred, z)
-    if gv2.is_inf or gd2.is_inf or fv2.is_inf or fv2.value == 0:
-        raise EvalError(f"curvature indeterminate at z={z}")
-    den = (1.0 + abs(gv2.value) ** 2) ** (t.m + 2) * abs(fv2.value) ** 2
-    return -2.0 * t.m * abs(gd2.value) ** 2 / den
+    gv, fv, gd = _point_values(t, z, slope=True)
+    if fv == 0:
+        raise EvalError(f"f vanishes at z={z}; metric is degenerate there")
+    return _curvature_of(gv, fv, gd, t.m)
 
 
 def metric_density_array(t: MTriple, zs) -> np.ndarray:
@@ -491,13 +485,9 @@ def metric_density_array(t: MTriple, zs) -> np.ndarray:
     gv = eval_array(t.g, zs)
     fv = eval_array(t.f, zs)
     with np.errstate(all="ignore"):
-        out = (1.0 + np.abs(gv) ** 2) ** (t.m / 2.0) * np.abs(fv)
-        bad = ~np.isfinite(out) | (np.abs(gv) > _BIG_G)
-    flat = out.ravel()
-    zf = zs.ravel()
-    for k in np.nonzero(bad.ravel())[0]:
-        flat[k] = metric_density(t, complex(zf[k]))
-    return out
+        out = _density_of(gv, fv, t.m)
+        bad = ~np.isfinite(out) | (np.abs(gv) > _BIG)
+    return _repair(out, bad, zs, lambda z: metric_density(t, z))
 
 
 def curvature_array(t: MTriple, zs) -> np.ndarray:
@@ -507,14 +497,9 @@ def curvature_array(t: MTriple, zs) -> np.ndarray:
     fv = eval_array(t.f, zs)
     gd = eval_array(derivative(t.g), zs)
     with np.errstate(all="ignore"):
-        den = (1.0 + np.abs(gv) ** 2) ** (t.m + 2) * np.abs(fv) ** 2
-        out = -2.0 * t.m * np.abs(gd) ** 2 / den
-        bad = ~np.isfinite(out) | (np.abs(gv) > _BIG_G)
-    flat = out.ravel()
-    zf = zs.ravel()
-    for k in np.nonzero(bad.ravel())[0]:
-        flat[k] = curvature(t, complex(zf[k]))
-    return out
+        out = _curvature_of(gv, fv, gd, t.m)
+        bad = ~np.isfinite(out) | (np.abs(gv) > _BIG)
+    return _repair(out, bad, zs, lambda z: curvature(t, z))
 
 
 def curvature_fd(t: MTriple, z: complex, h: float = 1e-3, richardson: bool = False) -> float:

@@ -21,7 +21,6 @@ non-tree edges and as explicit cycle residuals.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections import deque
@@ -45,7 +44,7 @@ from .expr import (
     is_rational,
     rational_form,
 )
-from .geodesy import MeshedDomain, MeshError
+from .geodesy import MeshedDomain, MeshError, _write_csv
 from .mtriple import (
     DomainSpec,
     MTriple,
@@ -894,30 +893,16 @@ def export_mesh(surface: SurfaceMesh, fmt: str, path) -> None:
         body += [f"3 {f[0]} {f[1]} {f[2]}" for f in surface.faces]
         path.write_text("\n".join(header + body) + "\n")
     elif fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            cols = ["id", "u", "v", "x", "y", "z"]
-            diag_cols = []
-            for name in sorted(surface.diagnostics):
-                arr = np.asarray(surface.diagnostics[name])
-                if np.iscomplexobj(arr):
-                    diag_cols.append((name + "_re", arr.real))
-                    diag_cols.append((name + "_im", arr.imag))
-                else:
-                    diag_cols.append((name, arr))
-            w.writerow(cols + [name for name, _ in diag_cols])
-            zs = surface.mesh.nodes
-            for k in range(surface.n_vertices):
-                row = [
-                    k,
-                    repr(zs[k].real),
-                    repr(zs[k].imag),
-                    repr(float(surface.vertices[k, 0])),
-                    repr(float(surface.vertices[k, 1])),
-                    repr(float(surface.vertices[k, 2])),
-                ]
-                row += [repr(float(arr[k])) for _, arr in diag_cols]
-                w.writerow(row)
+        zs, verts = surface.mesh.nodes, surface.vertices
+        cols = [("id", np.arange(surface.n_vertices)), ("u", zs.real), ("v", zs.imag)]
+        cols += [(name, verts[:, k].astype(float)) for k, name in enumerate("xyz")]
+        for name in sorted(surface.diagnostics):
+            arr = np.asarray(surface.diagnostics[name])
+            if np.iscomplexobj(arr):
+                cols += [(name + "_re", arr.real), (name + "_im", arr.imag)]
+            else:
+                cols.append((name, arr.astype(float)))
+        _write_csv(path, [name for name, _ in cols], [arr for _, arr in cols])
     elif fmt == "json":
         payload = {
             "metadata": surface.metadata,

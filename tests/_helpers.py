@@ -112,3 +112,22 @@ def random_bounded_triple(rng: np.random.Generator, limit: float, m: int) -> MTr
     scale = rng.uniform(0.5, 0.95) * limit / np.abs(g_raw).max()
     g = poly_expr(coeffs * scale)
     return make_triple(Disk(0, 1.0), Const(1 + 0j), g, m)
+
+
+def outcome_bits(fn, *args):
+    """``fn(*args)`` as (result type, uint64 bit patterns), or the type of the
+    exception it raised: equal outcomes mean bitwise-equal results (signs of
+    zero and NaN payloads included) or the same failure."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return type(exc)
+    return type(out), np.asarray(out).view(np.uint64).tolist()
+
+
+def raises(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except Exception:  # noqa: BLE001
+        return True
+    return False

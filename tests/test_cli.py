@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mtriples.cli import domain_from_json, domain_to_json
+from mtriples.cli import domain_from_json, domain_to_json, main
 
 EXE = [sys.executable, "-m", "mtriples.cli"]
 
@@ -363,3 +363,54 @@ class TestReportHygiene:
         assert proc.returncode == 1
         err = json.loads(proc.stderr.splitlines()[0])
         assert err["error"]["kind"] == "config"
+
+
+_TRIPLE = {"domain": DISK, "f": "1", "g": "z", "m": 2}
+_MARTY = {"family": "({n})*z", "indices": [1, 2], "region": {"radius": 0.5}, "grid": 20}
+_FUJIMOTO = {"f": "z", "omits": [[1.2, 0], [-1.2, 0], "inf"], "eta": 0.2, "radius": 0.9,
+             "resolution": 20}
+_COMPLETENESS = {"triple": {"domain": {"kind": "truncated_plane", "radius": 3.0,
+                                       "punctures": [[1, 0], [-1, 0]]},
+                            "f": "1/(z^2-1)", "g": "z", "m": 1},
+                 "target": "infinity", "eps_levels": [1e-1, 1e-2]}
+_ESTIMATE = {"triple": {"domain": DISK, "f": "1", "g": "z/2", "m": 2},
+             "property": {"bounded": 1.0}, "resolution": 20}
+
+
+@pytest.mark.parametrize(
+    "group, action, cfg, pointer",
+    [
+        ("triple", "curvature", {"triple": _TRIPLE, "points": [0], "fd_step": "abc"}, "/fd_step"),
+        ("triple", "curvature", {"triple": _TRIPLE, "points": [0], "fd_step": 0}, "/fd_step"),
+        ("estimate", "verify", dict(_ESTIMATE, delta="abc"), "/delta"),
+        ("estimate", "verify", dict(_ESTIMATE, property={"omits": [[2, 0]]}, delta="nan"),
+         "/delta"),
+        ("estimate", "verify", dict(_ESTIMATE, property={"bounded": "inf"}), "/property/bounded"),
+        ("probe", "marty", dict(_MARTY, indices=[1, "x"]), "/indices/1"),
+        ("probe", "marty", dict(_MARTY, region=5), "/region"),
+        ("probe", "marty", dict(_MARTY, grid="abc"), "/grid"),
+        ("probe", "zalcman", {"h": "10*z", "searchgrid": "abc"}, "/searchgrid"),
+        ("probe", "fujimoto", dict(_FUJIMOTO, eta="abc"), "/eta"),
+        ("probe", "fujimoto", dict(_FUJIMOTO, radius="inf"), "/radius"),
+        ("probe", "completeness", dict(_COMPLETENESS, eps_levels=[0.1, "nan"]), "/eps_levels/1"),
+        ("example", "optimal", {"m": 1, "alphas": [[1, 0], [-1, 0]], "radius": "abc"}, "/radius"),
+        ("triple", "check", {"triple": dict(_TRIPLE, g="(" * 400 + "z" + ")" * 400)}, "/triple/g"),
+        ("triple", "check", {"triple": dict(_TRIPLE, g="+".join(["z"] * 1200))}, "/triple/g"),
+    ],
+    ids=[
+        "fd_step-abc", "fd_step-0", "delta-abc", "delta-nan", "bounded-inf", "marty-indices",
+        "marty-region", "marty-grid", "zalcman-searchgrid", "fujimoto-eta", "fujimoto-radius",
+        "completeness-eps", "optimal-radius", "nested-parentheses", "long-sum",
+    ],
+)
+def test_malformed_number_or_expression_is_schema_error(
+    tmp_path, capsys, group, action, cfg, pointer
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([group, action, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert not (out / "report.json").exists()
+    err = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert err["error"]["kind"] == "schema"
+    assert err["error"]["pointer"] == pointer

@@ -21,6 +21,7 @@ from mtriples.expr import (
     chordal_array,
     derivative,
     eval_array,
+    eval_array_checked,
     eval_ext,
     invert_expr,
     local_order,
@@ -29,12 +30,15 @@ from mtriples.expr import (
     parse_mero,
     rational_form,
     spherical_gradient,
+    spherical_gradient_array,
     stereographic,
     substitute,
     to_source,
+    _MAX_DEPTH,
+    _MAX_NESTING,
 )
 
-from _helpers import random_expr, random_points
+from _helpers import outcome_bits, raises, random_expr, random_points
 
 SQRT2 = math.sqrt(2.0)
 
@@ -97,6 +101,51 @@ class TestParse:
         for _ in range(200):
             tree = parse_mero(to_source(random_expr(rng, depth=3)))
             assert parse_mero(to_source(tree)) == tree
+
+
+class TestParserCaps:
+    def test_deep_parentheses_refused(self):
+        with pytest.raises(ParseError, match="nesting"):
+            parse_mero("(" * 250 + "z" + ")" * 250)
+
+    @pytest.mark.parametrize("op", ["+", "*", "/"])
+    def test_long_chains_refused(self, op):
+        with pytest.raises(ParseError, match="deeper"):
+            parse_mero(op.join(["z"] * 401))
+
+    def test_thousandfold_unary_minus_refused(self):
+        with pytest.raises(ParseError):
+            parse_mero("-" * 1000 + "z")
+
+    def test_one_past_each_cap_refused(self):
+        parse_mero("(" * _MAX_NESTING + "z" + ")" * _MAX_NESTING)
+        with pytest.raises(ParseError, match="nesting"):
+            parse_mero("(" * (_MAX_NESTING + 1) + "z" + ")" * (_MAX_NESTING + 1))
+        parse_mero("+".join(["z"] * _MAX_DEPTH))
+        with pytest.raises(ParseError, match="deeper"):
+            parse_mero("+".join(["z"] * (_MAX_DEPTH + 1)))
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "*".join(["z"] * _MAX_DEPTH),
+            "/".join(["(z+1)"] * (_MAX_DEPTH - 1)),
+            "".join(f"(z+{k})" + "*/"[k % 2] for k in range(_MAX_DEPTH - 2)) + "z",
+            "1/(z/(" * (_MAX_NESTING // 2) + "z" + "))" * (_MAX_NESTING // 2),
+            "-" * _MAX_NESTING + "z",
+        ],
+        ids=["product", "quotient", "mixed", "right-nested", "unary-minus"],
+    )
+    def test_accepted_trees_and_derivatives_finish(self, src):
+        # the derivative of a quotient chain is about three times as deep as
+        # the chain; all of these must work on both without RecursionError
+        e = parse_mero(src)
+        z = np.array([0.3 + 0.2j])
+        for tree in (e, derivative(e)):
+            derivative(tree)
+            to_source(tree)
+            eval_array(tree, z)
+            eval_ext(tree, 0.3 + 0.2j)
 
 
 class TestEval:
@@ -273,6 +322,118 @@ class TestSphericalGradient:
                 continue
             assert abs(a - b) / a < 1e-10
             checked += 1
+
+
+# The paired point and array code that the shared gradient formula and repair
+# loop replaced, kept as references for bitwise comparison.
+
+
+def _ref_spherical_gradient(e, z):
+    v = eval_ext(e, z)
+    if not v.is_inf and abs(v.value) <= 1.0:
+        d = eval_ext(derivative(e), z)
+        if d.is_inf:
+            raise EvalError(f"derivative has a pole at z={z} where the value is finite")
+        return 2.0 * math.sqrt(2.0) * abs(d.value) / (1.0 + abs(v.value) ** 2)
+    inv = invert_expr(e)
+    w = eval_ext(inv, z)
+    dw = eval_ext(derivative(inv), z)
+    if w.is_inf or dw.is_inf:
+        raise EvalError(f"spherical gradient indeterminate at z={z}")
+    return 2.0 * math.sqrt(2.0) * abs(dw.value) / (1.0 + abs(w.value) ** 2)
+
+
+def _ref_spherical_gradient_array(e, zs):
+    zs = np.asarray(zs, dtype=complex)
+    fv = eval_array(e, zs)
+    dv = eval_array(derivative(e), zs)
+    with np.errstate(all="ignore"):
+        out = 2.0 * math.sqrt(2.0) * np.abs(dv) / (1.0 + np.abs(fv) ** 2)
+        big = np.abs(fv) > 1e6
+    bad = ~np.isfinite(out) | big
+    flat = out.ravel()
+    zf = zs.ravel()
+    for k in np.nonzero(bad.ravel())[0]:
+        flat[k] = _ref_spherical_gradient(e, complex(zf[k]))
+    return out
+
+
+def _ref_eval_array_checked(e, zs):
+    vals = eval_array(e, zs)
+    flat = vals.ravel()
+    zflat = np.asarray(zs, dtype=complex).ravel()
+    bad = np.nonzero(~np.isfinite(flat))[0]
+    for k in bad:
+        v = eval_ext(e, complex(zflat[k]))
+        flat[k] = complex("inf") if v.is_inf else v.value
+    return vals
+
+
+# 1/z has |h| = 1 exactly on the axes' unit points; exp(z)/(1+exp(z)) has a
+# pole at i*pi; (z^2-1)/(z-1) a removable 0/0 at 1; (exp(z)-1)/z a 0/0 at 0
+# that eval_ext cannot resolve (not rational).
+_REF_EXPRS = ["1/z", "exp(z)/(1+exp(z))", "(z^2-1)/(z-1)", "(exp(z)-1)/z", "z^3 - 2*z"]
+
+
+def _ref_points():
+    rng = np.random.default_rng(61)
+    ring = np.exp(2j * np.pi * np.arange(8) / 8)
+    special = [0, 1, -1, 1j, -1j, 1j * math.pi, 1j * math.pi + 1e-9, 2]
+    near = [c + r * ring for c in (0, 1, 1j * math.pi) for r in (1e-7, 1e-9)]
+    pts = random_points(rng, 40, radius=2.0)
+    return np.concatenate([pts, np.asarray(special, dtype=complex), *near])
+
+
+class TestSharedGradientMatchesPairedReference:
+    @pytest.mark.parametrize("src", _REF_EXPRS)
+    def test_point_version(self, src):
+        e = parse_mero(src)
+        for z in _ref_points():
+            z = complex(z)
+            assert outcome_bits(spherical_gradient, e, z) == outcome_bits(
+                _ref_spherical_gradient, e, z
+            ), z
+
+    @pytest.mark.parametrize(
+        "src, z",
+        [
+            ("1/z", 1),
+            ("1/z", -1j),
+            # |h| == 1.0 exactly, and the reciprocal route would round differently
+            ("1/z", 0.3871500998384199 - 0.9220167027744679j),
+            ("exp(z)/(1+exp(z))", -0.12995906896301646 + 2.1765610367340757j),
+        ],
+    )
+    def test_unit_modulus_takes_the_direct_route(self, src, z):
+        e = parse_mero(src)
+        assert abs(eval_ext(e, z).value) == 1.0
+        z = complex(z)
+        assert outcome_bits(spherical_gradient, e, z) == outcome_bits(_ref_spherical_gradient, e, z)
+
+    @pytest.mark.parametrize("src", _REF_EXPRS)
+    @pytest.mark.parametrize(
+        "new, ref, ref_point",
+        [
+            (spherical_gradient_array, _ref_spherical_gradient_array, _ref_spherical_gradient),
+            (eval_array_checked, _ref_eval_array_checked, eval_ext),
+        ],
+        ids=["spherical_gradient_array", "eval_array_checked"],
+    )
+    def test_array_versions(self, src, new, ref, ref_point):
+        e = parse_mero(src)
+        zs = _ref_points()
+        assert outcome_bits(new, e, zs) == outcome_bits(ref, e, zs)
+        ok = np.array([not raises(ref_point, e, complex(z)) for z in zs])
+        got = outcome_bits(new, e, zs[ok])
+        assert got == outcome_bits(ref, e, zs[ok])
+        assert got[0] is np.ndarray
+
+    def test_every_array_function_repairs(self):
+        zs = _ref_points()
+        with np.errstate(all="ignore"):
+            assert np.any(np.abs(eval_array(parse_mero("1/z"), zs)) > 1e6)
+            assert np.any(np.isnan(eval_array(parse_mero("(z^2-1)/(z-1)"), zs)))
+        assert outcome_bits(eval_array_checked, parse_mero("(exp(z)-1)/z"), zs) is EvalError
 
 
 class TestStereographic:

@@ -89,6 +89,14 @@ class TestBuildMesh:
         elines = (tmp_path / "edges.csv").read_text().splitlines()
         assert elines[0] == "i,j,weight"
         assert len(elines) == len(disk_mesh.weights) + 1
+        # every field reads back as a plain number equal to the mesh arrays
+        nodes = np.array([[float(x) for x in row.split(",")] for row in lines[1:]])
+        m = disk_mesh
+        flags = [m.interior, m.boundary_adjacent, m.puncture_adjacent]
+        want = np.column_stack([np.arange(m.n_nodes), m.nodes.real, m.nodes.imag] + flags)
+        assert np.array_equal(nodes, want)
+        edges = np.array([[float(x) for x in row.split(",")] for row in elines[1:]])
+        assert np.array_equal(edges, np.column_stack([m.edges_i, m.edges_j, m.weights]))
 
 
 def _reference_bfs(mesh, root):

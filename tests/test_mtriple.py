@@ -1,13 +1,27 @@
 """Triples: domains, regularity, metric density, curvature and its FD oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
-from mtriples.expr import Const, Mul, parse_mero
+from mtriples.expr import (
+    Const,
+    EvalError,
+    Mul,
+    derivative,
+    eval_array,
+    eval_ext,
+    invert_expr,
+    parse_mero,
+    _mul,
+    _pow,
+)
 from mtriples.reporting import encode_report
 from mtriples.mtriple import (
     Annulus,
     Disk,
+    MTriple,
     NonHolomorphic,
     Rectangle,
     RegularityViolation,
@@ -21,7 +35,7 @@ from mtriples.mtriple import (
     metric_density_array,
 )
 
-from _helpers import random_regular_triple, sample_points_away
+from _helpers import outcome_bits, raises, random_regular_triple, sample_points_away
 
 SHAPES = [
     Disk(0.3 - 0.2j, 1.5),
@@ -261,3 +275,152 @@ class TestCurvatureFD:
         kv = curvature_array(t, pts)
         for z, v in zip(pts, kv):
             assert abs(curvature(t, complex(z)) - v) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# The paired point and array versions that the shared formulas replaced, kept
+# as references: the shared code must give the same bits, repaired entries
+# included, and the same exception types.
+# ---------------------------------------------------------------------------
+
+
+def _ref_guard(t, z):
+    if t.domain.puncture_gap(z) < 1e-12:
+        raise EvalError(f"evaluation at a puncture: z={z}")
+
+
+def _ref_reduced_pair(t):
+    return invert_expr(t.g), _mul(_pow(t.g, t.m), t.f)
+
+
+def _ref_metric_density(t, z):
+    _ref_guard(t, z)
+    gv = eval_ext(t.g, z)
+    if not gv.is_inf and abs(gv.value) <= 1e6:
+        fv = eval_ext(t.f, z)
+        if fv.is_inf:
+            raise EvalError(f"f has a pole at z={z}")
+        return (1.0 + abs(gv.value) ** 2) ** (t.m / 2.0) * abs(fv.value)
+    ginv, fred = _ref_reduced_pair(t)
+    gv2 = eval_ext(ginv, z)
+    fv2 = eval_ext(fred, z)
+    if gv2.is_inf or fv2.is_inf:
+        raise EvalError(f"density indeterminate at z={z}")
+    return (1.0 + abs(gv2.value) ** 2) ** (t.m / 2.0) * abs(fv2.value)
+
+
+def _ref_curvature(t, z):
+    _ref_guard(t, z)
+    gv = eval_ext(t.g, z)
+    if not gv.is_inf and abs(gv.value) <= 1e6:
+        fv = eval_ext(t.f, z)
+        gd = eval_ext(derivative(t.g), z)
+        if fv.is_inf or gd.is_inf:
+            raise EvalError(f"curvature indeterminate at z={z}")
+        if fv.value == 0:
+            raise EvalError(f"f vanishes at z={z}; metric is degenerate there")
+        den = (1.0 + abs(gv.value) ** 2) ** (t.m + 2) * abs(fv.value) ** 2
+        return -2.0 * t.m * abs(gd.value) ** 2 / den
+    ginv, fred = _ref_reduced_pair(t)
+    gv2 = eval_ext(ginv, z)
+    gd2 = eval_ext(derivative(ginv), z)
+    fv2 = eval_ext(fred, z)
+    if gv2.is_inf or gd2.is_inf or fv2.is_inf or fv2.value == 0:
+        raise EvalError(f"curvature indeterminate at z={z}")
+    den = (1.0 + abs(gv2.value) ** 2) ** (t.m + 2) * abs(fv2.value) ** 2
+    return -2.0 * t.m * abs(gd2.value) ** 2 / den
+
+
+def _ref_metric_density_array(t, zs):
+    zs = np.asarray(zs, dtype=complex)
+    gv = eval_array(t.g, zs)
+    fv = eval_array(t.f, zs)
+    with np.errstate(all="ignore"):
+        out = (1.0 + np.abs(gv) ** 2) ** (t.m / 2.0) * np.abs(fv)
+        bad = ~np.isfinite(out) | (np.abs(gv) > 1e6)
+    flat = out.ravel()
+    zf = zs.ravel()
+    for k in np.nonzero(bad.ravel())[0]:
+        flat[k] = _ref_metric_density(t, complex(zf[k]))
+    return out
+
+
+def _ref_curvature_array(t, zs):
+    zs = np.asarray(zs, dtype=complex)
+    gv = eval_array(t.g, zs)
+    fv = eval_array(t.f, zs)
+    gd = eval_array(derivative(t.g), zs)
+    with np.errstate(all="ignore"):
+        den = (1.0 + np.abs(gv) ** 2) ** (t.m + 2) * np.abs(fv) ** 2
+        out = -2.0 * t.m * np.abs(gd) ** 2 / den
+        bad = ~np.isfinite(out) | (np.abs(gv) > 1e6)
+    flat = out.ravel()
+    zf = zs.ravel()
+    for k in np.nonzero(bad.ravel())[0]:
+        flat[k] = _ref_curvature(t, complex(zf[k]))
+    return out
+
+
+def _reference_triples():
+    """Poles of g at +-0.5 and 0 (m = 1, 2, 3), a puncture at 0.25, a zero of
+    f where g is finite (an irregular triple, built without the check) and
+    exp data with a pole of g at i*pi."""
+    out = []
+    for m in (1, 2, 3):
+        out.append(make_triple(Disk(0, 2.0), f"(z^2 - 0.25)^{m}", "(z - 1)/(z^2 - 0.25)", m))
+        out.append(make_triple(Disk(0, 2.0, punctures=(0.25 + 0j,)), f"z^{m}", "1/z", m))
+    out.append(MTriple(Disk(0, 2.0), parse_mero("z - 0.3"), parse_mero("z"), 1))
+    out.append(make_triple(Disk(0, 4.0), "(1 + exp(z))^2", "exp(z)/(1 + exp(z))", 2))
+    return out
+
+
+def _reference_points():
+    rng = np.random.default_rng(60)
+    ring = np.exp(2j * np.pi * np.arange(8) / 8)
+    special = [0.5, -0.5, 0.0, 0.25, 0.3, 1j * math.pi, 1j * math.pi + 1e-9, 1.0]
+    near = [c + r * ring for c in (0.5, -0.5, 0.0, 1j * math.pi) for r in (1e-7, 1e-9)]
+    pts = rng.uniform(-1.8, 1.8, 40) + 1j * rng.uniform(-1.8, 1.8, 40)
+    return np.concatenate([pts, np.asarray(special, dtype=complex), *near])
+
+
+class TestSharedFormulasMatchPairedReference:
+    @pytest.mark.parametrize("k", range(8))
+    def test_point_versions(self, k):
+        t = _reference_triples()[k]
+        outcomes = set()
+        for z in _reference_points():
+            z = complex(z)
+            for new, ref in ((metric_density, _ref_metric_density), (curvature, _ref_curvature)):
+                got = outcome_bits(new, t, z)
+                assert got == outcome_bits(ref, t, z), (new.__name__, z)
+                outcomes.add(got if isinstance(got, type) else float)
+        assert float in outcomes
+
+    def test_cases_reach_every_branch(self):
+        t_pole, t_punct, t_zero, t_exp = (_reference_triples()[k] for k in (0, 1, 6, 7))
+        assert outcome_bits(metric_density, t_punct, 0.25 + 0j) is EvalError
+        assert outcome_bits(curvature, t_zero, 0.3 + 0j) is EvalError
+        assert metric_density(t_zero, 0.3 + 0j) == 0.0
+        for t, z in ((t_pole, 0.5), (t_pole, 0.5 + 1e-9), (t_exp, 1j * math.pi)):
+            gv = eval_ext(t.g, complex(z))
+            assert gv.is_inf or abs(gv.value) > 1e6  # the reciprocal route
+            assert curvature(t, complex(z)) < 0.0
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_array_versions(self, k):
+        t = _reference_triples()[k]
+        zs = _reference_points()
+        pairs = (
+            (metric_density_array, _ref_metric_density_array, _ref_metric_density),
+            (curvature_array, _ref_curvature_array, _ref_curvature),
+        )
+        for new, ref, ref_point in pairs:
+            assert outcome_bits(new, t, zs) == outcome_bits(ref, t, zs)
+            # without the points that fail, every repaired entry is compared too
+            ok = np.array([not raises(ref_point, t, complex(z)) for z in zs])
+            got = outcome_bits(new, t, zs[ok])
+            assert got == outcome_bits(ref, t, zs[ok])
+            assert got[0] is np.ndarray
+            with np.errstate(all="ignore"):
+                big = np.abs(eval_array(t.g, zs[ok])) > 1e6
+            assert k == 6 or big.any()  # every triple but the entire g = z repairs

@@ -495,6 +495,20 @@ class TestExport:
         payload = json.loads((tmp_path / "surf.json").read_text())
         assert len(payload["vertices"]) == enneper_small.n_vertices
 
+    def test_csv_reads_back_as_numbers(self, enneper_small, tmp_path):
+        export_mesh(enneper_small, "csv", tmp_path / "verts.csv")
+        lines = (tmp_path / "verts.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        got = np.array([[float(x) for x in row.split(",")] for row in lines[1:]])
+        s = enneper_small
+        cols = [np.arange(s.n_vertices), s.mesh.nodes.real, s.mesh.nodes.imag, *s.vertices.T]
+        for name in sorted(s.diagnostics):
+            arr = np.asarray(s.diagnostics[name])
+            cols += [arr.real, arr.imag] if np.iscomplexobj(arr) else [arr]
+        assert header[:6] == ["id", "u", "v", "x", "y", "z"]
+        assert got.shape == (s.n_vertices, len(header))
+        assert np.array_equal(got, np.column_stack(cols).astype(float))
+
     def test_maxface_metadata(self, tmp_path):
         dom = Disk(0, 1.5)
         mesh = build_mesh(dom, ONES, 30)
