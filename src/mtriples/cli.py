@@ -132,6 +132,12 @@ def _as_positive(value, pointer: str) -> float:
     return x
 
 
+def _as_list(value, pointer: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(pointer, "expected a list")
+    return value
+
+
 def _as_ext(value, pointer: str) -> ExtComplex:
     if value in ("inf", "infinity"):
         return INFINITY
@@ -163,9 +169,7 @@ def domain_from_json(cfg, pointer: str) -> DomainSpec:
     for f in dataclasses.fields(cls):
         at = f"{pointer}/{f.name}"
         if f.name == "punctures":
-            points = cfg.get("punctures", [])
-            if not isinstance(points, list):
-                raise ConfigError(at, "expected a list of points")
+            points = _as_list(cfg.get("punctures", []), at)
             args[f.name] = tuple(_as_complex(p, f"{at}/{k}") for k, p in enumerate(points))
         elif types[f.name] is complex:
             value = cfg.get(f.name, 0) if f.name == "center" else _need(cfg, f.name, pointer)
@@ -215,6 +219,13 @@ def _as_int(value, pointer: str) -> int:
         raise ConfigError(pointer, f"expected an integer: {exc}") from exc
 
 
+def _as_positive_int(value, pointer: str) -> int:
+    n = _as_int(value, pointer)
+    if n < 1:
+        raise ConfigError(pointer, "expected a positive integer")
+    return n
+
+
 def _resolution(cfg: dict, opts, default: int) -> int:
     """Mesh resolution: ``--resolution``, else the config's, else ``default``."""
     return _as_int(opts.resolution or cfg.get("resolution", default), "/resolution")
@@ -230,9 +241,8 @@ def property_from_json(cfg, pointer: str):
         except ValueError as exc:
             raise ConfigError(f"{pointer}/bounded", str(exc)) from exc
     if "omits" in cfg:
-        vals = tuple(
-            _as_ext(v, f"{pointer}/omits/{k}") for k, v in enumerate(cfg["omits"])
-        )
+        omits = _as_list(cfg["omits"], f"{pointer}/omits")
+        vals = tuple(_as_ext(v, f"{pointer}/omits/{k}") for k, v in enumerate(omits))
         try:
             return Omits(vals)
         except ValueError as exc:
@@ -267,7 +277,8 @@ def _handle_triple(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         if not ok:
             return out, False
         t = MTriple(domain, f, g, m, report)
-        pts = [_as_complex(p, f"/points/{k}") for k, p in enumerate(_need(cfg, "points", ""))]
+        points = _as_list(_need(cfg, "points", ""), "/points")
+        pts = [_as_complex(p, f"/points/{k}") for k, p in enumerate(points)]
         h = _as_positive(cfg.get("fd_step", 1e-3), "/fd_step")
         out["points"] = [
             {"point": p, "curvature": curvature(t, p), "curvature_fd": curvature_fd(t, p, h)}
@@ -300,6 +311,7 @@ def _handle_estimate(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     return out, est.verdict != "fail"
 
 
+_EXPORT_FILES = {"obj": "mesh.obj", "ply": "mesh.ply", "csv": "vertices.csv", "json": "surface.json"}
 _SURFACE_CLASSES = {
     "minimal": (MinimalData, ("f", "g"), synth_minimal),
     "maxface": (MaxfaceData, ("f", "g"), synth_maxface),
@@ -324,10 +336,12 @@ def _surface_data(cfg: dict):
 
 
 def _period_rows(data, cycles) -> list:
-    return [
-        period_residuals(data, [_as_complex(p, f"/cycles/{k}/{j}") for j, p in enumerate(cyc)])
-        for k, cyc in enumerate(cycles)
-    ]
+    rows = []
+    for k, cycle in enumerate(_as_list(cycles, "/cycles")):
+        at = f"/cycles/{k}"
+        points = [_as_complex(p, f"{at}/{j}") for j, p in enumerate(_as_list(cycle, at))]
+        rows.append(period_residuals(data, points))
+    return rows
 
 
 def _handle_surface(action: str, cfg: dict, opts) -> tuple[dict, bool]:
@@ -346,6 +360,10 @@ def _handle_surface(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         return out, True
     if action != "synth":
         raise ConfigError("/subcommand", f"unknown surface action {action!r}")
+    formats = _as_list(cfg.get("exports", ["obj", "ply", "csv"]), "/exports")
+    for fmt in formats:
+        if not isinstance(fmt, str) or fmt not in _EXPORT_FILES:
+            raise ConfigError("/exports", f"unknown export format {fmt!r}")
     if cls_name == "flat_front":
         step = _as_positive(cfg.get("step", 1e-3 * data.domain.diameter()), "/step")
         surface = synth(data, mesh, step)
@@ -359,17 +377,8 @@ def _handle_surface(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         out["singular_locus"] = singular_locus(data, mesh)
     out["periods"] = _period_rows(data, cfg.get("cycles", []))
     outdir = Path(opts.out)
-    formats = cfg.get("exports", ["obj", "ply", "csv"])
     for fmt in formats:
-        target = {
-            "obj": outdir / "mesh.obj",
-            "ply": outdir / "mesh.ply",
-            "csv": outdir / "vertices.csv",
-            "json": outdir / "surface.json",
-        }.get(fmt)
-        if target is None:
-            raise ConfigError("/exports", f"unknown export format {fmt!r}")
-        export_mesh(surface, fmt, target)
+        export_mesh(surface, fmt, outdir / _EXPORT_FILES[fmt])
     write_nodes_csv(mesh, outdir / "nodes.csv")
     write_edges_csv(mesh, outdir / "edges.csv")
     out["exports"] = sorted(str(f) for f in formats)
@@ -381,40 +390,40 @@ def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         template = _need(cfg, "family", "")
         if not isinstance(template, str) or "{n}" not in template:
             raise ConfigError("/family", "expected an expression template with {n}")
-        indices = [_as_int(n, f"/indices/{k}") for k, n in enumerate(_need(cfg, "indices", ""))]
+        indices = _as_list(_need(cfg, "indices", ""), "/indices")
+        indices = [_as_positive_int(n, f"/indices/{k}") for k, n in enumerate(indices)]
+        members = {n: _as_expr(template.replace("{n}", repr(n)), "/family") for n in indices}
         region_cfg = _need(cfg, "region", "")
         if not isinstance(region_cfg, dict):
             raise ConfigError("/region", "expected a region object")
         center = _as_complex(region_cfg.get("center", 0), "/region/center")
-        radius = _as_float(_need(region_cfg, "radius", "/region"), "/region/radius")
-        grid = _as_int(cfg.get("grid", 120), "/grid")
-        family = lambda n: parse_mero(template.replace("{n}", repr(n)))
-        rep = marty_sup(family, indices, Disk(center, radius), grid, label=template)
+        radius = _as_positive(_need(region_cfg, "radius", "/region"), "/region/radius")
+        grid = _as_positive_int(cfg.get("grid", 120), "/grid")
+        rep = marty_sup(members.__getitem__, indices, Disk(center, radius), grid, label=template)
         return {"marty": rep}, True
     if action == "zalcman":
         h = _as_expr(_need(cfg, "h", ""), "/h")
-        grid = _as_int(cfg.get("searchgrid", 300), "/searchgrid")
+        grid = _as_positive_int(cfg.get("searchgrid", 300), "/searchgrid")
         return {"zalcman": zalcman_rescale(h, grid)}, True
     if action == "fujimoto":
         f = _as_expr(_need(cfg, "f", ""), "/f")
-        values = tuple(
-            _as_ext(v, f"/omits/{k}") for k, v in enumerate(_need(cfg, "omits", ""))
-        )
+        omits = _as_list(_need(cfg, "omits", ""), "/omits")
+        values = tuple(_as_ext(v, f"/omits/{k}") for k, v in enumerate(omits))
         eta = _as_float(_need(cfg, "eta", ""), "/eta")
-        radius = _as_float(_need(cfg, "radius", ""), "/radius")
+        radius = _as_positive(_need(cfg, "radius", ""), "/radius")
         resolution = _resolution(cfg, opts, 150)
         ones = lambda zs: np.ones(np.shape(zs))
         mesh = build_mesh(Disk(0, radius), ones, resolution, refine_punctures=False)
         return {"fujimoto": fujimoto_ratio(f, values, eta, radius, mesh)}, True
     if action == "completeness":
         triple = triple_from_json(_need(cfg, "triple", ""), "/triple")
-        eps_cfg = _need(cfg, "eps_levels", "")
+        eps_cfg = _as_list(_need(cfg, "eps_levels", ""), "/eps_levels")
         eps = [_as_float(e, f"/eps_levels/{k}") for k, e in enumerate(eps_cfg)]
         targets_cfg = cfg.get("targets")
         if targets_cfg is None:
             targets_cfg = [_need(cfg, "target", "")]
         targets = []
-        for k, tg in enumerate(targets_cfg):
+        for k, tg in enumerate(_as_list(targets_cfg, "/targets")):
             if tg in ("inf", "infinity"):
                 targets.append("infinity")
             else:
@@ -432,7 +441,8 @@ def _handle_example(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     m = _need(cfg, "m", "")
     if not isinstance(m, int) or m < 1:
         raise ConfigError("/m", "m must be a positive integer")
-    alphas = [_as_complex(a, f"/alphas/{k}") for k, a in enumerate(_need(cfg, "alphas", ""))]
+    alphas = _as_list(_need(cfg, "alphas", ""), "/alphas")
+    alphas = [_as_complex(a, f"/alphas/{k}") for k, a in enumerate(alphas)]
     radius = cfg.get("radius")
     radius = None if radius is None else _as_float(radius, "/radius")
     try:

@@ -17,8 +17,17 @@ Numbers are unsigned decimal literals; the exponent after ``^`` is an
 unsigned decimal integer.  Note that unary minus binds at the atom level,
 so ``-z^2`` parses as ``(-z)^2``.
 
-Everything in this module is immutable and every function is pure, so
-concurrent evaluation of shared expressions is safe.
+Evaluation first lowers a tree, without recursion, to a program: its
+post-order with equal subtrees merged into one op.  The pole-aware point
+evaluator and the polynomial normal form are op tables run over that
+program, the array evaluator runs it with one numpy ufunc per op, and the
+depth and rationality of a tree are read from it.  Differentiation,
+substitution and printing work on the trees themselves.
+
+Expressions are immutable and every function is pure, so concurrent
+evaluation of shared expressions is safe.  A node keeps the program it was
+lowered to, so a tree evaluated again is not lowered again; two threads that
+lower the same tree at once store equal programs.
 """
 
 from __future__ import annotations
@@ -76,10 +85,10 @@ _ORDER_ANGLES = 8
 _LIMIT_SAMPLE_RADIUS = 1e-4
 _BIG = 1e6  # array entries past this magnitude are repaired point by point
 # Parser caps: nesting of parentheses, exp( and unary minus, and the depth of
-# the tree.  The derivative of a tree of depth d is at most about 3d deep, so
-# under Python's default recursion limit of 1000 the recursive derivative,
-# evaluators and printer still finish on an accepted tree and on its
-# derivative.
+# the tree.  The evaluators are iterative; the derivative of a tree of depth d
+# is at most about 3d deep, so under Python's default recursion limit of 1000
+# the recursive derivative, substitution and printer still finish on an
+# accepted tree and on its derivative.
 _MAX_NESTING = 100
 _MAX_DEPTH = 120
 
@@ -147,53 +156,57 @@ INFINITY = ExtComplex(None)
 # ---------------------------------------------------------------------------
 
 
+class _Node:
+    __slots__ = ("_program",)  # the program a node was lowered to, kept for the next evaluation
+
+
 @dataclass(frozen=True, slots=True)
-class Const:
+class Const(_Node):
     value: complex
 
 
 @dataclass(frozen=True, slots=True)
-class Var:
+class Var(_Node):
     pass
 
 
 @dataclass(frozen=True, slots=True)
-class Add:
+class Add(_Node):
     left: "MeroExpr"
     right: "MeroExpr"
 
 
 @dataclass(frozen=True, slots=True)
-class Sub:
+class Sub(_Node):
     left: "MeroExpr"
     right: "MeroExpr"
 
 
 @dataclass(frozen=True, slots=True)
-class Mul:
+class Mul(_Node):
     left: "MeroExpr"
     right: "MeroExpr"
 
 
 @dataclass(frozen=True, slots=True)
-class Div:
+class Div(_Node):
     left: "MeroExpr"
     right: "MeroExpr"
 
 
 @dataclass(frozen=True, slots=True)
-class Pow:
+class Pow(_Node):
     base: "MeroExpr"
     exponent: int
 
 
 @dataclass(frozen=True, slots=True)
-class Exp:
+class Exp(_Node):
     arg: "MeroExpr"
 
 
 @dataclass(frozen=True, slots=True)
-class Neg:
+class Neg(_Node):
     arg: "MeroExpr"
 
 
@@ -403,24 +416,9 @@ def parse_mero(src: str) -> MeroExpr:
     tok = parser.peek()
     if tok[0] != "end":
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
-    if _depth(node) > _MAX_DEPTH:
+    if _lower(node)[2] > _MAX_DEPTH:
         raise ParseError(f"expression tree deeper than {_MAX_DEPTH} levels", 0)
     return node
-
-
-def _depth(e: MeroExpr) -> int:
-    """Levels of the tree, counted without recursion."""
-    deepest, stack = 0, [(e, 1)]
-    while stack:
-        node, level = stack.pop()
-        deepest = max(deepest, level)
-        if isinstance(node, (Add, Sub, Mul, Div)):
-            stack += [(node.left, level + 1), (node.right, level + 1)]
-        elif isinstance(node, (Exp, Neg)):
-            stack.append((node.arg, level + 1))
-        elif isinstance(node, Pow):
-            stack.append((node.base, level + 1))
-    return deepest
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +485,50 @@ def to_source(e: MeroExpr) -> str:
 # ---------------------------------------------------------------------------
 
 
+_OPERANDS = {Const: (), Var: (), Pow: ("base",), Exp: ("arg",), Neg: ("arg",)}
+_OPERANDS.update(dict.fromkeys((Add, Sub, Mul, Div), ("left", "right")))
+
+
+def _lower(e: MeroExpr) -> tuple[list, dict, int]:
+    """Lower a tree without recursion to ``(ops, last, depth)``: its post-order
+    with equal subtrees merged into one op ``(node type, payload, operand
+    slots)``, keyed by operand slots (no deep ``__hash__``) and a constant's bit
+    pattern (``0j`` and ``-0j`` stay apart); op ``last[k]`` reads slot k last."""
+    program = getattr(e, "_program", None)  # point evaluators lower the same tree again and again
+    if program is not None:
+        return program
+    ops, depth, stack = [], [], [e]
+    slot_of, lowered = {}, {}  # merge key -> slot; id(node) -> slot, each node lowered once
+    while stack:
+        kind = type(node := stack[-1])  # a node pushed twice is lowered twice into one op
+        kids = [getattr(node, name) for name in _OPERANDS[kind]]
+        pending = [c for c in kids if id(c) not in lowered]
+        if pending:
+            stack += reversed(pending)
+            continue
+        stack.pop()
+        args = tuple(lowered[id(c)] for c in kids)
+        payload = node.value if kind is Const else node.exponent if kind is Pow else None
+        bits = np.complex128(payload).tobytes() if kind is Const else payload
+        lowered[id(node)] = slot = slot_of.setdefault((kind, bits, args), len(ops))
+        if slot == len(ops):
+            ops.append((kind, payload, args))
+            depth.append(1 + max((depth[a] for a in args), default=0))
+    program = ops, {a: k for k, (_, _, args) in enumerate(ops) for a in args}, depth[-1]
+    object.__setattr__(e, "_program", program)
+    return program
+
+
+def _run(program, rules: dict, z):
+    """Apply ``rules[type](z, payload, *operands)`` op by op."""
+    vals = []
+    for kind, payload, args in program[0]:
+        vals.append(rules[kind](z, payload, *map(vals.__getitem__, args)))
+    return vals[-1]
+
+
 def is_rational(e: MeroExpr) -> bool:
-    if isinstance(e, (Const, Var)):
-        return True
-    if isinstance(e, Exp):
-        return False
-    if isinstance(e, (Neg,)):
-        return is_rational(e.arg)
-    if isinstance(e, Pow):
-        return is_rational(e.base)
-    return is_rational(e.left) and is_rational(e.right)
+    return all(kind is not Exp for kind, _, _ in _lower(e)[0])
 
 
 def substitute(e: MeroExpr, replacement: MeroExpr) -> MeroExpr:
@@ -527,47 +559,34 @@ def rational_form(e: MeroExpr) -> tuple[np.ndarray, np.ndarray]:
     No gcd cancellation is attempted; common roots are handled downstream by
     comparing local orders.  Raises RationalFormError on exp nodes.
     """
-    num, den = _rational(e)
+    if not is_rational(e):
+        raise RationalFormError("expression contains exp; no rational form")
+    num, den = _run(_lower(e), _POLY_RULES, None)
     return np.trim_zeros(num, "f"), np.trim_zeros(den, "f")
 
 
-def _rational(e: MeroExpr) -> tuple[np.ndarray, np.ndarray]:
-    one = np.array([1.0 + 0j])
-    if isinstance(e, Const):
-        return np.array([e.value]), one
-    if isinstance(e, Var):
-        return np.array([1.0 + 0j, 0j]), one
-    if isinstance(e, Neg):
-        n, d = _rational(e.arg)
-        return -n, d
-    if isinstance(e, Add) or isinstance(e, Sub):
-        n1, d1 = _rational(e.left)
-        n2, d2 = _rational(e.right)
-        a = np.polymul(n1, d2)
-        b = np.polymul(n2, d1)
-        num = np.polyadd(a, b) if isinstance(e, Add) else np.polysub(a, b)
-        return num, np.polymul(d1, d2)
-    if isinstance(e, Mul):
-        n1, d1 = _rational(e.left)
-        n2, d2 = _rational(e.right)
-        return np.polymul(n1, n2), np.polymul(d1, d2)
-    if isinstance(e, Div):
-        n1, d1 = _rational(e.left)
-        n2, d2 = _rational(e.right)
-        return np.polymul(n1, d2), np.polymul(d1, n2)
-    if isinstance(e, Pow):
-        n1, d1 = _rational(e.base)
-        n_out, d_out = one, one
-        k = abs(e.exponent)
-        for _ in range(k):
-            n_out = np.polymul(n_out, n1)
-            d_out = np.polymul(d_out, d1)
-        if e.exponent < 0:
-            n_out, d_out = d_out, n_out
-        return n_out, d_out
-    if isinstance(e, Exp):
-        raise RationalFormError("expression contains exp; no rational form")
-    raise TypeError(f"not a MeroExpr: {e!r}")
+def _poly_pow(_, n: int, pair):
+    num = den = np.array([1.0 + 0j])
+    for _ in range(abs(n)):
+        num, den = np.polymul(num, pair[0]), np.polymul(den, pair[1])
+    return (den, num) if n < 0 else (num, den)
+
+
+# (numerator, denominator) coefficient pairs, highest degree first
+_POLY_RULES = {
+    Const: lambda _, c: (np.array([c]), np.array([1.0 + 0j])),
+    Var: lambda *_: (np.array([1.0 + 0j, 0j]), np.array([1.0 + 0j])),
+    Neg: lambda _, __, a: (-a[0], a[1]),
+    Add: lambda _, __, a, b: (
+        np.polyadd(np.polymul(a[0], b[1]), np.polymul(b[0], a[1])), np.polymul(a[1], b[1])
+    ),
+    Sub: lambda _, __, a, b: (
+        np.polysub(np.polymul(a[0], b[1]), np.polymul(b[0], a[1])), np.polymul(a[1], b[1])
+    ),
+    Mul: lambda _, __, a, b: (np.polymul(a[0], b[0]), np.polymul(a[1], b[1])),
+    Div: lambda _, __, a, b: (np.polymul(a[0], b[1]), np.polymul(a[1], b[0])),
+    Pow: _poly_pow,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -622,81 +641,69 @@ class _Indeterminate(Exception):
 _INF = object()  # internal marker during raw evaluation
 
 
-def _raw(e: MeroExpr, z: complex):
-    """Recursive evaluation; returns complex or _INF, raises _Indeterminate."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return z
-    if isinstance(e, Neg):
-        v = _raw(e.arg, z)
-        return _INF if v is _INF else -v
-    if isinstance(e, Add) or isinstance(e, Sub):
-        a = _raw(e.left, z)
-        b = _raw(e.right, z)
-        if a is _INF and b is _INF:
-            raise _Indeterminate
-        if a is _INF or b is _INF:
-            return _INF
-        v = a + b if isinstance(e, Add) else a - b
-        return _check_overflow(v)
-    if isinstance(e, Mul):
-        a = _raw(e.left, z)
-        b = _raw(e.right, z)
-        if a is _INF or b is _INF:
-            other = b if a is _INF else a
-            if other is _INF:
-                return _INF
-            if other == 0:
-                raise _Indeterminate
-            return _INF
-        return _check_overflow(a * b)
-    if isinstance(e, Div):
-        a = _raw(e.left, z)
-        b = _raw(e.right, z)
-        if a is _INF and b is _INF:
-            raise _Indeterminate
-        if a is _INF:
-            return _INF
-        if b is _INF:
-            return 0j
-        if b == 0:
-            if a == 0:
-                raise _Indeterminate
-            return _INF
-        return _check_overflow(a / b)
-    if isinstance(e, Pow):
-        b = _raw(e.base, z)
-        n = e.exponent
-        if b is _INF:
-            if n == 0:
-                return 1 + 0j
-            return _INF if n > 0 else 0j
-        if n == 0:
-            return 1 + 0j
-        if b == 0 and n < 0:
-            return _INF
-        try:
-            return _check_overflow(b**n)
-        except OverflowError:
-            return _INF
-    if isinstance(e, Exp):
-        a = _raw(e.arg, z)
-        if a is _INF:
-            raise EvalError("exp evaluated at infinity (essential singularity)")
-        try:
-            return _check_overflow(cmath.exp(a))
-        except OverflowError:
-            return _INF
-    raise TypeError(f"not a MeroExpr: {e!r}")
-
-
 def _check_overflow(v: complex):
     if math.isfinite(v.real) and math.isfinite(v.imag):
         return v
     if math.isnan(v.real) or math.isnan(v.imag):
         raise _Indeterminate
     return _INF
+
+
+def _inf_sum(a, b):
+    """_INF if one summand is infinite, None if neither is; inf - inf raises."""
+    if a is _INF and b is _INF:
+        raise _Indeterminate
+    return _INF if a is _INF or b is _INF else None
+
+
+def _raw_mul(z, _, a, b):
+    if a is _INF or b is _INF:
+        if a == 0 or b == 0:  # _INF == 0 is False
+            raise _Indeterminate
+        return _INF
+    return _check_overflow(a * b)
+
+
+def _raw_div(z, _, a, b):
+    if (a is _INF and b is _INF) or (a == 0 and b == 0):  # _INF == 0 is False
+        raise _Indeterminate
+    if a is _INF or b == 0:
+        return _INF
+    return 0j if b is _INF else _check_overflow(a / b)
+
+
+def _raw_pow(z, n, b):
+    if n == 0:
+        return 1 + 0j
+    if b is _INF or (b == 0 and n < 0):
+        return 0j if b is _INF and n < 0 else _INF
+    try:
+        return _check_overflow(b**n)
+    except OverflowError:
+        return _INF
+
+
+def _raw_exp(z, _, a):
+    if a is _INF:
+        raise EvalError("exp evaluated at infinity (essential singularity)")
+    try:
+        return _check_overflow(cmath.exp(a))
+    except OverflowError:
+        return _INF
+
+
+# Pole-aware scalar arithmetic: complex or _INF, or raise _Indeterminate
+_RAW_RULES = {
+    Const: lambda z, c: c,
+    Var: lambda z, _: z,
+    Neg: lambda z, _, a: _INF if a is _INF else -a,
+    Add: lambda z, _, a, b: _inf_sum(a, b) or _check_overflow(a + b),
+    Sub: lambda z, _, a, b: _inf_sum(a, b) or _check_overflow(a - b),
+    Mul: _raw_mul,
+    Div: _raw_div,
+    Pow: _raw_pow,
+    Exp: _raw_exp,
+}
 
 
 def eval_ext(e: MeroExpr, z: complex, *, resolve: bool = True) -> ExtComplex:
@@ -707,7 +714,7 @@ def eval_ext(e: MeroExpr, z: complex, *, resolve: bool = True) -> ExtComplex:
     otherwise an EvalError is raised explicitly, never a NaN.
     """
     try:
-        v = _raw(e, complex(z))
+        v = _run(_lower(e), _RAW_RULES, complex(z))
     except _Indeterminate:
         if resolve and is_rational(e):
             return _resolve_by_order(e, complex(z))
@@ -719,7 +726,7 @@ def _samples_on_circle(e: MeroExpr, z0: complex, r: float, angles: int, rot: flo
     out = []
     for k in range(angles):
         w = z0 + r * cmath.exp(1j * (2 * math.pi * k / angles + rot))
-        v = _raw(e, w)  # may raise _Indeterminate at unlucky sample points
+        v = _run(_lower(e), _RAW_RULES, w)  # may raise _Indeterminate at unlucky sample points
         if v is _INF:
             raise _Indeterminate
         out.append(v)
@@ -790,34 +797,34 @@ def local_order(e: MeroExpr, z0: complex) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the numpy operation of a tree walk per node type, so the bits are the same
+_UFUNCS = {Neg: np.negative, Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide, Exp: np.exp}
+
+
 def eval_array(e: MeroExpr, zs: np.ndarray) -> np.ndarray:
-    """Evaluate on a complex ndarray; poles come out as inf/nan entries."""
+    """Evaluate on a complex ndarray; poles come out as inf/nan entries.
+
+    Arrays die at their last use, constants get arrays where they are read and
+    an op writes into a first operand that dies there, as numpy does with a tree
+    walk's temporaries, so memory and allocations stay at most a tree walk's."""
     zs = np.asarray(zs, dtype=complex)
+    ops, last, _ = _lower(e)
+    full = lambda c: np.full(zs.shape, c, dtype=complex)
+    vals = [zs if kind is Var else None for kind, _, _ in ops]
     with np.errstate(all="ignore"):
-        return _eval_array(e, zs)
-
-
-def _eval_array(e: MeroExpr, zs: np.ndarray) -> np.ndarray:
-    if isinstance(e, Const):
-        return np.full(zs.shape, e.value, dtype=complex)
-    if isinstance(e, Var):
-        return zs.copy()
-    if isinstance(e, Neg):
-        return -_eval_array(e.arg, zs)
-    if isinstance(e, Add):
-        return _eval_array(e.left, zs) + _eval_array(e.right, zs)
-    if isinstance(e, Sub):
-        return _eval_array(e.left, zs) - _eval_array(e.right, zs)
-    if isinstance(e, Mul):
-        return _eval_array(e.left, zs) * _eval_array(e.right, zs)
-    if isinstance(e, Div):
-        return _eval_array(e.left, zs) / _eval_array(e.right, zs)
-    if isinstance(e, Pow):
-        base = _eval_array(e.base, zs)
-        return base ** e.exponent
-    if isinstance(e, Exp):
-        return np.exp(_eval_array(e.arg, zs))
-    raise TypeError(f"not a MeroExpr: {e!r}")
+        for k, (kind, payload, args) in enumerate(ops):
+            xs = [full(ops[a][1]) if ops[a][0] is Const else vals[a] for a in args]
+            for a in args:
+                if last[a] == k:
+                    vals[a] = None
+            if kind is Pow:
+                vals[k] = xs[0] ** payload
+            elif kind in _UFUNCS:
+                mine = ops[args[0]][0] is Const or (vals[args[0]] is None and xs[0] is not zs)
+                into = xs[0] if mine and isinstance(xs[0], np.ndarray) else None  # 0-d: a scalar
+                vals[k] = _UFUNCS[kind](*xs, out=into)
+    out = full(ops[-1][1]) if ops[-1][0] is Const else vals[-1]
+    return out.copy() if out is zs else out  # callers may write into the result
 
 
 def eval_array_checked(e: MeroExpr, zs: np.ndarray) -> np.ndarray:
@@ -838,9 +845,9 @@ def eval_array_checked(e: MeroExpr, zs: np.ndarray) -> np.ndarray:
 
 def _repair(out: np.ndarray, bad: np.ndarray, zs: np.ndarray, at_point) -> np.ndarray:
     """Overwrite the ``bad`` entries of ``out`` by ``at_point`` at their points."""
-    flat, zf = out.ravel(), zs.ravel()
+    out = np.asarray(out)  # numpy hands back a 0-d result as a scalar, which cannot be written
     for k in np.nonzero(bad.ravel())[0]:
-        flat[k] = at_point(complex(zf[k]))
+        out.flat[k] = at_point(complex(zs.flat[k]))
     return out
 
 

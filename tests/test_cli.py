@@ -375,6 +375,7 @@ _COMPLETENESS = {"triple": {"domain": {"kind": "truncated_plane", "radius": 3.0,
                  "target": "infinity", "eps_levels": [1e-1, 1e-2]}
 _ESTIMATE = {"triple": {"domain": DISK, "f": "1", "g": "z/2", "m": 2},
              "property": {"bounded": 1.0}, "resolution": 20}
+_SURFACE = {"class": "minimal", "f": "1", "g": "z", "domain": DISK, "resolution": 20}
 
 
 @pytest.mark.parametrize(
@@ -396,11 +397,33 @@ _ESTIMATE = {"triple": {"domain": DISK, "f": "1", "g": "z/2", "m": 2},
         ("example", "optimal", {"m": 1, "alphas": [[1, 0], [-1, 0]], "radius": "abc"}, "/radius"),
         ("triple", "check", {"triple": dict(_TRIPLE, g="(" * 400 + "z" + ")" * 400)}, "/triple/g"),
         ("triple", "check", {"triple": dict(_TRIPLE, g="+".join(["z"] * 1200))}, "/triple/g"),
+        ("triple", "curvature", {"triple": _TRIPLE, "points": 5}, "/points"),
+        ("example", "optimal", {"m": 1, "alphas": 5}, "/alphas"),
+        ("surface", "periods", dict(_SURFACE, cycles=5), "/cycles"),
+        ("surface", "periods", dict(_SURFACE, cycles=[5]), "/cycles/0"),
+        ("surface", "synth", dict(_SURFACE, exports="obj"), "/exports"),
+        ("surface", "synth", dict(_SURFACE, exports=[["obj"]]), "/exports"),
+        ("probe", "completeness", dict(_COMPLETENESS, eps_levels=0.1), "/eps_levels"),
+        ("probe", "completeness", dict(_COMPLETENESS, targets=5), "/targets"),
+        ("estimate", "verify", dict(_ESTIMATE, property={"omits": 5}), "/property/omits"),
+        ("probe", "fujimoto", dict(_FUJIMOTO, omits=5), "/omits"),
+        ("probe", "fujimoto", dict(_FUJIMOTO, radius=-1), "/radius"),
+        ("probe", "marty", dict(_MARTY, indices=5), "/indices"),
+        ("probe", "marty", dict(_MARTY, indices=[0, 1]), "/indices/0"),
+        ("probe", "marty", dict(_MARTY, family="({n}*z"), "/family"),
+        ("probe", "marty", dict(_MARTY, region={"radius": -0.5}), "/region/radius"),
+        ("probe", "marty", dict(_MARTY, grid=0), "/grid"),
+        ("probe", "zalcman", {"h": "10*z", "searchgrid": 0}, "/searchgrid"),
     ],
     ids=[
         "fd_step-abc", "fd_step-0", "delta-abc", "delta-nan", "bounded-inf", "marty-indices",
         "marty-region", "marty-grid", "zalcman-searchgrid", "fujimoto-eta", "fujimoto-radius",
         "completeness-eps", "optimal-radius", "nested-parentheses", "long-sum",
+        "points-not-list", "alphas-not-list", "cycles-not-list", "cycle-not-list",
+        "exports-string", "exports-nested", "eps-levels-not-list", "targets-not-list",
+        "property-omits-not-list", "fujimoto-omits-not-list", "fujimoto-radius-negative",
+        "marty-indices-not-list", "marty-index-zero", "marty-family-unparsable",
+        "marty-radius-negative", "marty-grid-zero", "zalcman-searchgrid-zero",
     ],
 )
 def test_malformed_number_or_expression_is_schema_error(

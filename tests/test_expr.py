@@ -38,6 +38,8 @@ from mtriples.expr import (
     _MAX_NESTING,
 )
 
+from mtriples.mtriple import Disk, make_triple, metric_density, metric_density_array
+
 from _helpers import outcome_bits, raises, random_expr, random_points
 
 SQRT2 = math.sqrt(2.0)
@@ -434,6 +436,22 @@ class TestSharedGradientMatchesPairedReference:
             assert np.any(np.abs(eval_array(parse_mero("1/z"), zs)) > 1e6)
             assert np.any(np.isnan(eval_array(parse_mero("(z^2-1)/(z-1)"), zs)))
         assert outcome_bits(eval_array_checked, parse_mero("(exp(z)-1)/z"), zs) is EvalError
+
+
+@pytest.mark.parametrize(
+    "array_version, point_version, data",
+    [
+        (metric_density_array, metric_density, make_triple(Disk(0, 2), "z", "1/z", 1)),
+        (spherical_gradient_array, spherical_gradient, parse_mero("1/z")),
+        (eval_array_checked, lambda e, z: eval_ext(e, z).value, parse_mero("z/z")),
+    ],
+    ids=["density", "gradient", "checked"],
+)
+def test_zero_dimensional_input_keeps_its_repair(array_version, point_version, data):
+    # numpy returns a scalar for a 0-d operation, so a repair must not write into a copy
+    out = array_version(data, np.array(0j))
+    assert np.shape(out) == ()
+    assert out == point_version(data, 0j)
 
 
 class TestStereographic:
