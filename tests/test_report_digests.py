@@ -109,3 +109,71 @@ def test_report_digest(tmp_path, name):
     assert main([group, action, "--config", str(cfg_path), "--out", str(out)]) == code
     digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
     assert digest == DIGESTS[name]
+
+
+# Every file ``surface synth`` writes, for the four synth cases above with all
+# four export formats: the report, OBJ/PLY/CSV/JSON, the flat-front hermitian
+# sidecars, nodes.csv and edges.csv.
+EXPORT_CASES = {
+    name: (group, action, {**cfg, "exports": ["obj", "ply", "csv", "json"]}, code)
+    for name, (group, action, cfg, code) in CASES.items()
+    if name.startswith("surface-synth-")
+}
+
+# case -> file name -> sha256
+EXPORT_DIGESTS = {
+    "surface-synth-flat-front": {
+        "edges.csv": "a36371520ff72e72e3d763b4461ba383006bb1e258ff4fc50345442ada9a2451",
+        "mesh.obj": "c67c7b6c0da40d025c7db0e7630f45d0f0785bf944aebf2c893186bc90fcf5aa",
+        "mesh.obj.hermitian.json": "a742b9fc9d85f206fb9c66bdd6489f9031eb2a5c4e2bdf203858f12d8f1b2c1c",
+        "mesh.ply": "05e14dc36d6a78a72fc5dbd192cdb38df6f71b4c3a7538a6fee4e588bfee0aed",
+        "mesh.ply.hermitian.json": "a742b9fc9d85f206fb9c66bdd6489f9031eb2a5c4e2bdf203858f12d8f1b2c1c",
+        "nodes.csv": "d6c2b757a26c6c67cbcb2ddff935a21b479b3c827da820afd9f9ca6190aa47b7",
+        "report.json": "7f17c8bdf1e59e9943fbc9568a9205f3f29c3af670b7c587a07fc66c897b91e0",
+        "surface.json": "7e92cad69bbb24c4b732f0a299f4593ac68dc04d6b33a31f22a213cd3d9372f2",
+        "vertices.csv": "5a55c9785115fee68b9f526001250e7e158cc945c5498cb5a14042526ce15d2d",
+    },
+    "surface-synth-improper-affine": {
+        "edges.csv": "f736220e1bca90e32ee93bf4d5430bd36b22d5158e0bff881d0c04fc05b0e965",
+        "mesh.obj": "1d9435b3152e9c31696271a75b8ea2deb1479cbbf3708f40b95b2a7222afaa6f",
+        "mesh.ply": "d1d2d492c2ffab8134042d6f504662e35af0d7fdc7015cb251ed066728261d81",
+        "nodes.csv": "afbb365302e6601e256aba2132f791d6299fc04cebbd8ebe9d32e83526cede5b",
+        "report.json": "bfdc41e5ad290667a45806ecfbfdd16ccc48ea065cf8939cc0b994129e442989",
+        "surface.json": "57152e464afc7d46512e214a6825c6537cede3dce6919aa51679bf92023d51fa",
+        "vertices.csv": "81091b451e77d822527a4f3788d8bca18d2d42e7652b8f6f322db5a49826a2d9",
+    },
+    "surface-synth-maxface": {
+        "edges.csv": "94f18fec4ddbfd6a0b0d1ef1c7be3ceeefca1197680013d30a5af14a1fdc13d4",
+        "mesh.obj": "4761c300d8b3899fce4700d47dc76de706d1e9f097f42a3eddb30ede889e0791",
+        "mesh.ply": "7bc42b307acff3be0affae8c113d08c75f6eaf51d81ee1e4149ef84ee8794aca",
+        "nodes.csv": "55017ccf67938da2f4406e2331596877d56f793bd21489a56defde9aca3c938b",
+        "report.json": "7a32bbb8998520ff3a18552738842a1ca06eecc56085c153ed65c79c1a767870",
+        "surface.json": "728cb9d7f7c631ce9e209d614618687e2d712846f34efc1f6cb0774128ed6712",
+        "vertices.csv": "8adbfbc872b5fb1f9bd1ca935f58c7505173f0c8f35f44ddb457da71b7bb9dd2",
+    },
+    "surface-synth-minimal": {
+        "edges.csv": "5184f6841704f47bafd65064894774201fdb1763166b13aac097cf771a3457e1",
+        "mesh.obj": "d84f1d803a9fa254b6622bc0e3f3ca214391828fbb5988ce92dd51f5fc930933",
+        "mesh.ply": "1b554d8c5c2bb38585176b599dcd8b7ec16b5084209f899a0856838e127c8f1a",
+        "nodes.csv": "581747319e8cbeee0c6bf5718428399ad56ce12635a8f0eb35ee1a922e958302",
+        "report.json": "f3853999634c0e04e8ccfd9c52e0eb4eaabe7463c5d1a5d4f13c9fc2d2039c6a",
+        "surface.json": "8a6216b99278bbe329f4db5f2a345a630816818edc1cf87233eab0960899c41e",
+        "vertices.csv": "8570d80f6c53385ee64b49a6679d368f68291bda094adb31d8b0e8395fdfd0a7",
+    },
+}
+
+
+def _file_digests(out) -> dict:
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
+    }
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_CASES))
+def test_export_digests(tmp_path, name):
+    group, action, cfg, code = EXPORT_CASES[name]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([group, action, "--config", str(cfg_path), "--out", str(out)]) == code
+    assert _file_digests(out) == EXPORT_DIGESTS[name]
