@@ -41,7 +41,7 @@ from .estimates import (
     verify_estimate,
     zalcman_rescale,
 )
-from .expr import ExtComplex, INFINITY, parse_mero, to_source
+from .expr import ArgumentError, ExtComplex, INFINITY, parse_mero, to_source
 from .geodesy import (
     build_mesh,
     completeness_probe,
@@ -313,25 +313,26 @@ def _handle_estimate(action: str, cfg: dict, opts) -> tuple[dict, bool]:
 
 _EXPORT_FILES = {"obj": "mesh.obj", "ply": "mesh.ply", "csv": "vertices.csv", "json": "surface.json"}
 _SURFACE_CLASSES = {
-    "minimal": (MinimalData, ("f", "g"), synth_minimal),
-    "maxface": (MaxfaceData, ("f", "g"), synth_maxface),
-    "improper_affine": (ImproperAffineData, ("F", "G"), synth_improper_affine),
-    "flat_front": (FlatFrontData, ("omega", "theta"), synth_flatfront),
+    cls.kind: (cls, synth)
+    for cls, synth in ((MinimalData, synth_minimal), (MaxfaceData, synth_maxface),
+                       (ImproperAffineData, synth_improper_affine), (FlatFrontData, synth_flatfront))
 }
 
 
 def _surface_data(cfg: dict):
+    """Decode the surface data; its two expressions are the class's first two fields."""
     cls_name = _need(cfg, "class", "")
     if cls_name not in _SURFACE_CLASSES:
         raise ConfigError("/class", f"unknown surface class {cls_name!r}")
-    cls, fields, synth = _SURFACE_CLASSES[cls_name]
+    cls, synth = _SURFACE_CLASSES[cls_name]
     domain = domain_from_json(_need(cfg, "domain", ""), "/domain")
     base = _as_complex(cfg.get("base_point", 0), "/base_point")
-    exprs = [_as_expr(_need(cfg, name, ""), f"/{name}") for name in fields]
+    names = [f.name for f in dataclasses.fields(cls)[:2]]
+    exprs = [_as_expr(_need(cfg, name, ""), f"/{name}") for name in names]
     try:
         data = cls(*exprs, domain, base)
     except (ValueError, RegularityViolation, NonHolomorphic) as exc:
-        raise ConfigError("/" + fields[0], f"invalid surface data: {exc}") from exc
+        raise ConfigError("/" + names[0], f"invalid surface data: {exc}") from exc
     return cls_name, data, synth
 
 
@@ -385,6 +386,14 @@ def _handle_surface(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     return out, True
 
 
+def _probe(fn, pointers: dict, *args):
+    """``fn(*args)``, with an argument it rejects reported at its config pointer."""
+    try:
+        return fn(*args)
+    except ArgumentError as exc:
+        raise ConfigError(pointers[exc.name], str(exc)) from exc
+
+
 def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     if action == "marty":
         template = _need(cfg, "family", "")
@@ -404,7 +413,7 @@ def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     if action == "zalcman":
         h = _as_expr(_need(cfg, "h", ""), "/h")
         grid = _as_positive_int(cfg.get("searchgrid", 300), "/searchgrid")
-        return {"zalcman": zalcman_rescale(h, grid)}, True
+        return {"zalcman": _probe(zalcman_rescale, {"h": "/h"}, h, grid)}, True
     if action == "fujimoto":
         f = _as_expr(_need(cfg, "f", ""), "/f")
         omits = _as_list(_need(cfg, "omits", ""), "/omits")
@@ -414,7 +423,8 @@ def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         resolution = _resolution(cfg, opts, 150)
         ones = lambda zs: np.ones(np.shape(zs))
         mesh = build_mesh(Disk(0, radius), ones, resolution, refine_punctures=False)
-        return {"fujimoto": fujimoto_ratio(f, values, eta, radius, mesh)}, True
+        pointers = {"values": "/omits", "eta": "/eta"}
+        return {"fujimoto": _probe(fujimoto_ratio, pointers, f, values, eta, radius, mesh)}, True
     if action == "completeness":
         triple = triple_from_json(_need(cfg, "triple", ""), "/triple")
         eps_cfg = _as_list(_need(cfg, "eps_levels", ""), "/eps_levels")
@@ -428,10 +438,12 @@ def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
                 targets.append("infinity")
             else:
                 targets.append(_as_complex(tg, f"/targets/{k}"))
-        return {
-            "triple": triple_to_json(triple),
-            "completeness": [completeness_probe(triple, t, eps) for t in targets],
-        }, True
+        reports = [
+            _probe(completeness_probe, {"eps_levels": "/eps_levels", "target": f"/targets/{k}"},
+                   triple, t, eps)
+            for k, t in enumerate(targets)
+        ]
+        return {"triple": triple_to_json(triple), "completeness": reports}, True
     raise ConfigError("/subcommand", f"unknown probe action {action!r}")
 
 

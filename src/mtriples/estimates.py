@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import (
+    ArgumentError,
     Const,
     Div,
     EvalError,
@@ -271,9 +272,9 @@ def fujimoto_ratio(
     vals = tuple(ExtComplex.of(v) for v in values)
     q = len(vals)
     if q < 3 or not any(v.is_inf for v in vals):
-        raise ValueError("need q >= 3 omitted values including infinity")
+        raise ArgumentError("values", "need q >= 3 omitted values including infinity")
     if not (0.0 < eta < (q - 2) / q):
-        raise ValueError(f"eta must lie in (0, {(q - 2) / q})")
+        raise ArgumentError("eta", f"eta must lie in (0, {(q - 2) / q})")
     zs = mesh.nodes
     fz = eval_array(f, zs)
     fd = eval_array(derivative(f), zs)
@@ -376,7 +377,7 @@ def zalcman_rescale(h: MeroExpr, searchgrid: int = 300) -> ZalcmanResult:
     |grad|(z) <= 1/(1 - (|z|/R)^2) on |z| < R from maximality at the center.
     """
     if isinstance(h, Const):
-        raise ValueError("h must be nonconstant")
+        raise ArgumentError("h", "h must be nonconstant")
     s = 2.0 / searchgrid
     k = np.arange(-searchgrid // 2, searchgrid // 2 + 1)
     ii, jj = np.meshgrid(k, k, indexing="ij")

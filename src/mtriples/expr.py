@@ -59,6 +59,7 @@ __all__ = [
     "EvalError",
     "OrderUndeterminedError",
     "RationalFormError",
+    "ArgumentError",
     "parse_mero",
     "to_source",
     "eval_ext",
@@ -114,6 +115,14 @@ class RationalFormError(ValueError):
     """Expression is not rational (contains exp nodes)."""
 
 
+class ArgumentError(ValueError):
+    """An argument outside the range a routine accepts; ``name`` is the parameter."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
 # ---------------------------------------------------------------------------
 # Extended complex values
 # ---------------------------------------------------------------------------
@@ -157,7 +166,8 @@ INFINITY = ExtComplex(None)
 
 
 class _Node:
-    __slots__ = ("_program",)  # the program a node was lowered to, kept for the next evaluation
+    # the program a node was lowered to and its reciprocal tree, kept for the next evaluation
+    __slots__ = ("_program", "_reciprocal")
 
 
 @dataclass(frozen=True, slots=True)
@@ -623,10 +633,15 @@ def derivative(e: MeroExpr) -> MeroExpr:
 
 
 def invert_expr(e: MeroExpr) -> MeroExpr:
-    """Pointwise reciprocal, swapping numerator and denominator when possible."""
-    if isinstance(e, Div):
-        return Div(e.right, e.left)
-    return Div(_ONE, e)
+    """Pointwise reciprocal, swapping numerator and denominator when possible.
+
+    Built once per node, so that point evaluators near poles, which invert
+    the same tree at every point, evaluate one tree lowered once."""
+    inverse = getattr(e, "_reciprocal", None)
+    if inverse is None:
+        inverse = Div(e.right, e.left) if isinstance(e, Div) else Div(_ONE, e)
+        object.__setattr__(e, "_reciprocal", inverse)
+    return inverse
 
 
 # ---------------------------------------------------------------------------

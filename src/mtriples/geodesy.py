@@ -21,6 +21,7 @@ from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 from scipy.spatial import cKDTree
 
+from .expr import ArgumentError
 from .mtriple import DomainSpec, MTriple, segment_point_dist
 from .quadrature import QuadratureError, gauss4_segments, simpson_segments
 
@@ -121,13 +122,15 @@ class MeshedDomain:
 
 
 def _as_density(density: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """``density`` as a real array callable that keeps its input's shape."""
+
     def fvec(zs: np.ndarray) -> np.ndarray:
-        vals = density(zs)
-        arr = np.asarray(vals, dtype=float)
+        arr = np.asarray(density(zs), dtype=float)
         if arr.shape != np.shape(zs):
-            # scalar-only callable: fall back to a python loop
-            arr = np.array([float(density(complex(z))) for z in np.ravel(zs)])
-            arr = arr.reshape(np.shape(zs))
+            raise MeshError(
+                f"density returned shape {arr.shape} for points of shape {np.shape(zs)}; "
+                "it must be vectorized"
+            )
         return arr
 
     return fvec
@@ -409,10 +412,12 @@ def completeness_probe(
     and a final-decade increment consistent with the fitted slope.
     """
     eps = [float(e) for e in eps_levels]
+    if len(eps) < 2:
+        raise ArgumentError("eps_levels", "need at least two eps levels for the fit")
     if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-        raise ValueError("eps_levels must be strictly decreasing")
+        raise ArgumentError("eps_levels", "eps_levels must be strictly decreasing")
     if eps[-1] < 1e-8:
-        raise ValueError("smallest eps must be >= 1e-8")
+        raise ArgumentError("eps_levels", "smallest eps must be >= 1e-8")
     if anchor is None:
         anchor = triple.domain.anchor()
     anchor = complex(anchor)
@@ -427,14 +432,14 @@ def completeness_probe(
         tgt = complex(target)
         gap = abs(tgt - anchor)
         if gap <= max(eps):
-            raise ValueError("anchor too close to the probe target")
+            raise ArgumentError("target", "anchor too close to the probe target")
         u = (tgt - anchor) / gap
         for p in triple.domain.punctures:
             if abs(p - tgt) > 1e-9 and segment_point_dist(
                 np.array([anchor]), np.array([tgt]), p
             )[0] < 1e-3:
-                raise ValueError(
-                    "probe path passes another puncture; choose a different anchor"
+                raise ArgumentError(
+                    "target", "probe path passes another puncture; choose a different anchor"
                 )
         stops = [anchor] + [tgt - e * u for e in eps]
         is_puncture = triple.domain.puncture_gap(tgt) < 1e-9

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar, Union
 
 import numpy as np
@@ -413,6 +414,11 @@ class MTriple:
         """Metric density as a vectorized callable (mesh-builder contract)."""
         return metric_density_array(self, zs)
 
+    @cached_property
+    def _pole_form(self) -> MeroExpr:
+        """g^m f, finite where g has a pole; built once, lowered once."""
+        return _mul(_pow(self.g, self.m), self.f)
+
 
 def make_triple(domain: DomainSpec, f, g, m: int) -> MTriple:
     """Build a triple, enforcing regularity when f and g are rational."""
@@ -457,7 +463,7 @@ def _point_values(t: MTriple, z: complex, slope: bool) -> tuple:
     if gv.is_inf or abs(gv.value) > _BIG:
         ginv = invert_expr(t.g)
         gv, gd = eval_ext(ginv, z), slope and eval_ext(derivative(ginv), z)
-        fv = eval_ext(_mul(_pow(t.g, t.m), t.f), z)
+        fv = eval_ext(t._pole_form, z)
     else:
         fv, gd = eval_ext(t.f, z), slope and eval_ext(derivative(t.g), z)
     vals = (gv, fv, gd) if slope else (gv, fv)

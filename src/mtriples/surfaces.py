@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import ClassVar, Optional, Sequence
 
@@ -86,20 +86,43 @@ SINGULAR_FLAG_TOL = 1e-3
 
 
 @dataclass(frozen=True)
-class _VectorData:
+class _SurfaceData:
+    """Representation data of one surface class.
+
+    A subclass declares its two holomorphic expressions as its first two
+    fields, then ``domain`` and ``base_point``; ``kind`` names the class in
+    configs and reports, and ``frame`` is the model its vertices live in.
+    """
+
+    kind: ClassVar[str]
+    frame: ClassVar[str]
+
+    def __post_init__(self):
+        for f in fields(self)[:2]:
+            object.__setattr__(self, f.name, _as_expr(getattr(self, f.name)))
+        object.__setattr__(self, "base_point", complex(self.base_point))
+
+    def singular_indicator(self, zs: np.ndarray) -> np.ndarray:
+        """Real function on the nodes whose zero set is the singular locus."""
+        raise TypeError(f"the {self.kind} class has no singular locus")
+
+    def _metric_sq(self, diagnostics: dict) -> np.ndarray:
+        """Squared conformal factor of the immersion that immersion_check tests."""
+        return diagnostics["density"] ** 2
+
+
+@dataclass(frozen=True)
+class _VectorData(_SurfaceData):
     """Weierstrass data (f, g) of a vector-valued class: the vertices are
     Re of the integral of the class's three representation forms."""
 
-    kind: ClassVar[str]
     f: MeroExpr
     g: MeroExpr
     domain: DomainSpec
     base_point: complex = 0j
 
     def __post_init__(self):
-        object.__setattr__(self, "f", _as_expr(self.f))
-        object.__setattr__(self, "g", _as_expr(self.g))
-        object.__setattr__(self, "base_point", complex(self.base_point))
+        super().__post_init__()
         # raises on an irregular rational pair
         object.__setattr__(self, "_triple", make_triple(self.domain, self.f, self.g, 2))
 
@@ -111,6 +134,7 @@ class _VectorData:
 @dataclass(frozen=True)
 class MinimalData(_VectorData):
     kind: ClassVar[str] = "minimal"
+    frame: ClassVar[str] = "euclidean"
 
     def forms(self) -> tuple:
         """((1 - g^2), i(1 + g^2), 2g) f"""
@@ -125,6 +149,7 @@ class MinimalData(_VectorData):
 @dataclass(frozen=True)
 class MaxfaceData(_VectorData):
     kind: ClassVar[str] = "maxface"
+    frame: ClassVar[str] = "lorentzian"
 
     def __post_init__(self):
         super().__post_init__()
@@ -140,49 +165,68 @@ class MaxfaceData(_VectorData):
             Mul(Mul(Const(1j), Sub(one, g2)), self.f),
         )
 
+    def singular_indicator(self, zs: np.ndarray) -> np.ndarray:
+        """|g| - 1"""
+        return np.abs(eval_array(self.g, zs)) - 1.0
+
+    def _metric_sq(self, diagnostics: dict) -> np.ndarray:
+        return diagnostics["induced_metric_sq"]
+
 
 @dataclass(frozen=True)
-class ImproperAffineData:
+class _PoleFreeData(_SurfaceData):
+    """Data whose two expressions may have no pole inside the domain."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        for f in fields(self)[:2]:
+            e = getattr(self, f.name)
+            if not is_rational(e):
+                continue  # checked at runtime by quadrature failures
+            for r in map(complex, np.roots(rational_form(e)[1])):
+                if self.domain.contains(r, margin=1e-12) and self.domain.puncture_gap(r) > 1e-9:
+                    raise ValueError(f"{f.name} has a pole at {r} inside the domain")
+
+
+@dataclass(frozen=True)
+class ImproperAffineData(_PoleFreeData):
+    kind: ClassVar[str] = "improper_affine"
+    frame: ClassVar[str] = "affine"
     F: MeroExpr
     G: MeroExpr
     domain: DomainSpec
     base_point: complex = 0j
 
-    def __post_init__(self):
-        object.__setattr__(self, "F", _as_expr(self.F))
-        object.__setattr__(self, "G", _as_expr(self.G))
-        object.__setattr__(self, "base_point", complex(self.base_point))
-        for name, e in (("F", self.F), ("G", self.G)):
-            _require_pole_free(e, self.domain, name)
+    def forms(self) -> tuple:
+        """(F G',): the height function integrates F dG"""
+        return (Mul(self.F, derivative(self.G)),)
+
+    def singular_indicator(self, zs: np.ndarray) -> np.ndarray:
+        """|F'| - |G'|"""
+        return np.abs(eval_array(derivative(self.F), zs)) - np.abs(eval_array(derivative(self.G), zs))
+
+    def _metric_sq(self, diagnostics: dict) -> np.ndarray:
+        return diagnostics["tau_sq"]
 
 
 @dataclass(frozen=True)
-class FlatFrontData:
+class FlatFrontData(_PoleFreeData):
+    kind: ClassVar[str] = "flat_front"
+    frame: ClassVar[str] = "hyperbolic"
     omega: MeroExpr
     theta: MeroExpr
     domain: DomainSpec
     base_point: complex = 0j
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", _as_expr(self.omega))
-        object.__setattr__(self, "theta", _as_expr(self.theta))
-        object.__setattr__(self, "base_point", complex(self.base_point))
-        for name, e in (("omega", self.omega), ("theta", self.theta)):
-            _require_pole_free(e, self.domain, name)
+    def singular_indicator(self, zs: np.ndarray) -> np.ndarray:
+        """|theta / omega| - 1"""
+        om = eval_array(self.omega, zs)
+        th = eval_array(self.theta, zs)
+        with np.errstate(all="ignore"):
+            return np.abs(th / om) - 1.0
 
 
 WeierstrassData = MinimalData | MaxfaceData | ImproperAffineData | FlatFrontData
-
-
-def _require_pole_free(e: MeroExpr, domain: DomainSpec, name: str) -> None:
-    if not is_rational(e):
-        return  # checked at runtime by quadrature failures
-    _, den = rational_form(e)
-    if den.size <= 1:
-        return
-    for r in np.roots(den):
-        if domain.contains(complex(r), margin=1e-12) and domain.puncture_gap(complex(r)) > 1e-9:
-            raise ValueError(f"{name} has a pole at {complex(r)} inside the domain")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +282,7 @@ def _tree_levels(parent: np.ndarray, order: np.ndarray) -> list:
     return levels
 
 
-def _integrate_tree(mesh: MeshedDomain, root: int, integrands: Sequence):
+def _integrate_tree(mesh: MeshedDomain, root: int, integrands: Sequence) -> np.ndarray:
     """Cumulative integrals of each integrand from the root to every node."""
     parent, order = mesh.spanning_tree(root)
     child = order[1:]
@@ -254,7 +298,7 @@ def _integrate_tree(mesh: MeshedDomain, root: int, integrands: Sequence):
                 acc[child[s]] = acc[parent[child[s]]] + seg[s]
     except QuadratureError as exc:
         raise EvalError(f"integrand pole on a tree edge: {exc}") from exc
-    return out, parent
+    return out
 
 
 def _expr_vec(e: MeroExpr):
@@ -291,38 +335,45 @@ def seam_mismatch(data: WeierstrassData, mesh: MeshedDomain, surface: "SurfaceMe
 # ---------------------------------------------------------------------------
 
 
-def _base_vertex_diags(triple: MTriple, zs: np.ndarray) -> dict:
-    return {
-        "density": metric_density_array(triple, zs),
-        "curvature": curvature_array(triple, zs),
-    }
-
-
-def synth_minimal(data: MinimalData, mesh: MeshedDomain) -> SurfaceMesh:
-    """Integrate the Euclidean representation forms over the mesh."""
+def _form_integrals(data: WeierstrassData, mesh: MeshedDomain) -> np.ndarray:
+    """Integral of each representation form from the base point to every node."""
     root = mesh.node_nearest(data.base_point)
-    vals, _ = _integrate_tree(mesh, root, [_expr_vec(e) for e in data.forms()])
-    vertices = vals.real.T.copy()
-    zs = mesh.nodes
-    gv = eval_array(data.g, zs)
-    diags = _base_vertex_diags(data.triple, zs)
-    diags["gauss_map"] = gv
-    diags["singular"] = np.zeros(len(zs), dtype=bool)
+    return _integrate_tree(mesh, root, [_expr_vec(e) for e in data.forms()])
+
+
+def _surface(data: WeierstrassData, mesh: MeshedDomain, vertices, diagnostics, metadata=None, **lifts):
+    """The SurfaceMesh of ``data`` on the lattice faces of ``mesh``."""
     return SurfaceMesh(
         vertices=vertices,
         faces=mesh.lattice_faces(),
         mesh=mesh,
-        frame="euclidean",
-        diagnostics=diags,
-        metadata={"surface_class": "minimal", "base_point": [data.base_point.real, data.base_point.imag]},
+        frame=data.frame,
+        diagnostics=diagnostics,
+        metadata={
+            "surface_class": data.kind,
+            "base_point": [data.base_point.real, data.base_point.imag],
+            **(metadata or {}),
+        },
+        **lifts,
     )
+
+
+def synth_minimal(data: MinimalData, mesh: MeshedDomain) -> SurfaceMesh:
+    """Integrate the Euclidean representation forms over the mesh."""
+    vertices = _form_integrals(data, mesh).real.T.copy()
+    zs = mesh.nodes
+    diags = {
+        "gauss_map": eval_array(data.g, zs),
+        "density": metric_density_array(data.triple, zs),
+        "curvature": curvature_array(data.triple, zs),
+        "singular": np.zeros(len(zs), dtype=bool),
+    }
+    return _surface(data, mesh, vertices, diags)
 
 
 def synth_maxface(data: MaxfaceData, mesh: MeshedDomain) -> SurfaceMesh:
     """Integrate the Lorentzian representation forms; flag |g| = 1 vertices."""
-    root = mesh.node_nearest(data.base_point)
-    vals, _ = _integrate_tree(mesh, root, [_expr_vec(e) for e in data.forms()])
-    vertices = vals.real.T.copy()
+    vertices = _form_integrals(data, mesh).real.T.copy()
     zs = mesh.nodes
     gv = eval_array(data.g, zs)
     fv = eval_array_checked(data.f, zs)
@@ -338,39 +389,26 @@ def synth_maxface(data: MaxfaceData, mesh: MeshedDomain) -> SurfaceMesh:
         "singular": singular,
         "induced_metric_sq": ds_induced,
     }
-    return SurfaceMesh(
-        vertices=vertices,
-        faces=mesh.lattice_faces(),
-        mesh=mesh,
-        frame="lorentzian",
-        diagnostics=diags,
-        metadata={
-            "surface_class": "maxface",
-            "lorentzian": True,
-            "signature": "(-,+,+) with the first coordinate timelike",
-            "riemannian_metric_note": "half of the stored density^2 equals the ambient-lift pullback",
-            "base_point": [data.base_point.real, data.base_point.imag],
-        },
-    )
+    meta = {
+        "lorentzian": True,
+        "signature": "(-,+,+) with the first coordinate timelike",
+        "riemannian_metric_note": "half of the stored density^2 equals the ambient-lift pullback",
+    }
+    return _surface(data, mesh, vertices, diags, meta)
 
 
 def synth_improper_affine(data: ImproperAffineData, mesh: MeshedDomain) -> SurfaceMesh:
     """Height-function synthesis from (F, G); vertices (Re x, Im x, height)."""
     zs = mesh.nodes
-    Fp = derivative(data.F)
-    Gp = derivative(data.G)
     Fv = eval_array_checked(data.F, zs)
     Gv = eval_array_checked(data.G, zs)
-    Fpv = eval_array_checked(Fp, zs)
-    Gpv = eval_array_checked(Gp, zs)
+    Fpv = eval_array_checked(derivative(data.F), zs)
+    Gpv = eval_array_checked(derivative(data.G), zs)
     tau_sq = 2.0 * (np.abs(Fpv) ** 2 + np.abs(Gpv) ** 2)
     if np.any(tau_sq <= 0.0):
         k = int(np.argmin(tau_sq))
         raise EvalError(f"degenerate node at {zs[k]}: both dF and dG vanish")
-    root = mesh.node_nearest(data.base_point)
-    fdg = Mul(data.F, Gp)
-    ints, _ = _integrate_tree(mesh, root, [_expr_vec(fdg)])
-    int_fdg = ints[0]
+    (int_fdg,) = _form_integrals(data, mesh)
     x = Gv + np.conj(Fv)
     height = 0.5 * (np.abs(Gv) ** 2 - np.abs(Fv) ** 2) + (Gv * Fv - 2.0 * int_fdg).real
     vertices = np.column_stack([x.real, x.imag, height])
@@ -391,18 +429,7 @@ def synth_improper_affine(data: ImproperAffineData, mesh: MeshedDomain) -> Surfa
         "tau_sq": tau_sq,
         "singular": singular,
     }
-    return SurfaceMesh(
-        vertices=vertices,
-        faces=mesh.lattice_faces(),
-        mesh=mesh,
-        frame="affine",
-        diagnostics=diags,
-        metadata={
-            "surface_class": "improper_affine",
-            "base_point": [data.base_point.real, data.base_point.imag],
-        },
-        lagrangian_lift=lift,
-    )
+    return _surface(data, mesh, vertices, diags, lagrangian_lift=lift)
 
 
 def _require_step(step: float) -> None:
@@ -511,23 +538,13 @@ def synth_flatfront(data: FlatFrontData, mesh: MeshedDomain, step: float) -> Sur
         "singular": singular,
         "det_drift": np.abs(dets - 1.0),
     }
-    return SurfaceMesh(
-        vertices=ball,
-        faces=mesh.lattice_faces(),
-        mesh=mesh,
-        frame="hyperbolic",
-        diagnostics=diags,
-        metadata={
-            "surface_class": "flat_front",
-            "model": "Hermitian psi = L L*; Minkowski coords ((a+c)/2, Re b, Im b, (a-c)/2); ball projection x_i/(1+x0)",
-            "lift_convention": "L^-1 dL off-diagonal with theta upper right and omega lower left",
-            "max_det_drift": drift,
-            "step": step,
-            "base_point": [data.base_point.real, data.base_point.imag],
-        },
-        hermitian_psi=psi,
-        lift_matrices=lifts,
-    )
+    meta = {
+        "model": "Hermitian psi = L L*; Minkowski coords ((a+c)/2, Re b, Im b, (a-c)/2); ball projection x_i/(1+x0)",
+        "lift_convention": "L^-1 dL off-diagonal with theta upper right and omega lower left",
+        "max_det_drift": drift,
+        "step": step,
+    }
+    return _surface(data, mesh, ball, diags, meta, hermitian_psi=psi, lift_matrices=lifts)
 
 
 # ---------------------------------------------------------------------------
@@ -540,21 +557,6 @@ def period_residuals(data: WeierstrassData, cycle: Sequence[complex], step: floa
     pts = np.asarray([complex(p) for p in cycle], dtype=complex)
     if abs(pts[0] - pts[-1]) > 1e-14:
         pts = np.append(pts, pts[0])
-    if isinstance(data, _VectorData):
-        try:
-            vals = np.array(
-                [simpson_polyline(_expr_vec(e), pts, rel_tol=1e-12).real for e in data.forms()]
-            )
-        except QuadratureError as exc:
-            raise EvalError(f"pole on the cycle: {exc}") from exc
-        return PeriodResidual(kind=data.kind, values=vals, norm=float(np.linalg.norm(vals)))
-    if isinstance(data, ImproperAffineData):
-        fdg = Mul(data.F, derivative(data.G))
-        try:
-            val = simpson_polyline(_expr_vec(fdg), pts, rel_tol=1e-12).real
-        except QuadratureError as exc:
-            raise EvalError(f"pole on the cycle: {exc}") from exc
-        return PeriodResidual(kind="improper_affine", values=np.array([val]), norm=abs(val))
     if isinstance(data, FlatFrontData):
         _require_step(step)
         L = np.eye(2, dtype=complex)[None]
@@ -562,7 +564,13 @@ def period_residuals(data: WeierstrassData, cycle: Sequence[complex], step: floa
             L = _rk4_edges(L, pts[i : i + 1], pts[i + 1 : i + 2], data.omega, data.theta, step)
         dev = L[0] - np.eye(2)
         return PeriodResidual(kind="flatfront", values=dev, norm=float(np.max(np.abs(dev))))
-    raise TypeError(f"unsupported data {data!r}")
+    try:
+        vals = np.array(
+            [simpson_polyline(_expr_vec(e), pts, rel_tol=1e-12).real for e in data.forms()]
+        )
+    except QuadratureError as exc:
+        raise EvalError(f"pole on the cycle: {exc}") from exc
+    return PeriodResidual(kind=data.kind, values=vals, norm=float(np.linalg.norm(vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -641,40 +649,22 @@ def immersion_check(
         exclude = np.asarray(surface.diagnostics.get("singular", np.zeros(mesh.n_nodes, bool)))
     c, e1, w1, n1, s1, e2, w2, n2, s2 = _lattice_stencil(mesh, exclude)
     h = mesh.spacing
-
-    if isinstance(data, ImproperAffineData):
-        coords = surface.lagrangian_lift
-        lam2 = surface.diagnostics["tau_sq"][c]
-        frame = "euclidean"
-    elif isinstance(data, FlatFrontData):
+    if isinstance(data, FlatFrontData):
         lifts = surface.lift_matrices
         inv = np.linalg.inv(lifts[c])
         bu = inv @ _fd_first(lifts, e1, w1, e2, w2, h)
         bv = inv @ _fd_first(lifts, n1, s1, n2, s2, h)
-        lam2 = surface.diagnostics["density"][c] ** 2
         uu = np.sum(np.abs(bu) ** 2, axis=(1, 2))
         vv = np.sum(np.abs(bv) ** 2, axis=(1, 2))
         uv = np.sum((bu * np.conj(bv)).real, axis=(1, 2))
-        return ImmersionReport(
-            conformal_asymmetry=float(np.max(np.abs(uu - vv) / lam2)),
-            cross_term=float(np.max(np.abs(uv) / lam2)),
-            metric_deviation=float(np.max(np.abs(uu - lam2) / lam2)),
-            laplacian=None,
-            n_checked=len(c),
-        )
     else:
-        coords = surface.vertices
-        frame = surface.frame
-        if isinstance(data, MinimalData):
-            lam2 = surface.diagnostics["density"][c] ** 2
-        else:
-            lam2 = surface.diagnostics["induced_metric_sq"][c]
-
-    pu = _fd_first(coords, e1, w1, e2, w2, h)
-    pv = _fd_first(coords, n1, s1, n2, s2, h)
-    uu = _frame_product(frame, pu, pu)
-    vv = _frame_product(frame, pv, pv)
-    uv = _frame_product(frame, pu, pv)
+        coords = surface.vertices if surface.lagrangian_lift is None else surface.lagrangian_lift
+        pu = _fd_first(coords, e1, w1, e2, w2, h)
+        pv = _fd_first(coords, n1, s1, n2, s2, h)
+        uu = _frame_product(surface.frame, pu, pu)
+        vv = _frame_product(surface.frame, pv, pv)
+        uv = _frame_product(surface.frame, pu, pv)
+    lam2 = data._metric_sq(surface.diagnostics)[c]
     lap = None
     if isinstance(data, MinimalData):
         lap_vec = (coords[e1] + coords[w1] + coords[n1] + coords[s1] - 4.0 * coords[c]) / (h * h)
@@ -735,81 +725,54 @@ def gauss_normal_check(surface: SurfaceMesh, g: MeroExpr) -> GaussNormalReport:
 # ---------------------------------------------------------------------------
 
 
-def _singular_indicator(data: WeierstrassData, zs: np.ndarray) -> np.ndarray:
-    if isinstance(data, MaxfaceData):
-        vals = np.abs(eval_array(data.g, zs))
-        return vals - 1.0
-    if isinstance(data, ImproperAffineData):
-        fp = np.abs(eval_array(derivative(data.F), zs))
-        gp = np.abs(eval_array(derivative(data.G), zs))
-        return fp - gp
-    if isinstance(data, FlatFrontData):
-        om = eval_array(data.omega, zs)
-        th = eval_array(data.theta, zs)
-        with np.errstate(all="ignore"):
-            return np.abs(th / om) - 1.0
-    raise TypeError("singular locus applies to maxface, improper affine and flat front data")
-
-
 def singular_locus(data: WeierstrassData, mesh: MeshedDomain) -> list:
-    """Zero contour of the class indicator on the lattice, as polylines."""
+    """Zero contour of ``data.singular_indicator`` on the lattice, as polylines.
+
+    Marching squares over every complete lattice cell at once.  Corners 0-3
+    of cell (i, j) are lattice points (i, j), (i+1, j), (i+1, j+1), (i, j+1),
+    and edge k runs from corner k to corner k+1 (mod 4).  A cell crossed
+    twice joins its two crossings in edge order.  A saddle cell, crossed on
+    all four edges, joins edges 0-1 and 2-3 when corner 0 lies on the side
+    of the mean of its corners, else edges 0-3 and 1-2.  Segments are
+    chained in row-major cell order.
+    """
     grid = mesh.lattice_id_grid()
     if grid.size == 0:
         raise MeshError("mesh carries no lattice")
     vals = np.full(grid.shape, np.nan)
     on = grid >= 0
-    vals[on] = _singular_indicator(data, mesh.nodes[grid[on]])
+    vals[on] = data.singular_indicator(mesh.nodes[grid[on]])
+    if not np.all(np.isfinite(vals[on])):
+        raise MeshError("singular indicator is not finite at a lattice corner")
     pos = np.full(grid.shape, np.nan + 1j * np.nan, dtype=complex)
     pos[on] = mesh.nodes[grid[on]]
 
-    segments = []
-    a = vals[:-1, :-1]
-    b = vals[1:, :-1]
-    c = vals[1:, 1:]
-    d = vals[:-1, 1:]
-    complete = np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d)
-    if np.any(on) and not np.all(np.isfinite(vals[on])):
-        raise MeshError("singular indicator is not finite at a lattice corner")
-    cells = np.argwhere(complete)
-    for i, j in cells:
-        corners = [pos[i, j], pos[i + 1, j], pos[i + 1, j + 1], pos[i, j + 1]]
-        cv = [vals[i, j], vals[i + 1, j], vals[i + 1, j + 1], vals[i, j + 1]]
-        code = sum(1 << k for k in range(4) if cv[k] > 0.0)
-        if code in (0, 15):
-            continue
-        crossings = {}
-        for k in range(4):
-            k2 = (k + 1) % 4
-            if (cv[k] > 0.0) != (cv[k2] > 0.0):
-                t = cv[k] / (cv[k] - cv[k2])
-                crossings[(k, k2)] = corners[k] + t * (corners[k2] - corners[k])
-        pairs = _MS_EDGES[code]
-        if code in (5, 10):
-            center = np.mean(cv)
-            pairs = _MS_EDGES[code if center > 0 else (15 - code)]
-        for (e1, e2) in pairs:
-            if e1 in crossings and e2 in crossings:
-                segments.append((crossings[e1], crossings[e2]))
-    return _chain_segments(segments)
+    def corners(a):
+        return np.stack([a[:-1, :-1], a[1:, :-1], a[1:, 1:], a[:-1, 1:]]).reshape(4, -1)
 
+    cv, cz = corners(vals), corners(pos)
+    complete = np.all(np.isfinite(cv), axis=0)
+    cv, cz = cv[:, complete], cz[:, complete]
+    nxt = [1, 2, 3, 0]
+    crossed = (cv > 0.0) != (cv[nxt] > 0.0)  # (edge, cell)
+    a, b = cv[crossed], cv[nxt][crossed]
+    za = cz[crossed]
+    pts = np.zeros(crossed.shape, dtype=complex)
+    pts[crossed] = za + (a / (a - b)) * (cz[nxt][crossed] - za)
 
-# edge keys between corners k and k+1 (mod 4); lookup by sign code
-_MS_EDGES = {
-    1: [((0, 1), (3, 0))],
-    2: [((0, 1), (1, 2))],
-    3: [((1, 2), (3, 0))],
-    4: [((1, 2), (2, 3))],
-    5: [((0, 1), (1, 2)), ((2, 3), (3, 0))],
-    6: [((0, 1), (2, 3))],
-    7: [((2, 3), (3, 0))],
-    8: [((2, 3), (3, 0))],
-    9: [((0, 1), (2, 3))],
-    10: [((0, 1), (3, 0)), ((1, 2), (2, 3))],
-    11: [((1, 2), (2, 3))],
-    12: [((1, 2), (3, 0))],
-    13: [((0, 1), (1, 2))],
-    14: [((0, 1), (3, 0))],
-}
+    count = crossed.sum(axis=0)
+    saddle = count == 4
+    same = (cv[0] > 0.0) == (cv.mean(axis=0) > 0.0)
+    first = np.argmax(crossed, axis=0)
+    last = 3 - np.argmax(crossed[::-1], axis=0)
+    last[saddle & same] = 1
+    # segment 1 exists in saddle cells only
+    starts = np.stack([first, np.where(same, 2, 1)], axis=1)  # (cell, segment)
+    ends = np.stack([last, np.where(same, 3, 2)], axis=1)
+    used = np.stack([count > 0, saddle], axis=1)
+    cell = np.broadcast_to(np.arange(len(count))[:, None], used.shape)[used]
+    # crossings stay np.complex128: _chain_segments keys on numpy's rounding
+    return _chain_segments(list(zip(pts[starts[used], cell], pts[ends[used], cell])))
 
 
 def _chain_segments(segments: list) -> list:
@@ -870,6 +833,9 @@ def export_mesh(surface: SurfaceMesh, fmt: str, path) -> None:
     fmt = fmt.lower()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    herm = None
+    if surface.hermitian_psi is not None and fmt != "csv":
+        herm = [[[x.real, x.imag] for x in m.ravel()] for m in surface.hermitian_psi]
     if fmt == "obj":
         lines = [f"# {s}" for s in _metadata_lines(surface)]
         for v in surface.vertices:
@@ -918,22 +884,11 @@ def export_mesh(surface: SurfaceMesh, fmt: str, path) -> None:
                 for name, arr in surface.diagnostics.items()
             },
         }
-        if surface.hermitian_psi is not None:
-            payload["hermitian_psi"] = [
-                [[x.real, x.imag] for x in m.ravel()] for m in surface.hermitian_psi
-            ]
+        if herm is not None:
+            payload["hermitian_psi"] = herm
         path.write_text(json.dumps(payload, sort_keys=True))
     else:
         raise ValueError(f"unknown export format {fmt!r}")
-    if fmt in ("obj", "ply") and surface.hermitian_psi is not None:
+    if fmt in ("obj", "ply") and herm is not None:
         sidecar = path.with_suffix(path.suffix + ".hermitian.json")
-        sidecar.write_text(
-            json.dumps(
-                {
-                    "hermitian_psi": [
-                        [[x.real, x.imag] for x in m.ravel()] for m in surface.hermitian_psi
-                    ]
-                },
-                sort_keys=True,
-            )
-        )
+        sidecar.write_text(json.dumps({"hermitian_psi": herm}, sort_keys=True))

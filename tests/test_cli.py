@@ -429,6 +429,10 @@ _SURFACE = {"class": "minimal", "f": "1", "g": "z", "domain": DISK, "resolution"
 def test_malformed_number_or_expression_is_schema_error(
     tmp_path, capsys, group, action, cfg, pointer
 ):
+    _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer)
+
+
+def _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -437,3 +441,27 @@ def test_malformed_number_or_expression_is_schema_error(
     err = json.loads(capsys.readouterr().err.splitlines()[0])
     assert err["error"]["kind"] == "schema"
     assert err["error"]["pointer"] == pointer
+
+
+@pytest.mark.parametrize(
+    "action, cfg, pointer",
+    [
+        ("fujimoto", dict(_FUJIMOTO, eta=0.4), "/eta"),
+        ("fujimoto", dict(_FUJIMOTO, eta=0), "/eta"),
+        ("fujimoto", dict(_FUJIMOTO, omits=[[1.2, 0], "inf"]), "/omits"),
+        ("fujimoto", dict(_FUJIMOTO, omits=[[1.2, 0], [-1.2, 0], [0, 1.2]]), "/omits"),
+        ("completeness", dict(_COMPLETENESS, eps_levels=[1e-2, 1e-1]), "/eps_levels"),
+        ("completeness", dict(_COMPLETENESS, eps_levels=[1e-1, 1e-9]), "/eps_levels"),
+        ("completeness", dict(_COMPLETENESS, eps_levels=[1e-1]), "/eps_levels"),
+        ("completeness", dict(_COMPLETENESS, target=None, targets=["inf", [0.05, 0]]),
+         "/targets/1"),
+        ("completeness", dict(_COMPLETENESS, target=None, targets=[[-1.5, 0]]), "/targets/0"),
+        ("zalcman", {"h": "3", "searchgrid": 20}, "/h"),
+    ],
+    ids=["eta-above-bound", "eta-zero", "two-omits", "no-infinity", "eps-increasing",
+         "eps-too-small", "one-eps-level", "anchor-at-target", "path-through-puncture", "constant-h"],
+)
+def test_probe_argument_the_library_rejects_is_schema_error(
+    tmp_path, capsys, action, cfg, pointer
+):
+    _assert_schema_error(tmp_path, capsys, "probe", action, cfg, pointer)

@@ -75,10 +75,9 @@ class TestBuildMesh:
         dist = np.abs(za + t * d)
         assert dist.min() > 0.5
 
-    def test_scalar_density_fallback(self):
-        mesh = build_mesh(Disk(0, 1.0), lambda z: 2.0, 30)
-        seg = np.abs(mesh.nodes[mesh.edges_i] - mesh.nodes[mesh.edges_j])
-        assert np.max(np.abs(mesh.weights - 2 * seg)) < 1e-12
+    def test_scalar_density_is_rejected(self):
+        with pytest.raises(MeshError, match=r"shape \(\) for points of shape \(\d+,\)"):
+            build_mesh(Disk(0, 1.0), lambda z: 2.0, 30)
 
     def test_csv_export(self, disk_mesh, tmp_path):
         write_nodes_csv(disk_mesh, tmp_path / "nodes.csv")

@@ -424,3 +424,30 @@ class TestSharedFormulasMatchPairedReference:
             with np.errstate(all="ignore"):
                 big = np.abs(eval_array(t.g, zs[ok])) > 1e6
             assert k == 6 or big.any()  # every triple but the entire g = z repairs
+
+
+def test_pole_side_trees_are_lowered_once(monkeypatch):
+    # past the pole threshold the point evaluators switch to 1/g, g^m f and
+    # 1/h; each of those trees is built and lowered on the first point only
+    from mtriples import expr
+
+    fresh = []
+    lower = expr._lower
+
+    def counting_lower(e):
+        if getattr(e, "_program", None) is None:
+            fresh.append(e)
+        return lower(e)
+
+    monkeypatch.setattr(expr, "_lower", counting_lower)
+    t = make_triple(Disk(0, 2.0), "z^2", "1/z", 2)
+    h = parse_mero("1/(z - 0.5)")
+    counts = []
+    for z, w in ((1e-7, 0.5 + 1e-3), (2e-7j, 0.5 - 2e-3j)):
+        metric_density(t, z)
+        curvature(t, z)
+        expr.spherical_gradient(h, w)
+        counts.append(len(fresh))
+    assert counts[0] > 0 and counts[1] == counts[0]
+    assert invert_expr(t.g) is invert_expr(t.g)
+    assert invert_expr(Const(0j)) is not invert_expr(Const(-0j))

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from mtriples import surfaces
-from mtriples.expr import EvalError
+from mtriples.expr import Add, Const, EvalError, Mul, Pow, Sub, Z
 from mtriples.geodesy import build_mesh
-from mtriples.mtriple import Annulus, Disk
+from mtriples.mtriple import Annulus, Disk, Rectangle, TruncatedPlane
 from mtriples.quadrature import simpson_segments
 from mtriples.surfaces import (
     FlatFrontData,
@@ -391,7 +391,7 @@ def _reference_integrate_tree(mesh, root, integrands):
         acc = out[k]
         for c, v in zip(child, seg):
             acc[c] = acc[parent[c]] + v
-    return out, parent
+    return out
 
 
 TREE_DOMAINS = [
@@ -529,3 +529,109 @@ class TestExport:
         assert len(payload["hermitian_psi"]) == surf.n_vertices
         # ball-model vertices stay inside the unit ball
         assert np.max(np.linalg.norm(surf.vertices, axis=1)) < 1.0
+
+
+# edge keys between corners k and k+1 (mod 4); lookup by sign code
+_MS_EDGES = {
+    1: [((0, 1), (3, 0))],
+    2: [((0, 1), (1, 2))],
+    3: [((1, 2), (3, 0))],
+    4: [((1, 2), (2, 3))],
+    5: [((0, 1), (1, 2)), ((2, 3), (3, 0))],
+    6: [((0, 1), (2, 3))],
+    7: [((2, 3), (3, 0))],
+    8: [((2, 3), (3, 0))],
+    9: [((0, 1), (2, 3))],
+    10: [((0, 1), (3, 0)), ((1, 2), (2, 3))],
+    11: [((1, 2), (2, 3))],
+    12: [((1, 2), (3, 0))],
+    13: [((0, 1), (1, 2))],
+    14: [((0, 1), (3, 0))],
+}
+
+
+def _reference_segments(data, mesh):
+    """(segments, saddle cells) of the per-cell marching-squares loop that
+    the whole-array version replaced."""
+    grid = mesh.lattice_id_grid()
+    vals = np.full(grid.shape, np.nan)
+    on = grid >= 0
+    vals[on] = data.singular_indicator(mesh.nodes[grid[on]])
+    pos = np.full(grid.shape, np.nan + 1j * np.nan, dtype=complex)
+    pos[on] = mesh.nodes[grid[on]]
+    segments, saddles = [], 0
+    a, b, c, d = vals[:-1, :-1], vals[1:, :-1], vals[1:, 1:], vals[:-1, 1:]
+    complete = np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d)
+    for i, j in np.argwhere(complete):
+        corners = [pos[i, j], pos[i + 1, j], pos[i + 1, j + 1], pos[i, j + 1]]
+        cv = [vals[i, j], vals[i + 1, j], vals[i + 1, j + 1], vals[i, j + 1]]
+        code = sum(1 << k for k in range(4) if cv[k] > 0.0)
+        if code in (0, 15):
+            continue
+        crossings = {}
+        for k in range(4):
+            k2 = (k + 1) % 4
+            if (cv[k] > 0.0) != (cv[k2] > 0.0):
+                t = cv[k] / (cv[k] - cv[k2])
+                crossings[(k, k2)] = corners[k] + t * (corners[k2] - corners[k])
+        pairs = _MS_EDGES[code]
+        if code in (5, 10):
+            saddles += 1
+            center = np.mean(cv)
+            pairs = _MS_EDGES[code if center > 0 else (15 - code)]
+        for (e1, e2) in pairs:
+            if e1 in crossings and e2 in crossings:
+                segments.append((crossings[e1], crossings[e2]))
+    return segments, saddles
+
+
+def _saddle_data(domain, rng):
+    """Data of each singular class whose indicator has a saddle zero at a random
+    point d near the anchor: |1 + c (z - d)^2| = 1 there."""
+    out = []
+    for _ in range(8):
+        c = complex(rng.uniform(0.5, 3.0) * np.exp(2j * np.pi * rng.uniform()))
+        d = complex(domain.anchor() + 0.2 * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)))
+        square = Pow(Sub(Z, Const(d)), 2)
+        bump = Add(Const(1 + 0j), Mul(Const(c), square))
+        cube = Add(Z, Mul(Const(c / 3), Mul(square, Sub(Z, Const(d)))))
+        out += [
+            MaxfaceData("1", bump, domain, 0j),
+            ImproperAffineData(cube, "z", domain, 0j),
+            FlatFrontData("1", bump, domain, 0j),
+        ]
+    return out
+
+
+LOCUS_DOMAINS = [
+    Disk(0, 1.0),
+    Annulus(0, 0.4, 1.2),
+    Rectangle(-1 - 0.5j, 1 + 0.7j),
+    TruncatedPlane(2.0, punctures=(0.5 + 0.2j,)),
+]
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("domain", LOCUS_DOMAINS, ids=lambda d: d.kind)
+def test_singular_locus_matches_per_cell_reference(domain, refine, monkeypatch):
+    mesh = build_mesh(domain, ONES, 40, refine_punctures=refine)
+    rng = np.random.default_rng(LOCUS_DOMAINS.index(domain))
+    chained = []
+    chain = surfaces._chain_segments
+    monkeypatch.setattr(surfaces, "_chain_segments", lambda s: chained.append(s) or chain(s))
+    saddles = 0
+    for data in _saddle_data(domain, rng):
+        got = singular_locus(data, mesh)
+        want, n = _reference_segments(data, mesh)
+        saddles += n
+        # the same np.complex128 crossings in the same order: chaining keys on
+        # numpy's rounding of them, which Python's round does not reproduce
+        segments = chained.pop()
+        assert len(segments) == len(want) > 0
+        assert all(type(z) is np.complex128 for seg in segments for z in seg)
+        assert np.array_equal(np.array(segments).view(np.uint64), np.array(want).view(np.uint64))
+        polylines = chain(want)
+        assert len(got) == len(polylines)
+        for g, w in zip(got, polylines):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+    assert saddles > 0
