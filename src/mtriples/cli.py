@@ -255,8 +255,9 @@ def property_from_json(cfg, pointer: str):
 # ---------------------------------------------------------------------------
 
 
-def _mesh_for(triple: MTriple, resolution: int, refine: bool = True):
-    return build_mesh(triple.domain, triple.density, resolution, refine_punctures=refine)
+def _mesh(domain, density, resolution: int, refine: bool):
+    """``build_mesh``, with a lattice past the point cap refused at ``/resolution``."""
+    return _probe(build_mesh, {"resolution": "/resolution"}, domain, density, resolution, refine)
 
 
 def _handle_triple(action: str, cfg: dict, opts) -> tuple[dict, bool]:
@@ -298,7 +299,7 @@ def _handle_estimate(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     delta = _as_positive(cfg.get("delta", 1e-3), "/delta")
     # puncture rings act as ideal-boundary sources for the distance field;
     # the property check stands off from them on its own
-    mesh = _mesh_for(triple, resolution, refine=True)
+    mesh = _mesh(triple.domain, triple.density, resolution, refine=True)
     prop_report = property_check(triple.g, prop, mesh, delta)
     est = verify_estimate(triple, prop, mesh)
     c = curvature_constant(prop, triple.m)
@@ -353,7 +354,7 @@ def _handle_surface(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         return out, True
     resolution = _resolution(cfg, opts, 120)
     ones = lambda zs: np.ones(np.shape(zs))
-    mesh = build_mesh(data.domain, ones, resolution, refine_punctures=False)
+    mesh = _mesh(data.domain, ones, resolution, refine=False)
     if action == "singular":
         if cls_name == "minimal":
             raise ConfigError("/class", "the minimal class has no singular locus")
@@ -408,12 +409,14 @@ def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         center = _as_complex(region_cfg.get("center", 0), "/region/center")
         radius = _as_positive(_need(region_cfg, "radius", "/region"), "/region/radius")
         grid = _as_positive_int(cfg.get("grid", 120), "/grid")
-        rep = marty_sup(members.__getitem__, indices, Disk(center, radius), grid, label=template)
+        args = (members.__getitem__, indices, Disk(center, radius), grid, template)
+        rep = _probe(marty_sup, {"grid": "/grid"}, *args)
         return {"marty": rep}, True
     if action == "zalcman":
         h = _as_expr(_need(cfg, "h", ""), "/h")
         grid = _as_positive_int(cfg.get("searchgrid", 300), "/searchgrid")
-        return {"zalcman": _probe(zalcman_rescale, {"h": "/h"}, h, grid)}, True
+        pointers = {"h": "/h", "searchgrid": "/searchgrid"}
+        return {"zalcman": _probe(zalcman_rescale, pointers, h, grid)}, True
     if action == "fujimoto":
         f = _as_expr(_need(cfg, "f", ""), "/f")
         omits = _as_list(_need(cfg, "omits", ""), "/omits")
@@ -422,7 +425,7 @@ def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         radius = _as_positive(_need(cfg, "radius", ""), "/radius")
         resolution = _resolution(cfg, opts, 150)
         ones = lambda zs: np.ones(np.shape(zs))
-        mesh = build_mesh(Disk(0, radius), ones, resolution, refine_punctures=False)
+        mesh = _mesh(Disk(0, radius), ones, resolution, refine=False)
         pointers = {"values": "/omits", "eta": "/eta"}
         return {"fujimoto": _probe(fujimoto_ratio, pointers, f, values, eta, radius, mesh)}, True
     if action == "completeness":
@@ -462,7 +465,7 @@ def _handle_example(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     except ValueError as exc:
         raise ConfigError("/alphas", str(exc)) from exc
     resolution = _resolution(cfg, opts, 150)
-    mesh = _mesh_for(triple, resolution, refine=False)
+    mesh = _mesh(triple.domain, triple.density, resolution, refine=False)
     prop = Omits(tuple([ExtComplex(a) for a in alphas] + [INFINITY]))
     check = property_check(triple.g, prop, mesh)
     out = {

@@ -37,7 +37,7 @@ from .expr import (
     _div,
     _mul,
 )
-from .geodesy import MeshedDomain, MeshError, boundary_distance_field
+from .geodesy import MeshedDomain, MeshError, boundary_distance_field, _require_grid_points
 from .mtriple import Disk, MTriple, TruncatedPlane, curvature_array, make_triple
 
 __all__ = [
@@ -310,11 +310,16 @@ class NormalityReport:
     region_radius: float
 
 
-def _disk_grid(center: complex, radius: float, resolution: int) -> np.ndarray:
-    s = 2.0 * radius / resolution
-    k = np.arange(-resolution // 2, resolution // 2 + 1)
+def _square_lattice(n: int, name: str) -> np.ndarray:
+    """The (n+1) x (n+1) points ii + i jj around 0 of a probe grid set by ``name``."""
+    _require_grid_points((n + 1) ** 2, name)
+    k = np.arange(-n // 2, n // 2 + 1)
     ii, jj = np.meshgrid(k, k, indexing="ij")
-    zz = center + (ii + 1j * jj) * s
+    return ii + 1j * jj
+
+
+def _disk_grid(center: complex, radius: float, grid: int) -> np.ndarray:
+    zz = center + _square_lattice(grid, "grid") * (2.0 * radius / grid)
     return zz[np.abs(zz - center) <= radius]
 
 
@@ -378,10 +383,9 @@ def zalcman_rescale(h: MeroExpr, searchgrid: int = 300) -> ZalcmanResult:
     """
     if isinstance(h, Const):
         raise ArgumentError("h", "h must be nonconstant")
+    lattice = _square_lattice(searchgrid, "searchgrid")
     s = 2.0 / searchgrid
-    k = np.arange(-searchgrid // 2, searchgrid // 2 + 1)
-    ii, jj = np.meshgrid(k, k, indexing="ij")
-    pts = ((ii + 1j * jj) * s).ravel()
+    pts = (lattice * s).ravel()
     pts = pts[np.abs(pts) < 1.0 - 1e-9]
     vals = _conformal_gradient_grid(h, pts)
     z0 = complex(pts[int(np.argmax(vals))])

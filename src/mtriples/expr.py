@@ -20,9 +20,22 @@ so ``-z^2`` parses as ``(-z)^2``.
 Evaluation first lowers a tree, without recursion, to a program: its
 post-order with equal subtrees merged into one op.  The pole-aware point
 evaluator and the polynomial normal form are op tables run over that
-program, the array evaluator runs it with one numpy ufunc per op, and the
-depth and rationality of a tree are read from it.  Differentiation,
+program, the array evaluator runs it with one numpy operation per op, and
+the depth and rationality of a tree are read from it.  Differentiation,
 substitution and printing work on the trees themselves.
+
+The array evaluator gives the bits of a recursive numpy tree walk.  Constant
+subtrees, such as the ``(a+b*i)`` coefficients configs write, are evaluated
+once on one-element arrays and broadcast, never spread over the input's
+shape: the ops are elementwise, so a broadcast constant gives the same bits.
+Those bits need four things.  Operands keep their order, because numpy's
+SIMD complex multiply is not bitwise commutative (``c*z`` and ``z*c`` can
+differ).  Constant ops run out of place on their small arrays.  An op writes
+into a dying operand only when the input has more than one point: numpy's
+in-place complex multiply of one element runs another loop than the
+out-of-place one and can change the last bit.  Out of place, an op is the
+Python operator, as in a tree walk, so numpy scalars (0-d results) take
+numpy's scalar arithmetic rather than the ufunc.
 
 Expressions are immutable and every function is pure, so concurrent
 evaluation of shared expressions is safe.  A node keeps the program it was
@@ -34,6 +47,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -812,33 +826,52 @@ def local_order(e: MeroExpr, z0: complex) -> int:
 # ---------------------------------------------------------------------------
 
 
-# the numpy operation of a tree walk per node type, so the bits are the same
-_UFUNCS = {Neg: np.negative, Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide, Exp: np.exp}
+# a tree walk's operation per node type, out of place and in place
+_OPS = {
+    Neg: (operator.neg, np.negative),
+    Add: (operator.add, np.add),
+    Sub: (operator.sub, np.subtract),
+    Mul: (operator.mul, np.multiply),
+    Div: (operator.truediv, np.divide),
+    Exp: (np.exp, np.exp),
+}
 
 
 def eval_array(e: MeroExpr, zs: np.ndarray) -> np.ndarray:
     """Evaluate on a complex ndarray; poles come out as inf/nan entries.
 
-    Arrays die at their last use, constants get arrays where they are read and
-    an op writes into a first operand that dies there, as numpy does with a tree
-    walk's temporaries, so memory and allocations stay at most a tree walk's."""
+    A constant, and an op whose operands are all constant, is evaluated once,
+    out of place, on a ``(1,) * zs.ndim`` array, and broadcasting carries it
+    into the first op that reads ``z``; a constant root is spread to
+    ``zs.shape`` at the end, as a writable array.  Arrays die at their last use,
+    and an op writes into its first operand when that depends on ``z`` and dies
+    there, so no constant costs an array of the input's size.  The bits are a
+    recursive tree walk's: operands keep their order, since complex multiply is
+    not bitwise commutative, and nothing is written in place at a single point,
+    where numpy's in-place complex multiply runs another loop (see the module
+    docstring)."""
     zs = np.asarray(zs, dtype=complex)
     ops, last, _ = _lower(e)
-    full = lambda c: np.full(zs.shape, c, dtype=complex)
-    vals = [zs if kind is Var else None for kind, _, _ in ops]
+    vals, fixed = [], []  # fixed[k]: op k does not read z
     with np.errstate(all="ignore"):
         for k, (kind, payload, args) in enumerate(ops):
-            xs = [full(ops[a][1]) if ops[a][0] is Const else vals[a] for a in args]
+            xs = [vals[a] for a in args]
             for a in args:
                 if last[a] == k:
                     vals[a] = None
-            if kind is Pow:
-                vals[k] = xs[0] ** payload
-            elif kind in _UFUNCS:
-                mine = ops[args[0]][0] is Const or (vals[args[0]] is None and xs[0] is not zs)
-                into = xs[0] if mine and isinstance(xs[0], np.ndarray) else None  # 0-d: a scalar
-                vals[k] = _UFUNCS[kind](*xs, out=into)
-    out = full(ops[-1][1]) if ops[-1][0] is Const else vals[-1]
+            fixed.append(kind is not Var and all(fixed[a] for a in args))
+            if kind is Var:
+                vals.append(zs)
+            elif kind is Const:
+                vals.append(np.full((1,) * zs.ndim, payload, dtype=complex))
+            elif kind is Pow:
+                vals.append(xs[0] ** payload)
+            else:
+                fresh, ufunc = _OPS[kind]
+                dies = vals[args[0]] is None and xs[0] is not zs
+                mine = dies and not fixed[args[0]] and zs.size > 1
+                vals.append(ufunc(*xs, out=xs[0]) if mine else fresh(*xs))
+    out = np.full(zs.shape, vals[-1], dtype=complex) if fixed[-1] else vals[-1]
     return out.copy() if out is zs else out  # callers may write into the result
 
 

@@ -28,6 +28,7 @@ from .quadrature import QuadratureError, gauss4_segments, simpson_segments
 __all__ = [
     "MeshedDomain",
     "MeshError",
+    "MAX_GRID_POINTS",
     "CompletenessReport",
     "build_mesh",
     "path_length",
@@ -42,6 +43,11 @@ __all__ = [
 
 BOUNDARY_INSET_FRACTION = 1e-3
 PUNCTURE_CORE_RADIUS = 1e-4
+# The most points a mesh lattice or a probe grid may have, refused before
+# anything is allocated: resolution 400, the largest in use, puts 403^2 =
+# 162,409 points on a square bounding box, and resolution 2*10^4 would ask
+# numpy for 4*10^8.
+MAX_GRID_POINTS = 1_000_000
 
 # half-stencil offsets; mirroring gives the 16-neighbor star
 _HALF_OFFSETS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2))
@@ -152,6 +158,13 @@ def _puncture_rings(p: complex, spacing: float):
     return [p + r * np.exp(1j * ang) for r in radii]
 
 
+def _require_grid_points(n: int, name: str) -> None:
+    """Refuse a lattice of at least ``n`` points past ``MAX_GRID_POINTS``;
+    ``name`` is the parameter that sets its size."""
+    if n > MAX_GRID_POINTS:
+        raise ArgumentError(name, f"at least {n} grid points, past the cap of {MAX_GRID_POINTS}")
+
+
 def build_mesh(
     domain: DomainSpec,
     density: Callable,
@@ -165,6 +178,7 @@ def build_mesh(
     """
     if resolution < 8:
         raise MeshError("resolution too small")
+    _require_grid_points(resolution, "resolution")  # the lattice has more; refuse before dividing
     x0, x1, y0, y1 = domain.bbox()
     spacing = max(x1 - x0, y1 - y0) / resolution
     inset = BOUNDARY_INSET_FRACTION * domain.scale()
@@ -175,6 +189,7 @@ def build_mesh(
     i_hi = int(math.ceil((x1 - anchor.real) / spacing)) + 1
     j_lo = int(math.floor((y0 - anchor.imag) / spacing)) - 1
     j_hi = int(math.ceil((y1 - anchor.imag) / spacing)) + 1
+    _require_grid_points((i_hi - i_lo + 1) * (j_hi - j_lo + 1), "resolution")
     ii, jj = np.meshgrid(
         np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1), indexing="ij"
     )

@@ -826,6 +826,12 @@ def _metadata_lines(surface: SurfaceMesh) -> list:
     return out
 
 
+def _rows(row: str, table: np.ndarray) -> str:
+    """``row`` once per row of ``table``, filled by one ``%`` from ``.tolist()``:
+    Python floats and ints print as numpy's do, and far faster."""
+    return (row * len(table)) % tuple(table.ravel().tolist())
+
+
 def export_mesh(surface: SurfaceMesh, fmt: str, path) -> None:
     """Write OBJ/PLY geometry or CSV/JSON diagnostics; H^3 data gets a sidecar."""
     if surface.n_vertices == 0:
@@ -837,12 +843,9 @@ def export_mesh(surface: SurfaceMesh, fmt: str, path) -> None:
     if surface.hermitian_psi is not None and fmt != "csv":
         herm = [[[x.real, x.imag] for x in m.ravel()] for m in surface.hermitian_psi]
     if fmt == "obj":
-        lines = [f"# {s}" for s in _metadata_lines(surface)]
-        for v in surface.vertices:
-            lines.append(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}")
-        for f in surface.faces:
-            lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
-        path.write_text("\n".join(lines) + "\n")
+        comments = "".join(f"# {s}\n" for s in _metadata_lines(surface))
+        vertices = _rows("v %.17g %.17g %.17g\n", surface.vertices)
+        path.write_text(comments + vertices + _rows("f %d %d %d\n", surface.faces + 1))
     elif fmt == "ply":
         header = ["ply", "format ascii 1.0"]
         header += [f"comment {s}" for s in _metadata_lines(surface)]
@@ -855,9 +858,8 @@ def export_mesh(surface: SurfaceMesh, fmt: str, path) -> None:
             "property list uchar int vertex_indices",
             "end_header",
         ]
-        body = [f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}" for v in surface.vertices]
-        body += [f"3 {f[0]} {f[1]} {f[2]}" for f in surface.faces]
-        path.write_text("\n".join(header + body) + "\n")
+        vertices = _rows("%.9g %.9g %.9g\n", surface.vertices)
+        path.write_text("\n".join(header) + "\n" + vertices + _rows("3 %d %d %d\n", surface.faces))
     elif fmt == "csv":
         zs, verts = surface.mesh.nodes, surface.vertices
         cols = [("id", np.arange(surface.n_vertices)), ("u", zs.real), ("v", zs.imag)]

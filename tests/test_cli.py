@@ -465,3 +465,25 @@ def test_probe_argument_the_library_rejects_is_schema_error(
     tmp_path, capsys, action, cfg, pointer
 ):
     _assert_schema_error(tmp_path, capsys, "probe", action, cfg, pointer)
+
+
+_HUGE = 10**7  # 10^14 grid points, far past the cap
+
+
+@pytest.mark.parametrize(
+    "group, action, cfg, pointer",
+    [
+        ("estimate", "verify", dict(_ESTIMATE, resolution=_HUGE), "/resolution"),
+        ("surface", "synth", dict(_SURFACE, resolution=_HUGE), "/resolution"),
+        ("surface", "singular", dict(_SURFACE, **{"class": "maxface"}, resolution=_HUGE),
+         "/resolution"),
+        ("probe", "fujimoto", dict(_FUJIMOTO, resolution=_HUGE), "/resolution"),
+        ("example", "optimal", {"m": 1, "alphas": [[1, 0], [-1, 0]], "resolution": _HUGE},
+         "/resolution"),
+        ("probe", "marty", dict(_MARTY, grid=_HUGE), "/grid"),
+        ("probe", "zalcman", {"h": "10*z", "searchgrid": _HUGE}, "/searchgrid"),
+    ],
+    ids=["estimate", "synth", "singular", "fujimoto", "optimal", "marty", "zalcman"],
+)
+def test_grid_past_the_point_cap_is_schema_error(tmp_path, capsys, group, action, cfg, pointer):
+    _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer)

@@ -19,6 +19,7 @@ from mtriples.estimates import (
 )
 from mtriples.expr import (
     INFINITY,
+    ArgumentError,
     Const,
     ExtComplex,
     Mul,
@@ -227,6 +228,11 @@ class TestMarty:
         assert all(s == 0.0 for s in rep.sups)
         assert rep.verdict == "bounded"
 
+    def test_grid_past_the_point_cap_is_refused(self):
+        with pytest.raises(ArgumentError, match="cap") as refused:
+            marty_sup(lambda n: Mul(Const(complex(n)), Z), [1, 2], self.REGION, grid=10**7)
+        assert refused.value.name == "grid"
+
 
 class TestZalcman:
     def test_dilation_closed_form(self):
@@ -257,6 +263,11 @@ class TestZalcman:
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             zalcman_rescale(Const(2 + 0j))
+
+    def test_search_grid_past_the_point_cap_is_refused(self):
+        with pytest.raises(ArgumentError, match="cap") as refused:
+            zalcman_rescale(parse_mero("10*z"), searchgrid=10**7)
+        assert refused.value.name == "searchgrid"
 
     def test_offcenter_maximum(self):
         # the hyperbolic-gradient max of 5(z - 0.3) sits at an interior point

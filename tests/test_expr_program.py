@@ -328,6 +328,64 @@ def test_program_matches_recursive_walkers(tree):
     assert _lower(tree)[2] == _ref_depth(tree)
 
 
+def _as_array(evaluate, e, zs):
+    """The result flattened: at 0-d numpy hands back a scalar from a ufunc, but
+    a constant root comes back as a writable 0-d array; compare bits, not that
+    type."""
+    return np.asarray(evaluate(e, zs)).reshape(-1)
+
+
+@_EXAMPLES
+@given(trees)
+def test_single_points_match_recursive_walk(tree):
+    for z in POINTS:
+        one = np.array([z])
+        assert outcome_bits(eval_array, tree, one) == outcome_bits(ref_eval_array, tree, one)
+        got = outcome_bits(_as_array, eval_array, tree, z)
+        assert got == outcome_bits(_as_array, ref_eval_array, tree, z)
+
+
+# 40k points: the reference's temporaries are past numpy's 256 KiB elision
+# threshold, so the recursive walk reuses them in place
+_rng = np.random.default_rng(8)
+CLOUD = np.concatenate([POINTS, _rng.uniform(-3, 3, 40_000) + 1j * _rng.uniform(-3, 3, 40_000)])
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(trees)
+@example(Mul(Add(Mul(Const(0.5 - 1.5j), Z), Const(2 + 1j)), Z))
+def test_point_cloud_matches_recursive_walk(tree):
+    assert outcome_bits(eval_array, tree, CLOUD) == outcome_bits(ref_eval_array, tree, CLOUD)
+
+
+def test_affine_times_z_keeps_its_bits_at_every_size():
+    # in place at one point, numpy's complex multiply runs another loop than
+    # out of place, and changed the last bit in about half of these draws
+    rng = np.random.default_rng(3)
+    zs = CLOUD[len(POINTS):]
+    for _ in range(300):
+        c, d = rng.uniform(-2, 2, 4).view(complex)
+        tree = Mul(Add(Mul(Const(c), Z), Const(d)), Z)
+        for points in (zs[:1], zs[0], zs[:2], zs):
+            got = outcome_bits(_as_array, eval_array, tree, points)
+            assert got == outcome_bits(_as_array, ref_eval_array, tree, points)
+
+
+def test_constant_subtrees_broadcast_and_constant_roots_fill():
+    constant = [parse_mero(src) for src in ("(2+3*i)", "1", "exp(i)^2/(1-i)")]
+    reading_z = [parse_mero(src) for src in ("(2+3*i)*z", "z*(2+3*i)")]
+    for shape in [(), (1,), (7,), (40_000,), (3, 4), (0,)]:
+        zs = np.resize(CLOUD, shape)
+        for tree in constant + reading_z:
+            assert outcome_bits(_as_array, eval_array, tree, zs) == outcome_bits(
+                _as_array, ref_eval_array, tree, zs
+            )
+            assert np.shape(eval_array(tree, zs)) == shape
+        for tree in constant:  # a fresh array that callers may write into
+            out = eval_array(tree, zs)
+            assert isinstance(out, np.ndarray) and out.flags.writeable and out.flags.owndata
+
+
 def test_depth_cap_matches_recursive_count():
     for terms in (119, 120, 121, 122):
         tree = Z
@@ -387,6 +445,18 @@ def test_peak_memory_stays_at_the_recursive_walks():
     zs = np.linspace(-1, 1, 100_000) * (1 + 0.5j)
     slack = zs.nbytes // 2  # bookkeeping, far less than one more array
     assert _peak_bytes(eval_array, tree, zs) <= _peak_bytes(ref_eval_array, tree, zs) + slack
+
+
+def test_constants_cost_no_array_of_the_input_size():
+    # the same Horner polynomial: only the output array is allocated; the
+    # constants are (1,) arrays that numpy broadcasts
+    poly = "(0.5-0.25*i)"
+    for k in range(6):
+        poly = f"({poly}*z+({k}.5+0.125*i))"
+    tree = parse_mero(poly)
+    zs = np.linspace(-1, 1, 100_000) * (1 + 0.5j)
+    slack = zs.nbytes // 2  # bookkeeping, far less than one more array
+    assert _peak_bytes(eval_array, tree, zs) <= zs.nbytes + slack
 
 
 def test_threads_lowering_shared_trees_agree():

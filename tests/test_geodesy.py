@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from mtriples import geodesy
+from mtriples.expr import ArgumentError
 from mtriples.geodesy import (
     MeshedDomain,
     MeshError,
@@ -65,6 +67,23 @@ class TestBuildMesh:
         bad = lambda zs: np.where(np.abs(zs) < 0.1, np.nan, 1.0)
         with pytest.raises(MeshError):
             build_mesh(Disk(0, 1.0), bad, 40)
+
+    def test_lattice_past_the_point_cap_is_refused(self, monkeypatch):
+        # 10^14 points: numpy would refuse them too, but the cap comes first
+        with pytest.raises(ArgumentError, match="cap") as refused:
+            build_mesh(Disk(0, 1.0), ONES, 10**7)
+        assert refused.value.name == "resolution"
+        # the lattice is counted from the bounding box before it is built:
+        # 23^2 points at resolution 20 and 25^2 at 21 on the unit disk, 23 x 9
+        # and 25 x 9 on a 4:1 rectangle
+        monkeypatch.setattr(geodesy, "MAX_GRID_POINTS", 23 * 23)
+        assert build_mesh(Disk(0, 1.0), ONES, 20).n_nodes > 0
+        with pytest.raises(ArgumentError, match="625 grid points"):
+            build_mesh(Disk(0, 1.0), ONES, 21)
+        monkeypatch.setattr(geodesy, "MAX_GRID_POINTS", 23 * 9)
+        assert build_mesh(Rectangle(-2 - 0.5j, 2 + 0.5j), ONES, 20).n_nodes > 0
+        with pytest.raises(ArgumentError, match="225 grid points"):
+            build_mesh(Rectangle(-2 - 0.5j, 2 + 0.5j), ONES, 21)
 
     def test_annulus_edges_avoid_hole(self):
         mesh = build_mesh(Annulus(0, 0.5, 2.0), ONES, 80)
