@@ -228,7 +228,8 @@ def _as_positive_int(value, pointer: str) -> int:
 
 def _resolution(cfg: dict, opts, default: int) -> int:
     """Mesh resolution: ``--resolution``, else the config's, else ``default``."""
-    return _as_int(opts.resolution or cfg.get("resolution", default), "/resolution")
+    given = opts.resolution if opts.resolution is not None else cfg.get("resolution", default)
+    return _as_int(given, "/resolution")
 
 
 def property_from_json(cfg, pointer: str):
@@ -256,7 +257,8 @@ def property_from_json(cfg, pointer: str):
 
 
 def _mesh(domain, density, resolution: int, refine: bool):
-    """``build_mesh``, with a lattice past the point cap refused at ``/resolution``."""
+    """``build_mesh``, with a resolution below 8 or a lattice past the point cap
+    refused at ``/resolution``."""
     return _probe(build_mesh, {"resolution": "/resolution"}, domain, density, resolution, refine)
 
 

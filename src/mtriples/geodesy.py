@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,6 +49,10 @@ PUNCTURE_CORE_RADIUS = 1e-4
 # numpy for 4*10^8.
 MAX_GRID_POINTS = 1_000_000
 
+# meshed topologies kept by build_mesh, the most recently used last
+_TOPOLOGY_CACHE_SIZE = 2
+_topologies: dict = {}
+
 # half-stencil offsets; mirroring gives the 16-neighbor star
 _HALF_OFFSETS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2))
 
@@ -59,7 +63,11 @@ class MeshError(ValueError):
 
 @dataclass
 class MeshedDomain:
-    """Immutable-by-convention weighted graph over planar sample points."""
+    """Weighted graph over planar sample points.
+
+    A mesh from ``build_mesh`` shares every array but ``weights`` with the
+    other meshes of its topology; those arrays are read-only.
+    """
 
     nodes: np.ndarray  # complex positions
     edges_i: np.ndarray
@@ -72,6 +80,8 @@ class MeshedDomain:
     spacing: float
     domain: DomainSpec
     lattice_ij: np.ndarray  # (n, 2) lattice indices, -1 for off-lattice nodes
+    # one slot for the Dijkstra CSR layout, shared by the meshes of a kept topology
+    _csr: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -165,31 +175,29 @@ def _require_grid_points(n: int, name: str) -> None:
         raise ArgumentError(name, f"at least {n} grid points, past the cap of {MAX_GRID_POINTS}")
 
 
-def build_mesh(
-    domain: DomainSpec,
-    density: Callable,
-    resolution: int,
-    refine_punctures: bool = True,
-) -> MeshedDomain:
-    """Sample the domain on a lattice of ~resolution^2 nodes and weight edges.
-
-    ``density`` is applied to complex ndarrays; each edge weight is the
-    4-point Gauss-Legendre integral of the density along the segment.
-    """
+def _lattice_box(domain: DomainSpec, resolution: int) -> tuple:
+    """Lattice spacing and index ranges; refuses a resolution below 8 or a
+    lattice past ``MAX_GRID_POINTS`` before anything is allocated."""
     if resolution < 8:
-        raise MeshError("resolution too small")
+        raise ArgumentError("resolution", f"resolution {resolution} is below 8")
     _require_grid_points(resolution, "resolution")  # the lattice has more; refuse before dividing
     x0, x1, y0, y1 = domain.bbox()
     spacing = max(x1 - x0, y1 - y0) / resolution
-    inset = BOUNDARY_INSET_FRACTION * domain.scale()
-    margin = inset + 0.35 * spacing
     anchor = domain.anchor()
-
     i_lo = int(math.floor((x0 - anchor.real) / spacing)) - 1
     i_hi = int(math.ceil((x1 - anchor.real) / spacing)) + 1
     j_lo = int(math.floor((y0 - anchor.imag) / spacing)) - 1
     j_hi = int(math.ceil((y1 - anchor.imag) / spacing)) + 1
     _require_grid_points((i_hi - i_lo + 1) * (j_hi - j_lo + 1), "resolution")
+    return spacing, i_lo, i_hi, j_lo, j_hi
+
+
+def _mesh_topology(domain: DomainSpec, refine_punctures: bool, spacing, i_lo, i_hi, j_lo, j_hi):
+    """The ``MeshedDomain`` fields that do not depend on the density, as
+    read-only arrays, with an empty slot for the Dijkstra CSR layout."""
+    inset = BOUNDARY_INSET_FRACTION * domain.scale()
+    margin = inset + 0.35 * spacing
+    anchor = domain.anchor()
     ii, jj = np.meshgrid(
         np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1), indexing="ij"
     )
@@ -297,34 +305,12 @@ def build_mesh(
         keep &= segment_point_dist(za, zb, p) > 0.8 * PUNCTURE_CORE_RADIUS
     ei, ej = ei[keep], ej[keep]
 
-    fvec = _as_density(density)
-    try:
-        w = gauss4_segments(fvec, all_nodes[ei], all_nodes[ej])
-    except QuadratureError as exc:
-        raise MeshError(f"density not finite on a mesh edge: {exc}") from exc
-    if np.any(~np.isfinite(w)) or np.any(w <= 0):
-        raise MeshError("edge weights must be positive and finite")
-
     n = len(all_nodes)
     boundary = np.zeros(n, dtype=bool)
     boundary[ghost_start : ghost_start + len(ghosts)] = True
     puncture = np.zeros(n, dtype=bool)
     puncture[list(puncture_src)] = True
     interior = ~(boundary | puncture)
-
-    mesh = MeshedDomain(
-        nodes=all_nodes,
-        edges_i=ei,
-        edges_j=ej,
-        weights=np.asarray(w, dtype=float),
-        interior=interior,
-        boundary_adjacent=boundary,
-        puncture_adjacent=puncture,
-        resolution=resolution,
-        spacing=spacing,
-        domain=domain,
-        lattice_ij=all_ij,
-    )
 
     # connectivity of the interior subgraph
     sub = (interior[ei]) & (interior[ej])
@@ -338,7 +324,58 @@ def build_mesh(
         if counts.max() < 0.99 * lab_int.size:
             raise MeshError("interior mesh is disconnected")
         raise MeshError("interior mesh has stray disconnected nodes")
-    return mesh
+
+    topology = dict(nodes=all_nodes, edges_i=ei, edges_j=ej, interior=interior,
+                    boundary_adjacent=boundary, puncture_adjacent=puncture, lattice_ij=all_ij)
+    for arr in topology.values():
+        arr.flags.writeable = False
+    return dict(topology, spacing=spacing, _csr=[None])
+
+
+def build_mesh(
+    domain: DomainSpec,
+    density: Callable,
+    resolution: int,
+    refine_punctures: bool = True,
+) -> MeshedDomain:
+    """Sample the domain on a lattice of ~resolution^2 nodes and weight edges.
+
+    ``density`` is applied to complex ndarrays; each edge weight is the
+    4-point Gauss-Legendre integral of the density along the segment.
+
+    Everything but the weights depends only on ``(domain, resolution,
+    refine_punctures)``: the lattice, the puncture rings, the ghost and ring
+    attachments, the segment filter and the interior connectivity check.
+    That topology is built once and kept for the ``_TOPOLOGY_CACHE_SIZE``
+    (2) most recently meshed keys, so a triple sweep over one domain
+    re-weights one topology.  A topology that raises is not kept.  The
+    returned mesh shares the kept arrays, which are read-only; only
+    ``weights`` is its own.  The Dijkstra CSR layout is kept with the
+    topology too, once its first Dijkstra has built it.  The resolution and
+    the lattice size are checked on every call, before the cache is read.
+    """
+    lattice = _lattice_box(domain, resolution)
+    # float and complex reprs round-trip, so the key tells 1 from 1.0 and
+    # 0.0 from -0.0 in every field, although such domains compare equal
+    key = (type(domain), repr(domain), repr(resolution), bool(refine_punctures))
+    topology = _topologies.pop(key, None)
+    if topology is None:
+        topology = _mesh_topology(domain, refine_punctures, *lattice)
+    _topologies[key] = topology  # the most recent key last
+    if len(_topologies) > _TOPOLOGY_CACHE_SIZE:
+        del _topologies[next(iter(_topologies))]
+
+    nodes, ei, ej = topology["nodes"], topology["edges_i"], topology["edges_j"]
+    fvec = _as_density(density)
+    try:
+        w = gauss4_segments(fvec, nodes[ei], nodes[ej])
+    except QuadratureError as exc:
+        raise MeshError(f"density not finite on a mesh edge: {exc}") from exc
+    if np.any(~np.isfinite(w)) or np.any(w <= 0):
+        raise MeshError("edge weights must be positive and finite")
+    return MeshedDomain(
+        weights=np.asarray(w, dtype=float), resolution=resolution, domain=domain, **topology
+    )
 
 
 def path_length(density: Callable, polyline: Sequence[complex], rel_tol: float = 1e-10) -> float:
@@ -354,18 +391,61 @@ def path_length(density: Callable, polyline: Sequence[complex], rel_tol: float =
     return float(np.sum(np.abs(vals)))
 
 
+def _dijkstra_layout(mesh: MeshedDomain) -> tuple:
+    """Row pointers and column indices of the CSR matrix that scipy's
+    ``coo_matrix(...).tocsr()`` builds from the mesh's edges over ``n + 1``
+    nodes, and the edge stored at each position.
+
+    It is built on the first Dijkstra of a topology and kept in the mesh's
+    ``_csr`` slot, which every mesh of that topology shares; a mesh built by
+    hand has no slot and builds it anew each call.  ``tocsr`` would sum a
+    repeated edge, which no permutation of the weights can reproduce, so
+    one is refused.
+    """
+    memo = mesh._csr
+    if memo is not None and memo[0] is not None:
+        return memo[0]
+    n, m = mesh.n_nodes, len(mesh.edges_i)
+    ids = np.arange(1, m + 1, dtype=float)  # edge ids; floats are exact up to 2**53
+    csr = coo_matrix((ids, (mesh.edges_i, mesh.edges_j)), shape=(n + 1, n + 1)).tocsr()
+    if csr.nnz != m:
+        raise MeshError("mesh repeats an edge")
+    layout = (csr.indptr, csr.indices, csr.data.astype(np.intp) - 1)
+    if memo is not None:
+        memo[0] = layout
+    return layout
+
+
+def _dijkstra_graph(mesh: MeshedDomain, sources: np.ndarray) -> csr_matrix:
+    """The mesh plus a super-source, node ``n``, tied to every source at
+    length 0: array for array the CSR that ``coo_matrix(...).tocsr()`` builds
+    from the edges and those source edges, dtypes included."""
+    n = mesh.n_nodes
+    if sources.min() < 0 or sources.max() >= n:
+        raise MeshError("source node out of range")
+    indptr, indices, edge_at = _dijkstra_layout(mesh)
+    # the super-source's row comes last; tocsr sorts its columns and merges repeats
+    src = np.unique(sources)
+    indptr = indptr.copy()
+    indptr[-1] += src.size
+    indices = np.concatenate([indices, src.astype(indices.dtype)])
+    data = np.concatenate([mesh.weights[edge_at], np.zeros(src.size)])
+    return csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
+
+
 def dijkstra_distances(mesh: MeshedDomain, sources: Sequence[int]) -> np.ndarray:
-    """Multi-source shortest-path distances to every node."""
+    """Multi-source shortest-path distances to every node.
+
+    Ties between paths of equal length make the distances depend on the
+    order of the CSR entries, so the graph is built to equal scipy's
+    ``tocsr`` array for array: its structure once per topology
+    (``_dijkstra_layout``), the weights gathered into it per call.
+    """
     src = np.asarray(list(sources), dtype=int)
     if src.size == 0:
         raise MeshError("no source nodes")
     n = mesh.n_nodes
-    ei = np.concatenate([mesh.edges_i, np.full(src.size, n)])
-    ej = np.concatenate([mesh.edges_j, src])
-    w = np.concatenate([mesh.weights, np.zeros(src.size)])
-    m = coo_matrix((w, (ei, ej)), shape=(n + 1, n + 1)).tocsr()
-    dist = dijkstra(m, directed=False, indices=[n])[0][:n]
-    return dist
+    return dijkstra(_dijkstra_graph(mesh, src), directed=False, indices=[n])[0][:n]
 
 
 def boundary_distance_field(mesh: MeshedDomain) -> np.ndarray:

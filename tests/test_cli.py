@@ -487,3 +487,32 @@ _HUGE = 10**7  # 10^14 grid points, far past the cap
 )
 def test_grid_past_the_point_cap_is_schema_error(tmp_path, capsys, group, action, cfg, pointer):
     _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer)
+
+
+@pytest.mark.parametrize("override", ["0", "7"])
+def test_resolution_override_below_eight_is_schema_error(tmp_path, capsys, override):
+    # the config's resolution 20 is valid: an override of 0 must not fall back to it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_ESTIMATE))
+    out = tmp_path / "out"
+    argv = ["estimate", "verify", "--config", str(cfg_path), "--out", str(out),
+            "--resolution", override]
+    assert main(argv) == 1
+    assert not (out / "report.json").exists()
+    err = json.loads(capsys.readouterr().err.splitlines()[0])
+    assert err["error"]["kind"] == "schema"
+    assert err["error"]["pointer"] == "/resolution"
+    assert "below 8" in err["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "group, action, cfg",
+    [
+        ("estimate", "verify", dict(_ESTIMATE, resolution=7)),
+        ("surface", "synth", dict(_SURFACE, resolution=0)),
+        ("probe", "fujimoto", dict(_FUJIMOTO, resolution=-3)),
+    ],
+    ids=["estimate-7", "synth-0", "fujimoto-negative"],
+)
+def test_config_resolution_below_eight_is_schema_error(tmp_path, capsys, group, action, cfg):
+    _assert_schema_error(tmp_path, capsys, group, action, cfg, "/resolution")

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.spatial import cKDTree
 
 from mtriples import geodesy
 from mtriples.expr import ArgumentError
@@ -20,7 +23,15 @@ from mtriples.geodesy import (
     write_edges_csv,
     write_nodes_csv,
 )
-from mtriples.mtriple import Annulus, Disk, Rectangle, TruncatedPlane, make_triple
+from mtriples.mtriple import (
+    Annulus,
+    Disk,
+    Rectangle,
+    TruncatedPlane,
+    make_triple,
+    segment_point_dist,
+)
+from mtriples.quadrature import QuadratureError, gauss4_segments
 from mtriples.reporting import encode_report
 
 ONES = lambda zs: np.ones(np.shape(zs))
@@ -318,3 +329,339 @@ class TestHyperbolicDistance:
         got = poincare_density(zs)
         want = 2.0 / (1.0 - np.abs(zs) ** 2)
         assert np.max(np.abs(got - want)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Kept topologies
+# ---------------------------------------------------------------------------
+
+
+def _reference_build_mesh(domain, density, resolution, refine_punctures=True):
+    """``build_mesh`` as it was before topologies were kept: every array
+    built anew on every call."""
+    if resolution < 8:
+        raise MeshError("resolution too small")
+    geodesy._require_grid_points(resolution, "resolution")
+    x0, x1, y0, y1 = domain.bbox()
+    spacing = max(x1 - x0, y1 - y0) / resolution
+    inset = geodesy.BOUNDARY_INSET_FRACTION * domain.scale()
+    margin = inset + 0.35 * spacing
+    anchor = domain.anchor()
+
+    i_lo = int(math.floor((x0 - anchor.real) / spacing)) - 1
+    i_hi = int(math.ceil((x1 - anchor.real) / spacing)) + 1
+    j_lo = int(math.floor((y0 - anchor.imag) / spacing)) - 1
+    j_hi = int(math.ceil((y1 - anchor.imag) / spacing)) + 1
+    geodesy._require_grid_points((i_hi - i_lo + 1) * (j_hi - j_lo + 1), "resolution")
+    ii, jj = np.meshgrid(
+        np.arange(i_lo, i_hi + 1), np.arange(j_lo, j_hi + 1), indexing="ij"
+    )
+    zz = anchor + (ii + 1j * jj) * spacing
+
+    inside = domain.contains(zz, margin)
+
+    core = max(geodesy.PUNCTURE_CORE_RADIUS, 0.3 * spacing)
+    lattice_excl = 3.2 * spacing if refine_punctures else core
+    for p in domain.punctures:
+        inside &= np.abs(zz - p) >= lattice_excl
+
+    id_grid = np.full(zz.shape, -1, dtype=int)
+    n_lat = int(inside.sum())
+    if n_lat < 16:
+        raise MeshError("mesh too coarse for this domain")
+    id_grid[inside] = np.arange(n_lat)
+    nodes = [zz[inside]]
+    lattice_ij = [np.stack([ii[inside] - i_lo, jj[inside] - j_lo], axis=1)]
+
+    edges_i = []
+    edges_j = []
+    for di, dj in geodesy._HALF_OFFSETS:
+        a = id_grid[max(0, -di) : id_grid.shape[0] - max(0, di),
+                    max(0, -dj) : id_grid.shape[1] - max(0, dj)]
+        b = id_grid[max(0, di) : id_grid.shape[0] + min(0, di) or None,
+                    max(0, dj) : id_grid.shape[1] + min(0, dj) or None]
+        ok = (a >= 0) & (b >= 0)
+        edges_i.append(a[ok])
+        edges_j.append(b[ok])
+    edges_i = [np.concatenate(edges_i)]
+    edges_j = [np.concatenate(edges_j)]
+
+    next_id = n_lat
+    puncture_src: list[int] = []
+    ring_i: list[int] = []
+    ring_j: list[int] = []
+
+    lat_tree = cKDTree(np.column_stack([nodes[0].real, nodes[0].imag]))
+
+    if refine_punctures:
+        n_ang = 16
+        for p in domain.punctures:
+            ring_ids = []
+            ring_pos = {}
+            for ring in geodesy._puncture_rings(p, spacing):
+                keep = domain.contains(ring)
+                ids = np.full(len(ring), -1, dtype=int)
+                ids[keep] = next_id + np.arange(int(keep.sum()))
+                next_id += int(keep.sum())
+                nodes.append(ring[keep])
+                lattice_ij.append(np.full((int(keep.sum()), 2), -1, dtype=int))
+                ring_pos.update(zip(ids[keep], ring[keep]))
+                ring_ids.append(ids)
+            for level, ids in enumerate(ring_ids):
+                for k in range(n_ang):
+                    if ids[k] < 0:
+                        continue
+                    nxt = ids[(k + 1) % n_ang]
+                    if nxt >= 0:
+                        ring_i.append(ids[k])
+                        ring_j.append(nxt)
+                    if level + 1 < len(ring_ids):
+                        for dk in (-1, 0, 1):
+                            down = ring_ids[level + 1][(k + dk) % n_ang]
+                            if down >= 0:
+                                ring_i.append(ids[k])
+                                ring_j.append(down)
+            if ring_ids:
+                for nid in ring_ids[0][ring_ids[0] >= 0]:
+                    w = ring_pos[nid]
+                    for q in lat_tree.query_ball_point([w.real, w.imag], 2.5 * spacing):
+                        ring_i.append(nid)
+                        ring_j.append(q)
+                puncture_src.extend(int(v) for v in ring_ids[-1] if v >= 0)
+    edges_i.append(np.asarray(ring_i, dtype=int))
+    edges_j.append(np.asarray(ring_j, dtype=int))
+
+    ghosts = domain.rim(geodesy.BOUNDARY_INSET_FRACTION, spacing / 2.0)
+    ghost_start = next_id
+    next_id += len(ghosts)
+    nodes.append(ghosts)
+    lattice_ij.append(np.full((len(ghosts), 2), -1, dtype=int))
+    pairs = lat_tree.query_ball_point(
+        np.column_stack([ghosts.real, ghosts.imag]), 2.2 * spacing
+    )
+    gi = []
+    gj = []
+    for k, near in enumerate(pairs):
+        for q in near:
+            gi.append(ghost_start + k)
+            gj.append(q)
+    edges_i.append(np.array(gi, dtype=int))
+    edges_j.append(np.array(gj, dtype=int))
+
+    all_nodes = np.concatenate(nodes)
+    all_ij = np.concatenate(lattice_ij, axis=0)
+    ei = np.concatenate(edges_i).astype(int)
+    ej = np.concatenate(edges_j).astype(int)
+
+    # drop segments that leave the domain (an annular hole) or pass a puncture core
+    za, zb = all_nodes[ei], all_nodes[ej]
+    keep = domain.keeps_segments(za, zb)
+    for p in domain.punctures:
+        keep &= segment_point_dist(za, zb, p) > 0.8 * geodesy.PUNCTURE_CORE_RADIUS
+    ei, ej = ei[keep], ej[keep]
+
+    fvec = geodesy._as_density(density)
+    try:
+        w = gauss4_segments(fvec, all_nodes[ei], all_nodes[ej])
+    except QuadratureError as exc:
+        raise MeshError(f"density not finite on a mesh edge: {exc}") from exc
+    if np.any(~np.isfinite(w)) or np.any(w <= 0):
+        raise MeshError("edge weights must be positive and finite")
+
+    n = len(all_nodes)
+    boundary = np.zeros(n, dtype=bool)
+    boundary[ghost_start : ghost_start + len(ghosts)] = True
+    puncture = np.zeros(n, dtype=bool)
+    puncture[list(puncture_src)] = True
+    interior = ~(boundary | puncture)
+
+    mesh = MeshedDomain(
+        nodes=all_nodes,
+        edges_i=ei,
+        edges_j=ej,
+        weights=np.asarray(w, dtype=float),
+        interior=interior,
+        boundary_adjacent=boundary,
+        puncture_adjacent=puncture,
+        resolution=resolution,
+        spacing=spacing,
+        domain=domain,
+        lattice_ij=all_ij,
+    )
+
+    # connectivity of the interior subgraph
+    sub = (interior[ei]) & (interior[ej])
+    m = coo_matrix(
+        (np.ones(int(sub.sum())), (ei[sub], ej[sub])), shape=(n, n)
+    ).tocsr()
+    ncomp, labels = connected_components(m, directed=False)
+    lab_int = labels[interior]
+    if lab_int.size and np.unique(lab_int).size > 1:
+        counts = np.bincount(lab_int)
+        if counts.max() < 0.99 * lab_int.size:
+            raise MeshError("interior mesh is disconnected")
+        raise MeshError("interior mesh has stray disconnected nodes")
+    return mesh
+
+
+def _reference_dijkstra(mesh, sources):
+    """``dijkstra_distances`` with scipy's COO to CSR conversion on every call."""
+    src = np.asarray(list(sources), dtype=int)
+    n = mesh.n_nodes
+    m = _reference_graph(mesh, src)
+    return dijkstra(m, directed=False, indices=[n])[0][:n]
+
+
+def _reference_graph(mesh, src):
+    n = mesh.n_nodes
+    ei = np.concatenate([mesh.edges_i, np.full(src.size, n)])
+    ej = np.concatenate([mesh.edges_j, src])
+    w = np.concatenate([mesh.weights, np.zeros(src.size)])
+    return coo_matrix((w, (ei, ej)), shape=(n + 1, n + 1)).tocsr()
+
+
+_MESH_ARRAYS = ("nodes", "edges_i", "edges_j", "weights", "interior", "boundary_adjacent",
+                "puncture_adjacent", "lattice_ij")
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_same_mesh(got, want):
+    for name in _MESH_ARRAYS:
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+    assert got.spacing.hex() == want.spacing.hex()
+    assert (got.resolution, got.domain) == (want.resolution, want.domain)
+    sources = np.nonzero(want.boundary_adjacent | want.puncture_adjacent)[0]
+    assert _same_bits(boundary_distance_field(got), _reference_dijkstra(want, sources))
+
+
+@pytest.fixture
+def cold_cache():
+    """An empty topology cache, emptied again afterwards."""
+    geodesy._topologies.clear()
+    yield geodesy._topologies
+    geodesy._topologies.clear()
+
+
+_CACHE_DOMAINS = [
+    Disk(0, 1.0),
+    Disk(0.1j, 1.0, punctures=(0.3 + 0.2j,)),
+    Annulus(0, 0.5, 2.0),
+    Annulus(0, 0.5, 2.0, punctures=(1.2j,)),
+    Rectangle(0, 2 + 1j),
+    Rectangle(0, 2 + 1j, punctures=(1 + 0.5j,)),
+    TruncatedPlane(2.0),
+    TruncatedPlane(3.0, punctures=(1 + 0j, -1 + 0j)),
+]
+_WAVY = lambda zs: 1.0 / (1.0 + 0.2 * np.abs(zs) ** 2)
+
+
+class TestTopologyCache:
+    @pytest.mark.parametrize("refine", [False, True], ids=["lattice", "refined"])
+    @pytest.mark.parametrize("domain", _CACHE_DOMAINS, ids=lambda d: f"{d.kind}-{len(d.punctures)}")
+    def test_first_and_repeated_calls_match_reference(self, cold_cache, domain, refine):
+        for density in (ONES, _WAVY, ONES):  # a miss, then two hits
+            got = build_mesh(domain, density, 40, refine_punctures=refine)
+            _assert_same_mesh(got, _reference_build_mesh(domain, density, 40, refine))
+        assert len(cold_cache) == 1
+
+    @pytest.mark.parametrize("domain", [_CACHE_DOMAINS[1], _CACHE_DOMAINS[7]])
+    def test_lazy_csr_equals_scipy_tocsr(self, cold_cache, domain):
+        first = build_mesh(domain, ONES, 40)
+        assert first._csr == [None]  # nothing built before the first Dijkstra
+        second = build_mesh(domain, _WAVY, 40)
+        assert second._csr is first._csr
+        for mesh in (first, second, first):
+            sources = np.nonzero(mesh.boundary_adjacent | mesh.puncture_adjacent)[0]
+            # repeated and unsorted sources merge into one sorted row, as in tocsr
+            for src in (sources, np.concatenate([sources[::-1], sources[:3]])):
+                got = geodesy._dijkstra_graph(mesh, src)
+                want = _reference_graph(mesh, src)
+                for name in ("indptr", "indices", "data"):
+                    assert _same_bits(getattr(got, name), getattr(want, name)), name
+                assert _same_bits(dijkstra_distances(mesh, src), _reference_dijkstra(mesh, src))
+            assert first._csr[0] is not None
+
+    def test_hand_built_mesh_takes_the_same_path_unkept(self, disk_mesh):
+        fields = {name: getattr(disk_mesh, name).copy() for name in _MESH_ARRAYS}
+        mesh = MeshedDomain(**fields, resolution=100, spacing=disk_mesh.spacing,
+                            domain=disk_mesh.domain)
+        assert mesh._csr is None
+        src = [mesh.node_nearest(0.5), mesh.node_nearest(-0.5)]
+        assert _same_bits(dijkstra_distances(mesh, src), _reference_dijkstra(mesh, src))
+        assert mesh._csr is None
+
+    def test_repeated_edge_and_stray_source_are_refused(self):
+        flags = np.zeros(3, dtype=bool)
+        mesh = MeshedDomain(
+            nodes=np.array([0, 1, 2], dtype=complex),
+            edges_i=np.array([0, 1, 0]),
+            edges_j=np.array([1, 2, 1]),
+            weights=np.ones(3),
+            interior=~flags,
+            boundary_adjacent=flags,
+            puncture_adjacent=flags,
+            resolution=8,
+            spacing=1.0,
+            domain=Disk(0, 3.0),
+            lattice_ij=np.full((3, 2), -1),
+        )
+        with pytest.raises(MeshError, match="repeats an edge"):  # tocsr would sum it
+            dijkstra_distances(mesh, [0])
+        for stray in (-1, 3):
+            with pytest.raises(MeshError, match="out of range"):
+                dijkstra_distances(mesh, [stray])
+
+    def test_shared_arrays_are_read_only(self, cold_cache):
+        mesh = build_mesh(Disk(0, 1.0), ONES, 30)
+        for name in _MESH_ARRAYS:
+            if name != "weights":
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(mesh, name)[0] = 0
+        mesh.weights[0] = 2.0  # the weights are the mesh's own
+        assert build_mesh(Disk(0, 1.0), ONES, 30).weights[0] != 2.0
+
+    def test_holds_two_topologies(self, cold_cache):
+        for res in (30, 31, 32):
+            build_mesh(Disk(0, 1.0), ONES, res)
+        assert len(cold_cache) == 2
+        kept = build_mesh(Disk(0, 1.0), ONES, 31)
+        assert len(cold_cache) == 2
+        build_mesh(Disk(0, 1.0), ONES, 33)  # evicts 32, the least recently used
+        again = build_mesh(Disk(0, 1.0), ONES, 31)
+        assert again.nodes is kept.nodes
+
+    def test_equal_domains_of_other_bits_match_uncached_builds(self, cold_cache):
+        # these compare equal, but their fields differ in type or sign
+        domains = [Disk(0, 1), Disk(0, 1), Disk(0.0, 1.0), Disk(-0.0, 1.0)]
+        assert domains[1] == domains[2] == domains[3]
+        meshes = [build_mesh(d, _WAVY, 36) for d in domains]
+        for d, mesh in zip(domains, meshes):
+            _assert_same_mesh(mesh, _reference_build_mesh(d, _WAVY, 36))
+            assert mesh.domain is d
+        assert meshes[1].nodes is meshes[0].nodes
+        assert meshes[2].nodes is not meshes[1].nodes  # kept under their own keys
+        assert meshes[3].nodes is not meshes[2].nodes
+
+    def test_nan_density_on_a_kept_topology_raises_and_keeps_it(self, cold_cache):
+        build_mesh(Disk(0, 1.0), ONES, 40)
+        bad = lambda zs: np.where(np.abs(zs) < 0.1, np.nan, 1.0)
+        with pytest.raises(MeshError, match="finite"):
+            build_mesh(Disk(0, 1.0), bad, 40)
+        assert len(cold_cache) == 1
+        _assert_same_mesh(build_mesh(Disk(0, 1.0), _WAVY, 40),
+                          _reference_build_mesh(Disk(0, 1.0), _WAVY, 40))
+
+    def test_topology_that_raises_is_not_kept(self, cold_cache):
+        with pytest.raises(MeshError, match="too coarse"):
+            build_mesh(Disk(0, 1.0, punctures=(0j,)), ONES, 8)
+        assert not cold_cache
+
+    def test_resolution_below_eight_is_an_argument_error(self, cold_cache):
+        for res in (7, 0, -5):
+            with pytest.raises(ArgumentError, match="below 8") as refused:
+                build_mesh(Disk(0, 1.0), ONES, res)
+            assert refused.value.name == "resolution"
