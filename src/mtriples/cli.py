@@ -213,10 +213,12 @@ def triple_to_json(t: MTriple) -> dict:
 
 
 def _as_int(value, pointer: str) -> int:
-    try:
+    # JSON true/false are ints to Python, and int() would truncate 20.9 or read "24"
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(pointer, f"expected an integer: {exc}") from exc
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(pointer, f"expected an integer, got {value!r}")
+    return value
 
 
 def _as_positive_int(value, pointer: str) -> int:

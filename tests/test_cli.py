@@ -276,8 +276,12 @@ class TestReportHygiene:
         err = json.loads(proc.stderr.splitlines()[0])
         assert err["error"]["kind"] == "schema"
         assert err["error"]["pointer"] == "/seed"
-        # whatever int() accepts stays a valid seed
-        proc, report, _ = run_cli(tmp_path, "triple", "check", dict(cfg, seed="7"), name="ok")
+        # a numeric string is not a JSON integer; an integral float is
+        proc, report, _ = run_cli(tmp_path, "triple", "check", dict(cfg, seed="7"), name="str")
+        assert proc.returncode == 1
+        assert report is None
+        assert json.loads(proc.stderr.splitlines()[0])["error"]["pointer"] == "/seed"
+        proc, report, _ = run_cli(tmp_path, "triple", "check", dict(cfg, seed=7.0), name="ok")
         assert proc.returncode == 0
         assert report["seed"] == 7
 
@@ -516,3 +520,40 @@ def test_resolution_override_below_eight_is_schema_error(tmp_path, capsys, overr
 )
 def test_config_resolution_below_eight_is_schema_error(tmp_path, capsys, group, action, cfg):
     _assert_schema_error(tmp_path, capsys, group, action, cfg, "/resolution")
+
+
+@pytest.mark.parametrize(
+    "group, action, cfg, pointer",
+    [
+        ("estimate", "verify", dict(_ESTIMATE, resolution=20.9), "/resolution"),
+        ("estimate", "verify", dict(_ESTIMATE, resolution="24"), "/resolution"),
+        ("estimate", "verify", dict(_ESTIMATE, resolution=True), "/resolution"),
+        ("estimate", "verify", dict(_ESTIMATE, seed=1.5), "/seed"),
+        ("estimate", "verify", dict(_ESTIMATE, seed="3"), "/seed"),
+        ("estimate", "verify", dict(_ESTIMATE, seed=False), "/seed"),
+        ("probe", "marty", dict(_MARTY, grid=20.5), "/grid"),
+        ("probe", "marty", dict(_MARTY, grid=True), "/grid"),
+        ("probe", "zalcman", {"h": "10*z", "searchgrid": "60"}, "/searchgrid"),
+        ("probe", "zalcman", {"h": "10*z", "searchgrid": 60.25}, "/searchgrid"),
+        ("probe", "marty", dict(_MARTY, indices=[1, 2.5]), "/indices/1"),
+        ("probe", "marty", dict(_MARTY, indices=[True, 2]), "/indices/0"),
+        ("probe", "marty", dict(_MARTY, indices=[1, None]), "/indices/1"),
+    ],
+    ids=["resolution-fraction", "resolution-string", "resolution-bool", "seed-fraction",
+         "seed-string", "seed-bool", "grid-fraction", "grid-bool", "searchgrid-string",
+         "searchgrid-fraction", "index-fraction", "index-bool", "index-null"],
+)
+def test_non_integer_count_is_schema_error(tmp_path, capsys, group, action, cfg, pointer):
+    _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer)
+
+
+def test_integral_float_resolution_runs_like_the_integer(tmp_path):
+    reports = []
+    for name, res in (("float", 40.0), ("int", 40)):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(dict(_ESTIMATE, resolution=res)))
+        out = tmp_path / f"out_{name}"
+        assert main(["estimate", "verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert json.loads(reports[0])["estimate"]["resolution"] == 40
+    assert reports[0] == reports[1]

@@ -8,7 +8,8 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
-from mtriples import geodesy
+from mtriples import geodesy, quadrature
+from mtriples.estimates import optimal_example
 from mtriples.expr import ArgumentError
 from mtriples.geodesy import (
     MeshedDomain,
@@ -31,8 +32,9 @@ from mtriples.mtriple import (
     make_triple,
     segment_point_dist,
 )
-from mtriples.quadrature import QuadratureError, gauss4_segments
+from mtriples.quadrature import QuadratureError
 from mtriples.reporting import encode_report
+from test_quadrature import reference_gauss4_segments
 
 ONES = lambda zs: np.ones(np.shape(zs))
 
@@ -338,7 +340,7 @@ class TestHyperbolicDistance:
 
 def _reference_build_mesh(domain, density, resolution, refine_punctures=True):
     """``build_mesh`` as it was before topologies were kept: every array
-    built anew on every call."""
+    built anew on every call, the edges weighted by the unblocked Gauss-4."""
     if resolution < 8:
         raise MeshError("resolution too small")
     geodesy._require_grid_points(resolution, "resolution")
@@ -462,7 +464,7 @@ def _reference_build_mesh(domain, density, resolution, refine_punctures=True):
 
     fvec = geodesy._as_density(density)
     try:
-        w = gauss4_segments(fvec, all_nodes[ei], all_nodes[ej])
+        w = reference_gauss4_segments(fvec, all_nodes[ei], all_nodes[ej])
     except QuadratureError as exc:
         raise MeshError(f"density not finite on a mesh edge: {exc}") from exc
     if np.any(~np.isfinite(w)) or np.any(w <= 0):
@@ -567,6 +569,13 @@ class TestTopologyCache:
             got = build_mesh(domain, density, 40, refine_punctures=refine)
             _assert_same_mesh(got, _reference_build_mesh(domain, density, 40, refine))
         assert len(cold_cache) == 1
+
+    def test_weights_of_many_blocks_match_reference(self, cold_cache):
+        # res 90 gives several Gauss-4 blocks of edges; the extremal density refines
+        t = optimal_example(1, [1, -1])
+        got = build_mesh(t.domain, t.density, 90)
+        assert len(got.edges_i) > 3 * quadrature._BLOCK
+        _assert_same_mesh(got, _reference_build_mesh(t.domain, t.density, 90))
 
     @pytest.mark.parametrize("domain", [_CACHE_DOMAINS[1], _CACHE_DOMAINS[7]])
     def test_lazy_csr_equals_scipy_tocsr(self, cold_cache, domain):
