@@ -105,14 +105,12 @@ def _need(cfg: dict, key: str, pointer: str):
 
 
 def _as_complex(value, pointer: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        try:
-            return complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(pointer, "expected a number or an [re, im] pair")
+    pair = isinstance(value, (list, tuple)) and len(value) == 2
+    parts = value if pair else (value, 0)
+    # JSON true/false are ints to Python
+    if any(isinstance(p, bool) for p in parts) or not (pair or isinstance(value, (int, float))):
+        raise ConfigError(pointer, "expected a number or an [re, im] pair")
+    return complex(*(_as_float(p, pointer) for p in parts))
 
 
 def _as_float(value, pointer: str) -> float:
@@ -193,9 +191,7 @@ def _triple_parts(cfg, pointer: str) -> tuple:
     domain = domain_from_json(_need(cfg, "domain", pointer), f"{pointer}/domain")
     f = _as_expr(_need(cfg, "f", pointer), f"{pointer}/f")
     g = _as_expr(_need(cfg, "g", pointer), f"{pointer}/g")
-    m = _need(cfg, "m", pointer)
-    if not isinstance(m, int) or m < 1:
-        raise ConfigError(f"{pointer}/m", "m must be a positive integer")
+    m = _as_positive_int(_need(cfg, "m", pointer), f"{pointer}/m")
     return domain, f, g, m
 
 
@@ -278,25 +274,22 @@ def _handle_triple(action: str, cfg: dict, opts) -> tuple[dict, bool]:
             out["curvature_at_anchor"] = curvature(t, anchor)
             out["anchor"] = anchor
         return out, ok
-    if action == "curvature":
-        if not ok:
-            return out, False
-        t = MTriple(domain, f, g, m, report)
-        points = _as_list(_need(cfg, "points", ""), "/points")
-        pts = [_as_complex(p, f"/points/{k}") for k, p in enumerate(points)]
-        h = _as_positive(cfg.get("fd_step", 1e-3), "/fd_step")
-        out["points"] = [
-            {"point": p, "curvature": curvature(t, p), "curvature_fd": curvature_fd(t, p, h)}
-            for p in pts
-        ]
-        out["fd_step"] = h
-        return out, True
-    raise ConfigError("/subcommand", f"unknown triple action {action!r}")
+    # action == "curvature"
+    if not ok:
+        return out, False
+    t = MTriple(domain, f, g, m, report)
+    points = _as_list(_need(cfg, "points", ""), "/points")
+    pts = [_as_complex(p, f"/points/{k}") for k, p in enumerate(points)]
+    h = _as_positive(cfg.get("fd_step", 1e-3), "/fd_step")
+    out["points"] = [
+        {"point": p, "curvature": curvature(t, p), "curvature_fd": curvature_fd(t, p, h)}
+        for p in pts
+    ]
+    out["fd_step"] = h
+    return out, True
 
 
 def _handle_estimate(action: str, cfg: dict, opts) -> tuple[dict, bool]:
-    if action != "verify":
-        raise ConfigError("/subcommand", f"unknown estimate action {action!r}")
     triple = triple_from_json(_need(cfg, "triple", ""), "/triple")
     prop = property_from_json(_need(cfg, "property", ""), "/property")
     resolution = _resolution(cfg, opts, 200)
@@ -327,7 +320,7 @@ _SURFACE_CLASSES = {
 def _surface_data(cfg: dict):
     """Decode the surface data; its two expressions are the class's first two fields."""
     cls_name = _need(cfg, "class", "")
-    if cls_name not in _SURFACE_CLASSES:
+    if not isinstance(cls_name, str) or cls_name not in _SURFACE_CLASSES:
         raise ConfigError("/class", f"unknown surface class {cls_name!r}")
     cls, synth = _SURFACE_CLASSES[cls_name]
     domain = domain_from_json(_need(cfg, "domain", ""), "/domain")
@@ -346,6 +339,8 @@ def _period_rows(data, cycles) -> list:
     for k, cycle in enumerate(_as_list(cycles, "/cycles")):
         at = f"/cycles/{k}"
         points = [_as_complex(p, f"{at}/{j}") for j, p in enumerate(_as_list(cycle, at))]
+        if len(points) < 2:
+            raise ConfigError(at, "a cycle needs at least two points")
         rows.append(period_residuals(data, points))
     return rows
 
@@ -364,8 +359,6 @@ def _handle_surface(action: str, cfg: dict, opts) -> tuple[dict, bool]:
             raise ConfigError("/class", "the minimal class has no singular locus")
         out["singular_locus"] = singular_locus(data, mesh)
         return out, True
-    if action != "synth":
-        raise ConfigError("/subcommand", f"unknown surface action {action!r}")
     formats = _as_list(cfg.get("exports", ["obj", "ply", "csv"]), "/exports")
     for fmt in formats:
         if not isinstance(fmt, str) or fmt not in _EXPORT_FILES:
@@ -432,38 +425,33 @@ def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         mesh = _mesh(Disk(0, radius), ones, resolution, refine=False)
         pointers = {"values": "/omits", "eta": "/eta"}
         return {"fujimoto": _probe(fujimoto_ratio, pointers, f, values, eta, radius, mesh)}, True
-    if action == "completeness":
-        triple = triple_from_json(_need(cfg, "triple", ""), "/triple")
-        eps_cfg = _as_list(_need(cfg, "eps_levels", ""), "/eps_levels")
-        eps = [_as_float(e, f"/eps_levels/{k}") for k, e in enumerate(eps_cfg)]
-        targets_cfg = cfg.get("targets")
-        if targets_cfg is None:
-            targets_cfg = [_need(cfg, "target", "")]
-        targets = []
-        for k, tg in enumerate(_as_list(targets_cfg, "/targets")):
-            if tg in ("inf", "infinity"):
-                targets.append("infinity")
-            else:
-                targets.append(_as_complex(tg, f"/targets/{k}"))
-        reports = [
-            _probe(completeness_probe, {"eps_levels": "/eps_levels", "target": f"/targets/{k}"},
-                   triple, t, eps)
-            for k, t in enumerate(targets)
-        ]
-        return {"triple": triple_to_json(triple), "completeness": reports}, True
-    raise ConfigError("/subcommand", f"unknown probe action {action!r}")
+    # action == "completeness"
+    triple = triple_from_json(_need(cfg, "triple", ""), "/triple")
+    eps_cfg = _as_list(_need(cfg, "eps_levels", ""), "/eps_levels")
+    eps = [_as_float(e, f"/eps_levels/{k}") for k, e in enumerate(eps_cfg)]
+    targets_cfg = cfg.get("targets")
+    if targets_cfg is None:
+        targets_cfg = [_need(cfg, "target", "")]
+    targets = []
+    for k, tg in enumerate(_as_list(targets_cfg, "/targets")):
+        if tg in ("inf", "infinity"):
+            targets.append("infinity")
+        else:
+            targets.append(_as_complex(tg, f"/targets/{k}"))
+    reports = [
+        _probe(completeness_probe, {"eps_levels": "/eps_levels", "target": f"/targets/{k}"},
+               triple, t, eps)
+        for k, t in enumerate(targets)
+    ]
+    return {"triple": triple_to_json(triple), "completeness": reports}, True
 
 
 def _handle_example(action: str, cfg: dict, opts) -> tuple[dict, bool]:
-    if action != "optimal":
-        raise ConfigError("/subcommand", f"unknown example action {action!r}")
-    m = _need(cfg, "m", "")
-    if not isinstance(m, int) or m < 1:
-        raise ConfigError("/m", "m must be a positive integer")
+    m = _as_positive_int(_need(cfg, "m", ""), "/m")
     alphas = _as_list(_need(cfg, "alphas", ""), "/alphas")
     alphas = [_as_complex(a, f"/alphas/{k}") for k, a in enumerate(alphas)]
     radius = cfg.get("radius")
-    radius = None if radius is None else _as_float(radius, "/radius")
+    radius = None if radius is None else _as_positive(radius, "/radius")
     try:
         triple = optimal_example(m, alphas, radius)
     except ValueError as exc:
@@ -482,12 +470,13 @@ def _handle_example(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     return out, bool(check.verdict)
 
 
+# each group's handler and the actions that argparse lets through to it
 _HANDLERS = {
-    "triple": _handle_triple,
-    "estimate": _handle_estimate,
-    "surface": _handle_surface,
-    "probe": _handle_probe,
-    "example": _handle_example,
+    "triple": (_handle_triple, ("check", "curvature")),
+    "estimate": (_handle_estimate, ("verify",)),
+    "surface": (_handle_surface, ("synth", "periods", "singular")),
+    "probe": (_handle_probe, ("marty", "zalcman", "fujimoto", "completeness")),
+    "example": (_handle_example, ("optimal",)),
 }
 
 
@@ -504,14 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="group", required=True)
-    actions = {
-        "triple": ["check", "curvature"],
-        "estimate": ["verify"],
-        "surface": ["synth", "periods", "singular"],
-        "probe": ["marty", "zalcman", "fujimoto", "completeness"],
-        "example": ["optimal"],
-    }
-    for group, acts in actions.items():
+    for group, (_, acts) in _HANDLERS.items():
         p = sub.add_parser(group)
         p.add_argument("action", choices=acts)
         p.add_argument("--config", required=True, help="path to the JSON config")
@@ -555,7 +537,8 @@ def main(argv=None) -> int:
             opts.out = cfg.get("output_dir", "run")
             if not isinstance(opts.out, str):
                 raise ConfigError("/output_dir", "expected a directory path string")
-        report, ok = _HANDLERS[opts.group](opts.action, cfg, opts)
+        handler, _ = _HANDLERS[opts.group]
+        report, ok = handler(opts.action, cfg, opts)
     except ConfigError as exc:
         print(_error_object("schema", exc.message, exc.pointer), file=sys.stderr)
         return EXIT_ERROR

@@ -418,6 +418,16 @@ _SURFACE = {"class": "minimal", "f": "1", "g": "z", "domain": DISK, "resolution"
         ("probe", "marty", dict(_MARTY, region={"radius": -0.5}), "/region/radius"),
         ("probe", "marty", dict(_MARTY, grid=0), "/grid"),
         ("probe", "zalcman", {"h": "10*z", "searchgrid": 0}, "/searchgrid"),
+        ("triple", "check", {"triple": dict(_TRIPLE, m=True)}, "/triple/m"),
+        ("example", "optimal", {"m": True, "alphas": [[1, 0], [-1, 0]]}, "/m"),
+        ("triple", "check", {"triple": dict(_TRIPLE, domain=dict(DISK, center=["inf", 0]))},
+         "/triple/domain/center"),
+        ("triple", "curvature", {"triple": _TRIPLE, "points": [[0, True]]}, "/points/0"),
+        ("example", "optimal", {"m": 1, "alphas": [[1, 0], [-1, 0]], "radius": -3}, "/radius"),
+        ("surface", "synth", dict(_SURFACE, **{"class": ["minimal"]}), "/class"),
+        ("surface", "periods", dict(_SURFACE, cycles=[[]]), "/cycles/0"),
+        ("surface", "periods", dict(_SURFACE, cycles=[[[0, 0.5], [0.5, 0]], [[0.5, 0]]]),
+         "/cycles/1"),
     ],
     ids=[
         "fd_step-abc", "fd_step-0", "delta-abc", "delta-nan", "bounded-inf", "marty-indices",
@@ -428,6 +438,8 @@ _SURFACE = {"class": "minimal", "f": "1", "g": "z", "domain": DISK, "resolution"
         "property-omits-not-list", "fujimoto-omits-not-list", "fujimoto-radius-negative",
         "marty-indices-not-list", "marty-index-zero", "marty-family-unparsable",
         "marty-radius-negative", "marty-grid-zero", "zalcman-searchgrid-zero",
+        "triple-m-bool", "optimal-m-bool", "center-inf", "point-part-bool",
+        "optimal-radius-negative", "class-list", "cycle-empty", "cycle-one-point",
     ],
 )
 def test_malformed_number_or_expression_is_schema_error(

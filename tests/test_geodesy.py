@@ -178,6 +178,7 @@ class TestSpanningTree:
             spacing=1.0,
             domain=Disk(0, 3.0),
             lattice_ij=np.full((3, 2), -1),
+            adjacency=geodesy._adjacency(3, np.array([0]), np.array([1])),
         )
         with pytest.raises(MeshError):
             mesh.spanning_tree(0)
@@ -489,6 +490,7 @@ def _reference_build_mesh(domain, density, resolution, refine_punctures=True):
         spacing=spacing,
         domain=domain,
         lattice_ij=all_ij,
+        adjacency=geodesy._adjacency(n, ei, ej),
     )
 
     # connectivity of the interior subgraph
@@ -512,6 +514,17 @@ def _reference_dijkstra(mesh, sources):
     n = mesh.n_nodes
     m = _reference_graph(mesh, src)
     return dijkstra(m, directed=False, indices=[n])[0][:n]
+
+
+def _reference_adjacency(mesh):
+    """The symmetric CSR layout by a lexsort on (row, edge): row pointers,
+    the neighbour at each entry and the edge id of each entry."""
+    rows = np.concatenate([mesh.edges_i, mesh.edges_j])
+    cols = np.concatenate([mesh.edges_j, mesh.edges_i])
+    edge = np.tile(np.arange(len(mesh.edges_i)), 2)
+    by_row = np.lexsort((edge, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=mesh.n_nodes))])
+    return indptr, cols[by_row], edge[by_row]
 
 
 def _reference_graph(mesh, src):
@@ -578,38 +591,48 @@ class TestTopologyCache:
         _assert_same_mesh(got, _reference_build_mesh(t.domain, t.density, 90))
 
     @pytest.mark.parametrize("domain", [_CACHE_DOMAINS[1], _CACHE_DOMAINS[7]])
-    def test_lazy_csr_equals_scipy_tocsr(self, cold_cache, domain):
-        first = build_mesh(domain, ONES, 40)
-        assert first._csr == [None]  # nothing built before the first Dijkstra
-        second = build_mesh(domain, _WAVY, 40)
-        assert second._csr is first._csr
-        for mesh in (first, second, first):
-            sources = np.nonzero(mesh.boundary_adjacent | mesh.puncture_adjacent)[0]
-            # repeated and unsorted sources merge into one sorted row, as in tocsr
-            for src in (sources, np.concatenate([sources[::-1], sources[:3]])):
-                got = geodesy._dijkstra_graph(mesh, src)
-                want = _reference_graph(mesh, src)
-                for name in ("indptr", "indices", "data"):
-                    assert _same_bits(getattr(got, name), getattr(want, name)), name
-                assert _same_bits(dijkstra_distances(mesh, src), _reference_dijkstra(mesh, src))
-            assert first._csr[0] is not None
+    def test_kept_adjacency_equals_lexsort_reference(self, cold_cache, domain):
+        for refine in (False, True):
+            mesh = build_mesh(domain, ONES, 40, refine_punctures=refine)
+            for got, want in zip(mesh.adjacency, _reference_adjacency(mesh), strict=True):
+                assert got.dtype == np.int32 and np.array_equal(got, want)
 
-    def test_hand_built_mesh_takes_the_same_path_unkept(self, disk_mesh):
-        fields = {name: getattr(disk_mesh, name).copy() for name in _MESH_ARRAYS}
-        mesh = MeshedDomain(**fields, resolution=100, spacing=disk_mesh.spacing,
-                            domain=disk_mesh.domain)
-        assert mesh._csr is None
-        src = [mesh.node_nearest(0.5), mesh.node_nearest(-0.5)]
-        assert _same_bits(dijkstra_distances(mesh, src), _reference_dijkstra(mesh, src))
-        assert mesh._csr is None
+    def test_meshes_of_one_topology_share_the_adjacency(self, cold_cache):
+        first = build_mesh(_CACHE_DOMAINS[1], ONES, 40)
+        second = build_mesh(_CACHE_DOMAINS[1], _WAVY, 40)
+        assert second.adjacency is first.adjacency
+        assert build_mesh(_CACHE_DOMAINS[1], ONES, 41).adjacency is not first.adjacency
 
-    def test_repeated_edge_and_stray_source_are_refused(self):
+    def test_distances_do_not_depend_on_edge_order(self, cold_cache):
+        t = optimal_example(2, [0.0, 1.0, -1.0])
+        mesh = build_mesh(t.domain, t.density, 120)
+        assert mesh.puncture_adjacent.any()
+        rng = np.random.default_rng(11)
+        perm = rng.permutation(len(mesh.edges_i))
+        flip = rng.random(perm.size) < 0.3
+        ei = np.where(flip, mesh.edges_j[perm], mesh.edges_i[perm])
+        ej = np.where(flip, mesh.edges_i[perm], mesh.edges_j[perm])
+        fields = {name: getattr(mesh, name) for name in _MESH_ARRAYS}
+        fields.update(edges_i=ei, edges_j=ej, weights=mesh.weights[perm])
+        shuffled = MeshedDomain(**fields, resolution=mesh.resolution, spacing=mesh.spacing,
+                                domain=mesh.domain,
+                                adjacency=geodesy._adjacency(mesh.n_nodes, ei, ej))
+        sources = np.nonzero(mesh.boundary_adjacent | mesh.puncture_adjacent)[0]
+        # repeated, unsorted and random source lists
+        for src in (sources, np.concatenate([sources[::-1], sources[:3]]),
+                    rng.choice(mesh.n_nodes, 40)):
+            want = _reference_dijkstra(mesh, src)
+            assert _same_bits(dijkstra_distances(shuffled, src), want)
+            assert _same_bits(dijkstra_distances(mesh, src), want)
+
+    def test_stray_source_is_refused(self):
         flags = np.zeros(3, dtype=bool)
+        ei, ej = np.array([0, 1]), np.array([1, 2])
         mesh = MeshedDomain(
             nodes=np.array([0, 1, 2], dtype=complex),
-            edges_i=np.array([0, 1, 0]),
-            edges_j=np.array([1, 2, 1]),
-            weights=np.ones(3),
+            edges_i=ei,
+            edges_j=ej,
+            weights=np.ones(2),
             interior=~flags,
             boundary_adjacent=flags,
             puncture_adjacent=flags,
@@ -617,12 +640,13 @@ class TestTopologyCache:
             spacing=1.0,
             domain=Disk(0, 3.0),
             lattice_ij=np.full((3, 2), -1),
+            adjacency=geodesy._adjacency(3, ei, ej),
         )
-        with pytest.raises(MeshError, match="repeats an edge"):  # tocsr would sum it
-            dijkstra_distances(mesh, [0])
         for stray in (-1, 3):
             with pytest.raises(MeshError, match="out of range"):
                 dijkstra_distances(mesh, [stray])
+        with pytest.raises(MeshError, match="no source"):
+            dijkstra_distances(mesh, [])
 
     def test_shared_arrays_are_read_only(self, cold_cache):
         mesh = build_mesh(Disk(0, 1.0), ONES, 30)
@@ -630,6 +654,9 @@ class TestTopologyCache:
             if name != "weights":
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(mesh, name)[0] = 0
+        for arr in mesh.adjacency:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
         mesh.weights[0] = 2.0  # the weights are the mesh's own
         assert build_mesh(Disk(0, 1.0), ONES, 30).weights[0] != 2.0
 
