@@ -280,6 +280,9 @@ def _handle_triple(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     t = MTriple(domain, f, g, m, report)
     points = _as_list(_need(cfg, "points", ""), "/points")
     pts = [_as_complex(p, f"/points/{k}") for k, p in enumerate(points)]
+    for k, z in enumerate(pts):
+        if not domain.contains(z):
+            raise ConfigError(f"/points/{k}", f"point {z} is not inside the domain")
     h = _as_positive(cfg.get("fd_step", 1e-3), "/fd_step")
     out["points"] = [
         {"point": p, "curvature": curvature(t, p), "curvature_fd": curvature_fd(t, p, h)}
@@ -294,12 +297,12 @@ def _handle_estimate(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     prop = property_from_json(_need(cfg, "property", ""), "/property")
     resolution = _resolution(cfg, opts, 200)
     delta = _as_positive(cfg.get("delta", 1e-3), "/delta")
+    c = _probe(curvature_constant, {"m": "/triple/m"}, prop, triple.m)
     # puncture rings act as ideal-boundary sources for the distance field;
     # the property check stands off from them on its own
     mesh = _mesh(triple.domain, triple.density, resolution, refine=True)
     prop_report = property_check(triple.g, prop, mesh, delta)
     est = verify_estimate(triple, prop, mesh)
-    c = curvature_constant(prop, triple.m)
     out = {
         "triple": triple_to_json(triple),
         "property": prop_report,
@@ -341,7 +344,8 @@ def _period_rows(data, cycles) -> list:
         points = [_as_complex(p, f"{at}/{j}") for j, p in enumerate(_as_list(cycle, at))]
         if len(points) < 2:
             raise ConfigError(at, "a cycle needs at least two points")
-        rows.append(period_residuals(data, points))
+        # the cycle, not the library's step, is what a config sets here
+        rows.append(_probe(period_residuals, {"step": at}, data, points))
     return rows
 
 
@@ -365,7 +369,7 @@ def _handle_surface(action: str, cfg: dict, opts) -> tuple[dict, bool]:
             raise ConfigError("/exports", f"unknown export format {fmt!r}")
     if cls_name == "flat_front":
         step = _as_positive(cfg.get("step", 1e-3 * data.domain.diameter()), "/step")
-        surface = synth(data, mesh, step)
+        surface = _probe(synth, {"step": "/step"}, data, mesh, step)
     else:
         surface = synth(data, mesh)
     out["invariants"] = immersion_check(surface, data)

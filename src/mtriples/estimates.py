@@ -160,12 +160,19 @@ def property_check(
 
 
 def curvature_constant(prop: PropertySpec, m: int) -> float | None:
-    """Explicit bound on |K|^(1/2) d for the bounded property; None otherwise."""
+    """Explicit bound on |K|^(1/2) d for the bounded property; None otherwise.
+    A bound past the largest float is an ``ArgumentError`` on ``m``."""
     if not (isinstance(m, int) and m >= 1):
         raise ValueError("m must be a positive integer")
     if isinstance(prop, Bounded):
         L = prop.limit
-        return math.sqrt(2.0 * m) * L * (1.0 + L * L) ** (m / 2.0)
+        try:
+            c = math.sqrt(2.0 * m) * L * (1.0 + L * L) ** (m / 2.0)
+        except OverflowError:
+            c = math.inf
+        if not math.isfinite(c):
+            raise ArgumentError("m", f"sqrt(2m) L (1+L^2)^(m/2) overflows for m = {m}, L = {L!r}")
+        return c
     return None
 
 

@@ -4,11 +4,13 @@ completeness probes.
 The mesh is a weighted graph over lattice sample points with a 16-neighbor
 stencil (axis, diagonal and knight moves), a ghost ring of sources placed
 just inside the outer boundary, and optional geometric refinement rings
-around punctures.  Edge weights are conformal lengths of the straight
-segments, so multi-source shortest paths overestimate the true geodesic
-distance to the boundary.  The overestimate comes from the stencil's
-directions, not from the spacing, so refinement does not remove it: on the
-flat unit disk the interior ratio stays near 1.02 from resolution 50 to 400.
+around punctures.  Ghosts and ring nodes find their lattice neighbours in the
+lattice's id grid (``_near_lattice``).  Edge weights are conformal lengths of
+the straight segments, so multi-source shortest paths overestimate the true
+geodesic distance to the boundary.  The overestimate comes from the
+stencil's directions, not from the spacing, so refinement does not remove
+it: on the flat unit disk the interior ratio stays near 1.02 from resolution
+50 to 400.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
-from scipy.spatial import cKDTree
 
 from .expr import ArgumentError
 from .mtriple import DomainSpec, MTriple, segment_point_dist
@@ -45,10 +46,10 @@ __all__ = [
 
 BOUNDARY_INSET_FRACTION = 1e-3
 PUNCTURE_CORE_RADIUS = 1e-4
-# The most points a mesh lattice or a probe grid may have, refused before
-# anything is allocated: resolution 400, the largest in use, puts 403^2 =
-# 162,409 points on a square bounding box, and resolution 2*10^4 would ask
-# numpy for 4*10^8.
+# The most points a mesh lattice, a probe grid or one batch of RK4 samples
+# may have, refused before anything is allocated: resolution 400, the largest
+# in use, puts 403^2 = 162,409 points on a square bounding box, and
+# resolution 2*10^4 would ask numpy for 4*10^8.
 MAX_GRID_POINTS = 1_000_000
 
 # meshed topologies kept by build_mesh, the most recently used last
@@ -149,27 +150,48 @@ def _as_density(density: Callable) -> Callable[[np.ndarray], np.ndarray]:
     return fvec
 
 
-def _puncture_rings(p: complex, spacing: float):
-    """Geometric refinement rings around a puncture down to the core radius."""
+def _puncture_rings(p: complex, spacing: float) -> np.ndarray:
+    """Geometric refinement rings of 16 points around a puncture down to the
+    core radius, outermost first: a (levels, 16) array."""
     r0 = 3.2 * spacing
     if r0 <= PUNCTURE_CORE_RADIUS:
-        return []
+        return np.zeros((0, 16), dtype=complex)
     radii = []
     r = r0
     while r > PUNCTURE_CORE_RADIUS * 1.8:
         radii.append(r)
         r *= 0.55
     radii.append(PUNCTURE_CORE_RADIUS)
-    n_ang = 16
-    ang = 2 * math.pi * np.arange(n_ang) / n_ang
-    return [p + r * np.exp(1j * ang) for r in radii]
+    ang = 2 * math.pi * np.arange(16) / 16
+    return np.array([p + r * np.exp(1j * ang) for r in radii])
 
 
-def _require_grid_points(n: int, name: str) -> None:
+def _near_lattice(zz: np.ndarray, id_grid: np.ndarray, spacing: float, points: np.ndarray,
+                  radius: float) -> tuple:
+    """(point index, node id) of the lattice nodes within ``radius`` of each
+    point, each point's ids ascending.
+
+    ``zz`` holds the lattice positions and ``id_grid`` their ids (-1 off the
+    mesh), which grow in row-major order.  A point scans, row-major, the
+    +-(ceil(radius / spacing) + 1) cells around its nearest lattice index and
+    keeps a node when dx*dx + dy*dy <= radius*radius, as a KD-tree ball query.
+    """
+    h = math.ceil(radius / spacing) + 1
+    ids, pos = np.pad(id_grid, h, constant_values=-1), np.pad(zz, h)
+    di, dj = np.divmod(np.arange((2 * h + 1) ** 2), 2 * h + 1)  # the window, row-major
+    at = (points - zz[0, 0]) / spacing
+    i = np.clip(np.rint(at.real), 0, zz.shape[0] - 1).astype(int)[:, None] + di
+    j = np.clip(np.rint(at.imag), 0, zz.shape[1] - 1).astype(int)[:, None] + dj
+    cand, d = ids[i, j], pos[i, j] - points[:, None]  # the parts subtract as reals
+    k, w = np.nonzero((cand >= 0) & (d.real * d.real + d.imag * d.imag <= radius * radius))
+    return k, cand[k, w]
+
+
+def _require_grid_points(n: float, name: str) -> None:
     """Refuse a lattice of at least ``n`` points past ``MAX_GRID_POINTS``;
     ``name`` is the parameter that sets its size."""
     if n > MAX_GRID_POINTS:
-        raise ArgumentError(name, f"at least {n} grid points, past the cap of {MAX_GRID_POINTS}")
+        raise ArgumentError(name, f"at least {n:.0f} grid points, past the cap of {MAX_GRID_POINTS}")
 
 
 def _lattice_box(domain: DomainSpec, resolution: int) -> tuple:
@@ -232,7 +254,6 @@ def _mesh_topology(domain: DomainSpec, refine_punctures: bool, spacing, i_lo, i_
         raise MeshError("mesh too coarse for this domain")
     id_grid[inside] = np.arange(n_lat)
     nodes = [zz[inside]]
-    lattice_ij = [np.stack([ii[inside] - i_lo, jj[inside] - j_lo], axis=1)]
 
     edges_i = []
     edges_j = []
@@ -244,73 +265,41 @@ def _mesh_topology(domain: DomainSpec, refine_punctures: bool, spacing, i_lo, i_
         ok = (a >= 0) & (b >= 0)
         edges_i.append(a[ok])
         edges_j.append(b[ok])
-    edges_i = [np.concatenate(edges_i)]
-    edges_j = [np.concatenate(edges_j)]
 
     next_id = n_lat
     puncture_src: list[int] = []
-    ring_i: list[int] = []
-    ring_j: list[int] = []
-
-    lat_tree = cKDTree(np.column_stack([nodes[0].real, nodes[0].imag]))
-
     if refine_punctures:
-        n_ang = 16
         for p in domain.punctures:
-            ring_ids = []
-            ring_pos = {}
-            for ring in _puncture_rings(p, spacing):
-                keep = domain.contains(ring)
-                ids = np.full(len(ring), -1, dtype=int)
-                ids[keep] = next_id + np.arange(int(keep.sum()))
-                next_id += int(keep.sum())
-                nodes.append(ring[keep])
-                lattice_ij.append(np.full((int(keep.sum()), 2), -1, dtype=int))
-                ring_pos.update(zip(ids[keep], ring[keep]))
-                ring_ids.append(ids)
-            for level, ids in enumerate(ring_ids):
-                for k in range(n_ang):
-                    if ids[k] < 0:
-                        continue
-                    nxt = ids[(k + 1) % n_ang]
-                    if nxt >= 0:
-                        ring_i.append(ids[k])
-                        ring_j.append(nxt)
-                    if level + 1 < len(ring_ids):
-                        for dk in (-1, 0, 1):
-                            down = ring_ids[level + 1][(k + dk) % n_ang]
-                            if down >= 0:
-                                ring_i.append(ids[k])
-                                ring_j.append(down)
-            if ring_ids:
-                for nid in ring_ids[0][ring_ids[0] >= 0]:
-                    w = ring_pos[nid]
-                    for q in lat_tree.query_ball_point([w.real, w.imag], 2.5 * spacing):
-                        ring_i.append(nid)
-                        ring_j.append(q)
-                puncture_src.extend(int(v) for v in ring_ids[-1] if v >= 0)
-    edges_i.append(np.asarray(ring_i, dtype=int))
-    edges_j.append(np.asarray(ring_j, dtype=int))
+            rings = _puncture_rings(p, spacing)
+            keep = domain.contains(rings)
+            ids = np.full(rings.shape, -1, dtype=int)
+            ids[keep] = next_id + np.arange(int(keep.sum()))  # ring by ring
+            next_id += int(keep.sum())
+            nodes.append(rings[keep])
+            # each ring node links to its successor, then to the three nodes one ring in
+            inner = np.vstack([ids[1:], np.full_like(ids[:1], -1)])
+            to = np.stack([np.roll(ids, -1, axis=1), np.roll(inner, 1, axis=1), inner,
+                           np.roll(inner, -1, axis=1)], axis=2)
+            frm = np.broadcast_to(ids[:, :, None], to.shape)
+            linked = (frm >= 0) & (to >= 0)
+            edges_i.append(frm[linked])
+            edges_j.append(to[linked])
+            # the outermost ring, absent below the core radius, links to the lattice
+            k, q = _near_lattice(zz, id_grid, spacing, rings[:1][keep[:1]], 2.5 * spacing)
+            edges_i.append(ids[:1][keep[:1]][k])
+            edges_j.append(q)
+            puncture_src.extend(ids[-1:][keep[-1:]])
 
     ghosts = domain.rim(BOUNDARY_INSET_FRACTION, spacing / 2.0)
     ghost_start = next_id
-    next_id += len(ghosts)
     nodes.append(ghosts)
-    lattice_ij.append(np.full((len(ghosts), 2), -1, dtype=int))
-    pairs = lat_tree.query_ball_point(
-        np.column_stack([ghosts.real, ghosts.imag]), 2.2 * spacing
-    )
-    gi = []
-    gj = []
-    for k, near in enumerate(pairs):
-        for q in near:
-            gi.append(ghost_start + k)
-            gj.append(q)
-    edges_i.append(np.array(gi, dtype=int))
-    edges_j.append(np.array(gj, dtype=int))
+    k, q = _near_lattice(zz, id_grid, spacing, ghosts, 2.2 * spacing)
+    edges_i.append(ghost_start + k)
+    edges_j.append(q)
 
     all_nodes = np.concatenate(nodes)
-    all_ij = np.concatenate(lattice_ij, axis=0)
+    all_ij = np.full((len(all_nodes), 2), -1, dtype=int)  # off-lattice nodes keep -1
+    all_ij[:n_lat] = np.stack([ii[inside] - i_lo, jj[inside] - j_lo], axis=1)
     ei = np.concatenate(edges_i).astype(int)
     ej = np.concatenate(edges_j).astype(int)
 
@@ -372,6 +361,10 @@ def build_mesh(
     is not kept.  The returned mesh shares the kept arrays, which are
     read-only; only ``weights`` is its own.  The resolution and the lattice
     size are checked on every call, before the cache is read.
+
+    Ghost and ring nodes list their lattice neighbours by ascending id.  The
+    edge order moves the BFS tree of ``spanning_tree`` but no distance; ring
+    nodes exist only with ``refine_punctures`` on a punctured domain.
     """
     lattice = _lattice_box(domain, resolution)
     # float and complex reprs round-trip, so the key tells 1 from 1.0 and

@@ -76,7 +76,11 @@ class _DomainBase:
 
     punctures: tuple
 
-    def _validate_punctures(self):
+    def _validate(self):
+        """Refuse a region whose size is not finite, then normalise and check
+        the punctures."""
+        if not math.isfinite(self.diameter()):
+            raise ValueError(f"the {self.kind} domain is not of finite size")
         ps = tuple(complex(p) for p in self.punctures)
         object.__setattr__(self, "punctures", ps)
         for idx, p in enumerate(ps):
@@ -131,7 +135,7 @@ class Disk(_DomainBase):
         if not self.radius > 0:
             raise ValueError("disk radius must be positive")
         object.__setattr__(self, "center", complex(self.center))
-        self._validate_punctures()
+        self._validate()
 
     def contains(self, z, margin: float = 0.0):
         return abs(z - self.center) < self.radius - margin
@@ -165,7 +169,7 @@ class Annulus(_DomainBase):
         if not (0 < self.r_inner < self.r_outer):
             raise ValueError("annulus requires 0 < r_inner < r_outer")
         object.__setattr__(self, "center", complex(self.center))
-        self._validate_punctures()
+        self._validate()
 
     def contains(self, z, margin: float = 0.0):
         r = abs(z - self.center)
@@ -212,7 +216,7 @@ class Rectangle(_DomainBase):
             and self.corner_min.imag < self.corner_max.imag
         ):
             raise ValueError("rectangle corners must span a nonempty region")
-        self._validate_punctures()
+        self._validate()
 
     def contains(self, z, margin: float = 0.0):
         return (
@@ -274,7 +278,7 @@ class TruncatedPlane(_DomainBase):
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("truncation radius must be positive")
-        self._validate_punctures()
+        self._validate()
 
     def contains(self, z, margin: float = 0.0):
         return abs(z) < self.radius - margin
@@ -472,17 +476,25 @@ def _point_values(t: MTriple, z: complex, slope: bool) -> tuple:
     return tuple(v.value for v in vals)
 
 
+# Python's float ``**`` and complex ``abs`` raise OverflowError where numpy's
+# give inf, which the array evaluators repair; at a point it is an EvalError
 def metric_density(t: MTriple, z: complex) -> float:
     """Metric density (1 + |g|^2)^(m/2) |f| at a point, finite across g-poles."""
-    return _density_of(*_point_values(t, z, slope=False), t.m)
+    try:
+        return _density_of(*_point_values(t, z, slope=False), t.m)
+    except OverflowError as exc:
+        raise EvalError(f"metric density overflows at z={z}") from exc
 
 
 def curvature(t: MTriple, z: complex) -> float:
     """Closed-form Gaussian curvature; nonpositive, zero where g' vanishes."""
-    gv, fv, gd = _point_values(t, z, slope=True)
-    if fv == 0:
-        raise EvalError(f"f vanishes at z={z}; metric is degenerate there")
-    return _curvature_of(gv, fv, gd, t.m)
+    try:
+        gv, fv, gd = _point_values(t, z, slope=True)
+        if fv == 0:
+            raise EvalError(f"f vanishes at z={z}; metric is degenerate there")
+        return _curvature_of(gv, fv, gd, t.m)
+    except OverflowError as exc:
+        raise EvalError(f"curvature overflows at z={z}") from exc
 
 
 def metric_density_array(t: MTriple, zs) -> np.ndarray:

@@ -44,7 +44,7 @@ from .expr import (
     is_rational,
     rational_form,
 )
-from .geodesy import MeshedDomain, MeshError, _write_csv
+from .geodesy import MeshedDomain, MeshError, _require_grid_points, _write_csv
 from .mtriple import (
     DomainSpec,
     MTriple,
@@ -455,12 +455,16 @@ def _rk4_edges(
     max(1, ceil(|zb - za| / step)) RK4 steps with the forms sampled at the
     step ends and midpoints, and all segments are stepped together: sorted
     by step count, a segment leaves the batch once its steps are done.
-    Every value is rounded as when one segment is stepped on its own.
+    Every value is rounded as when one segment is stepped on its own.  The
+    k (2 * most + 1) samples, 64 bytes each, are counted first and refused
+    past ``MAX_GRID_POINTS`` as an ``ArgumentError`` on ``step``.
     """
     delta = zb - za
     # np.hypot is libm's hypot, as Python's abs(complex); numpy's complex abs
     # can differ in the last bit, which moves ceil() at an exact multiple
-    n = np.maximum(1, np.ceil(np.hypot(delta.real, delta.imag) / step)).astype(np.intp)
+    n = np.maximum(1, np.ceil(np.hypot(delta.real, delta.imag) / step))
+    _require_grid_points(len(n) * (2 * n.max() + 1), "step")
+    n = n.astype(np.intp)
     by_steps = np.argsort(-n, kind="stable")
     n, za, delta = n[by_steps], za[by_steps], delta[by_steps]
     k, most = len(n), int(n[0])

@@ -569,3 +569,47 @@ def test_integral_float_resolution_runs_like_the_integer(tmp_path):
         reports.append((out / "report.json").read_bytes())
     assert json.loads(reports[0])["estimate"]["resolution"] == 40
     assert reports[0] == reports[1]
+
+
+_FLAT_FRONT = {"class": "flat_front", "omega": "1", "theta": "z/4", "domain": DISK,
+               "resolution": 20, "exports": []}
+
+
+@pytest.mark.parametrize(
+    "group, action, cfg, pointer",
+    [
+        # the default radius 2 max|alpha| overflows to inf
+        ("example", "optimal", {"m": 1, "alphas": [[1e308, 0], [0, 0]]}, "/alphas"),
+        ("estimate", "verify", dict(_ESTIMATE, triple=dict(_ESTIMATE["triple"], m=10**7)),
+         "/triple/m"),
+        # 2 * 10^10 RK4 samples at the library's step of 1e-3
+        ("surface", "periods", dict(_FLAT_FRONT, cycles=[[[0, 0], [1e7, 0]]], step=0.02),
+         "/cycles/0"),
+        ("surface", "synth", dict(_FLAT_FRONT, step=1e-9), "/step"),
+        ("triple", "curvature", {"triple": _TRIPLE, "points": [[1e308, 0]]}, "/points/0"),
+        ("triple", "curvature", {"triple": _TRIPLE, "points": [[0.1, 0], [3, 0]]}, "/points/1"),
+    ],
+    ids=["alpha-1e308", "m-1e7", "cycle-1e7", "step-1e-9", "point-1e308", "point-outside"],
+)
+def test_magnitude_the_numerics_cannot_hold_is_schema_error(
+    tmp_path, capsys, group, action, cfg, pointer
+):
+    _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer)
+
+
+def test_refined_estimate_leaves_scipy_spatial_unimported(tmp_path):
+    cfg = {"triple": _COMPLETENESS["triple"], "property": {"omits": [[1, 0], [-1, 0], "inf"]},
+           "resolution": 40}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = ["estimate", "verify", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    code = (
+        "import sys\n"
+        "from mtriples import geodesy\n"
+        "from mtriples.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "rings = [bool(t['puncture_adjacent'].any()) for t in geodesy._topologies.values()]\n"
+        "print(rc, rings, 'scipy.spatial' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "0 [True] False", proc.stderr

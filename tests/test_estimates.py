@@ -92,6 +92,12 @@ class TestCurvatureConstant:
     def test_absent_for_omission(self):
         assert curvature_constant(Omits((ExtComplex(0j), ExtComplex(1 + 0j), INFINITY)), 1) is None
 
+    def test_overflow_is_an_argument_error_on_m(self):
+        for L, m in ((1.0, 10**7), (1e200, 1)):
+            with pytest.raises(ArgumentError, match="overflows") as refused:
+                curvature_constant(Bounded(L), m)
+            assert refused.value.name == "m"
+
     def test_monotone_in_limit_and_m(self):
         for m in (1, 2, 3):
             vals = [curvature_constant(Bounded(L), m) for L in (0.5, 1.0, 2.0, 4.0)]

@@ -427,7 +427,8 @@ def _reference_build_mesh(domain, density, resolution, refine_punctures=True):
             if ring_ids:
                 for nid in ring_ids[0][ring_ids[0] >= 0]:
                     w = ring_pos[nid]
-                    for q in lat_tree.query_ball_point([w.real, w.imag], 2.5 * spacing):
+                    # ascending id, as build_mesh lists a ring node's lattice neighbours
+                    for q in sorted(lat_tree.query_ball_point([w.real, w.imag], 2.5 * spacing)):
                         ring_i.append(nid)
                         ring_j.append(q)
                 puncture_src.extend(int(v) for v in ring_ids[-1] if v >= 0)
@@ -701,3 +702,64 @@ class TestTopologyCache:
             with pytest.raises(ArgumentError, match="below 8") as refused:
                 build_mesh(Disk(0, 1.0), ONES, res)
             assert refused.value.name == "resolution"
+
+
+# ---------------------------------------------------------------------------
+# Lattice neighbour search
+# ---------------------------------------------------------------------------
+
+
+def _lattice(anchor, spacing, shape, rng, off=0.2):
+    """Positions, row-major ids and on-mesh positions of a lattice with a
+    random fraction ``off`` of its cells off the mesh."""
+    ii, jj = np.meshgrid(np.arange(shape[0]) - 3, np.arange(shape[1]) - 5, indexing="ij")
+    zz = anchor + (ii + 1j * jj) * spacing
+    on = rng.random(shape) >= off
+    id_grid = np.full(shape, -1)
+    id_grid[on] = np.arange(int(on.sum()))
+    return zz, id_grid, zz[on]
+
+
+def _kd_tree_pairs(lattice, points, radius):
+    """(point index, node id) pairs of a sorted KD-tree ball query."""
+    tree = cKDTree(np.column_stack([lattice.real, lattice.imag]))
+    near = tree.query_ball_point(np.column_stack([points.real, points.imag]), radius,
+                                 return_sorted=True)
+    k = np.repeat(np.arange(len(near)), [len(q) for q in near])
+    return k, np.concatenate([np.asarray(q, dtype=int) for q in near])
+
+
+def _assert_same_pairs(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
+
+
+class TestNearLattice:
+    @pytest.mark.parametrize("factor", [2.2, 2.5, 5.0], ids=["ghost", "ring", "wide"])
+    @pytest.mark.parametrize("anchor, spacing", [(0.5 - 0.25j, 0.25), (0.1 + 0.3j, 2.0 / 37)],
+                             ids=["dyadic", "disk-like"])
+    def test_matches_kd_tree_ball_query(self, anchor, spacing, factor):
+        rng = np.random.default_rng(5)
+        zz, id_grid, lattice = _lattice(anchor, spacing, (30, 24), rng)
+        radius = factor * spacing
+        middle = zz[15, 12]
+        # ghost-like rims, the wider one partly off the lattice box
+        rims = [Disk(middle, r * spacing).rim(geodesy.BOUNDARY_INSET_FRACTION, spacing / 2)
+                for r in (10, 20)]
+        ring = geodesy._puncture_rings(middle + 0.3 * spacing, spacing)[0]
+        # one query radius from a node along the axes, the diagonals and a 3-4-5 slope
+        nodes = lattice[rng.choice(lattice.size, 30)]
+        slopes = np.concatenate([np.exp(0.25j * np.pi * np.arange(8)), [(3 + 4j) / 5]])
+        ties = (nodes[:, None] + radius * slopes).ravel()
+        points = np.concatenate(rims + [ring, ties])
+        got = geodesy._near_lattice(zz, id_grid, spacing, points, radius)
+        _assert_same_pairs(got, _kd_tree_pairs(lattice, points, radius))
+
+    def test_keeps_a_node_exactly_one_radius_away(self):
+        # on a dyadic lattice these distances are exact: 3, 4 and 5 quarter steps
+        zz, id_grid, lattice = _lattice(0.5 - 0.25j, 0.25, (20, 20), np.random.default_rng(1), off=0)
+        node, node_id = zz[10, 10], id_grid[10, 10]
+        points = np.array([node + 1.25, node + (0.75 + 1j), node - 1.25j, node + 1.25 + 1e-12])
+        k, q = geodesy._near_lattice(zz, id_grid, 0.25, points, 1.25)
+        assert [node_id in q[k == p] for p in range(4)] == [True, True, True, False]
+        _assert_same_pairs((k, q), _kd_tree_pairs(lattice, points, 1.25))

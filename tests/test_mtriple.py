@@ -64,6 +64,16 @@ class TestDomains:
         with pytest.raises(ValueError):
             Rectangle(1 + 1j, 1 + 2j)
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Disk(0, math.inf), lambda: Disk(0, 1e308), lambda: TruncatedPlane(2e308),
+         lambda: Annulus(0, 1.0, math.inf), lambda: Rectangle(-1e308, 1e308 + 1j)],
+        ids=["disk-inf", "disk-1e308", "plane-inf", "annulus-inf", "rectangle-wide"],
+    )
+    def test_size_that_is_not_finite_is_refused(self, make):
+        with pytest.raises(ValueError, match="not of finite size"):
+            make()
+
     def test_containment(self):
         ann = Annulus(0, 0.5, 2.0)
         assert ann.contains(1.0)
@@ -193,6 +203,17 @@ class TestMetricDensity:
                 k = curvature(t, r)
                 assert abs(lam - at_pole_lam) < 1e-6
                 assert abs(k - at_pole_k) < 1e-6 * abs(at_pole_k)
+
+    def test_overflow_at_a_point_is_an_eval_error(self):
+        # (1 + 1/4)^(5 * 10^6) overflows a float; the array path gives inf and
+        # repairs it with the point evaluator
+        t = make_triple(Disk(0, 1.0), "1", "z/2", 10**7)
+        for at_point in (metric_density, curvature):
+            with pytest.raises(EvalError, match="overflows"):
+                at_point(t, 0.5)
+        with pytest.raises(EvalError, match="overflows"):
+            metric_density_array(t, np.array([0.0, 0.5]))
+        assert metric_density(t, 0) == 1.0
 
     def test_vectorized_matches_scalar(self):
         t = make_triple(Disk(0, 2.0), "z", "1/z", 1)

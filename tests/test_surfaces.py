@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mtriples import surfaces
-from mtriples.expr import Add, Const, EvalError, Mul, Pow, Sub, Z
+from mtriples.expr import Add, ArgumentError, Const, EvalError, Mul, Pow, Sub, Z
 from mtriples.geodesy import build_mesh
 from mtriples.mtriple import Annulus, Disk, Rectangle, TruncatedPlane
 from mtriples.quadrature import simpson_segments
@@ -331,6 +331,16 @@ class TestFlatFront:
             synth_flatfront(data, mesh, step=step)
         with pytest.raises(ValueError, match="step"):
             period_residuals(data, [0.5, 0.5j, -0.5], step=step)
+
+    def test_samples_past_the_cap_are_refused_before_allocation(self):
+        data = FlatFrontData("1", "z/4", Disk(0, 1.0), 0j)
+        # 2 * 10^10 + 1 samples of 64 bytes: 1.16 TiB if allocated
+        with pytest.raises(ArgumentError, match="past the cap") as refused:
+            period_residuals(data, [0j, 1e7 + 0j], step=1e-3)
+        assert refused.value.name == "step"
+        mesh = build_mesh(data.domain, ONES, 20)
+        with pytest.raises(ArgumentError, match="past the cap"):
+            synth_flatfront(data, mesh, step=1e-9)
 
     def test_cycle_through_a_pole_raises(self):
         dom = Disk(0, 1.0, punctures=(0j,))
