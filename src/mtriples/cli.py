@@ -42,12 +42,7 @@ from .estimates import (
     zalcman_rescale,
 )
 from .expr import ArgumentError, ExtComplex, INFINITY, parse_mero, to_source
-from .geodesy import (
-    build_mesh,
-    completeness_probe,
-    write_edges_csv,
-    write_nodes_csv,
-)
+from .lengths import completeness_probe
 from .mtriple import (
     Annulus,
     Disk,
@@ -63,21 +58,9 @@ from .mtriple import (
     make_triple,
 )
 from .reporting import ReportValueError, canonical_json, config_hash, emit_report, encode_report
-from .surfaces import (
-    FlatFrontData,
-    ImproperAffineData,
-    MaxfaceData,
-    MinimalData,
-    export_mesh,
-    gauss_normal_check,
-    immersion_check,
-    period_residuals,
-    singular_locus,
-    synth_flatfront,
-    synth_improper_affine,
-    synth_maxface,
-    synth_minimal,
-)
+
+# geodesy (which imports scipy) and surfaces are imported by the handlers
+# that mesh or synthesize, so the other actions never load them
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -257,6 +240,8 @@ def property_from_json(cfg, pointer: str):
 def _mesh(domain, density, resolution: int, refine: bool):
     """``build_mesh``, with a resolution below 8 or a lattice past the point cap
     refused at ``/resolution``."""
+    from .geodesy import build_mesh
+
     return _probe(build_mesh, {"resolution": "/resolution"}, domain, density, resolution, refine)
 
 
@@ -313,19 +298,23 @@ def _handle_estimate(action: str, cfg: dict, opts) -> tuple[dict, bool]:
 
 
 _EXPORT_FILES = {"obj": "mesh.obj", "ply": "mesh.ply", "csv": "vertices.csv", "json": "surface.json"}
-_SURFACE_CLASSES = {
-    cls.kind: (cls, synth)
-    for cls, synth in ((MinimalData, synth_minimal), (MaxfaceData, synth_maxface),
-                       (ImproperAffineData, synth_improper_affine), (FlatFrontData, synth_flatfront))
-}
 
 
 def _surface_data(cfg: dict):
     """Decode the surface data; its two expressions are the class's first two fields."""
+    from .surfaces import (FlatFrontData, ImproperAffineData, MaxfaceData, MinimalData,
+                           synth_flatfront, synth_improper_affine, synth_maxface, synth_minimal)
+
+    classes = {
+        cls.kind: (cls, synth)
+        for cls, synth in ((MinimalData, synth_minimal), (MaxfaceData, synth_maxface),
+                           (ImproperAffineData, synth_improper_affine),
+                           (FlatFrontData, synth_flatfront))
+    }
     cls_name = _need(cfg, "class", "")
-    if not isinstance(cls_name, str) or cls_name not in _SURFACE_CLASSES:
+    if not isinstance(cls_name, str) or cls_name not in classes:
         raise ConfigError("/class", f"unknown surface class {cls_name!r}")
-    cls, synth = _SURFACE_CLASSES[cls_name]
+    cls, synth = classes[cls_name]
     domain = domain_from_json(_need(cfg, "domain", ""), "/domain")
     base = _as_complex(cfg.get("base_point", 0), "/base_point")
     names = [f.name for f in dataclasses.fields(cls)[:2]]
@@ -338,6 +327,8 @@ def _surface_data(cfg: dict):
 
 
 def _period_rows(data, cycles) -> list:
+    from .surfaces import period_residuals
+
     rows = []
     for k, cycle in enumerate(_as_list(cycles, "/cycles")):
         at = f"/cycles/{k}"
@@ -350,6 +341,8 @@ def _period_rows(data, cycles) -> list:
 
 
 def _handle_surface(action: str, cfg: dict, opts) -> tuple[dict, bool]:
+    from .surfaces import export_mesh, gauss_normal_check, immersion_check, singular_locus
+
     cls_name, data, synth = _surface_data(cfg)
     out: dict = {"class": cls_name, "domain": domain_to_json(data.domain)}
     if action == "periods":
@@ -379,6 +372,8 @@ def _handle_surface(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     else:
         out["singular_locus"] = singular_locus(data, mesh)
     out["periods"] = _period_rows(data, cfg.get("cycles", []))
+    from .geodesy import write_edges_csv, write_nodes_csv
+
     outdir = Path(opts.out)
     for fmt in formats:
         export_mesh(surface, fmt, outdir / _EXPORT_FILES[fmt])
@@ -411,7 +406,8 @@ def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         radius = _as_positive(_need(region_cfg, "radius", "/region"), "/region/radius")
         grid = _as_positive_int(cfg.get("grid", 120), "/grid")
         args = (members.__getitem__, indices, Disk(center, radius), grid, template)
-        rep = _probe(marty_sup, {"grid": "/grid"}, *args)
+        pointers = {"grid": "/grid", **{f"indices/{k}": f"/indices/{k}" for k in range(len(indices))}}
+        rep = _probe(marty_sup, pointers, *args)
         return {"marty": rep}, True
     if action == "zalcman":
         h = _as_expr(_need(cfg, "h", ""), "/h")

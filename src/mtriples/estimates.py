@@ -12,8 +12,9 @@ verifier never fabricates one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .expr import (
     ExtComplex,
     MeroExpr,
     Mul,
+    OrderUndeterminedError,
     Sub,
     Z,
     chordal,
@@ -37,8 +39,11 @@ from .expr import (
     _div,
     _mul,
 )
-from .geodesy import MeshedDomain, MeshError, boundary_distance_field, _require_grid_points
+from .lengths import MeshError, _require_grid_points
 from .mtriple import Disk, MTriple, TruncatedPlane, curvature_array, make_triple
+
+if TYPE_CHECKING:  # geodesy imports scipy; the probes here build no mesh
+    from .geodesy import MeshedDomain
 
 __all__ = [
     "Bounded",
@@ -194,6 +199,8 @@ def verify_estimate(
     mesh: MeshedDomain,
 ) -> EstimateReport:
     """sup over interior nodes of |K| d^2 against the squared constant."""
+    from .geodesy import boundary_distance_field
+
     check = property_check(triple.g, prop, mesh)
     if not check.verdict:
         raise PropertyViolation(
@@ -340,18 +347,30 @@ def marty_sup(
     """Per-member supremum of the spherical gradient over a compact disk.
 
     Local boundedness of these suprema characterizes normality, so the
-    log-log slope across the family indices is the growth verdict.
+    log-log slope across the family indices is the growth verdict.  An index
+    past the largest float (the fit takes its log), or a member whose
+    gradient cannot be evaluated on the grid or overflows there, is an
+    ``ArgumentError`` named ``indices/k`` after its position ``k``.
     """
     idx = [int(n) for n in indices]
     if any(n < 1 for n in idx):
         raise ValueError("indices must be positive")
     pts = _disk_grid(region.center, region.radius, grid)
     sups = []
-    for n in idx:
-        e = family(n)
-        sups.append(float(np.max(spherical_gradient_array(e, pts))))
+    for k, n in enumerate(idx):
+        if n > sys.float_info.max:
+            raise ArgumentError(f"indices/{k}", "index past the largest float")
+        try:
+            sup = float(np.max(spherical_gradient_array(family(n), pts)))
+        except (EvalError, OrderUndeterminedError, ArithmeticError) as exc:
+            # ArithmeticError: CPython's complex ** raises OverflowError or, on
+            # a huge exponent, ZeroDivisionError
+            raise ArgumentError(f"indices/{k}", f"member {k} cannot be sampled: {exc}") from exc
+        if not math.isfinite(sup):
+            raise ArgumentError(f"indices/{k}", f"the spherical gradient of member {k} overflows")
+        sups.append(sup)
     if len(idx) >= 2 and min(sups) > 0:
-        slope = float(np.polyfit(np.log(idx), np.log(sups), 1)[0])
+        slope = float(np.polyfit(np.log(np.asarray(idx, dtype=float)), np.log(sups), 1)[0])
     else:
         slope = 0.0
     verdict = "unbounded-growth" if slope > MARTY_GROWTH_THRESHOLD else "bounded"

@@ -1,0 +1,236 @@
+"""Conformal lengths that need no mesh graph, and what meshing shares with
+the rest of the package.
+
+Path lengths along polylines, completeness probes (truncated radial length
+integrals with a log-divergence fit) and the hyperbolic reference distance
+are adaptive-Simpson integrals and closed forms; the point cap that every
+lattice, probe grid and RK4 batch obeys, ``MeshError`` and the CSV writer
+are shared with ``geodesy``, ``estimates`` and ``surfaces``.  This module
+does not import scipy, so the actions that build no mesh never load it;
+``geodesy`` re-exports every public name here.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
+
+from .expr import ArgumentError
+from .mtriple import DomainSpec, MTriple, segment_point_dist
+from .quadrature import QuadratureError, simpson_segments
+
+__all__ = [
+    "MeshError",
+    "MAX_GRID_POINTS",
+    "CompletenessReport",
+    "path_length",
+    "completeness_probe",
+    "hyperbolic_distance",
+    "poincare_density",
+]
+
+# The most points a mesh lattice, a probe grid or one batch of RK4 samples
+# may have, refused before anything is allocated: resolution 400, the largest
+# in use, puts 403^2 = 162,409 points on a square bounding box, and
+# resolution 2*10^4 would ask numpy for 4*10^8.
+MAX_GRID_POINTS = 1_000_000
+
+
+class MeshError(ValueError):
+    pass
+
+
+def _require_grid_points(n: float, name: str) -> None:
+    """Refuse a lattice of at least ``n`` points past ``MAX_GRID_POINTS``;
+    ``name`` is the parameter that sets its size."""
+    if n > MAX_GRID_POINTS:
+        raise ArgumentError(name, f"at least {n:.0f} grid points, past the cap of {MAX_GRID_POINTS}")
+
+
+def _as_density(density: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """``density`` as a real array callable that keeps its input's shape."""
+
+    def fvec(zs: np.ndarray) -> np.ndarray:
+        arr = np.asarray(density(zs), dtype=float)
+        if arr.shape != np.shape(zs):
+            raise MeshError(
+                f"density returned shape {arr.shape} for points of shape {np.shape(zs)}; "
+                "it must be vectorized"
+            )
+        return arr
+
+    return fvec
+
+
+def path_length(density: Callable, polyline: Sequence[complex], rel_tol: float = 1e-10) -> float:
+    """Adaptive-Simpson conformal length of a polyline."""
+    pts = np.asarray([complex(p) for p in polyline], dtype=complex)
+    if pts.size < 2:
+        return 0.0
+    fvec = _as_density(density)
+    vals = simpson_segments(
+        lambda zs: fvec(zs).astype(complex), pts[:-1], pts[1:], rel_tol=rel_tol
+    )
+    # integral of a real density against |dz|
+    return float(np.sum(np.abs(vals)))
+
+
+# ---------------------------------------------------------------------------
+# Completeness probes
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CompletenessReport:
+    target: str
+    eps_levels: tuple
+    lengths: tuple
+    model: str  # "log" or "power"
+    slope: float
+    intercept: float
+    residual: float
+    stable: bool
+    divergence_evidence: bool
+
+
+def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    A = np.vstack([xs, np.ones_like(xs)]).T
+    sol, *_ = np.linalg.lstsq(A, ys, rcond=None)
+    resid = float(np.sqrt(np.mean((A @ sol - ys) ** 2)))
+    return float(sol[0]), float(sol[1]), resid
+
+
+def _infinity_direction(domain: DomainSpec, anchor: complex) -> complex:
+    """Outward ray direction staying as far as possible from punctures."""
+    best, best_gap = 1.0 + 0j, -1.0
+    for k in range(64):
+        u = np.exp(1j * (2 * math.pi * k / 64 + 0.02))
+        gap = math.inf
+        for p in domain.punctures:
+            t = max(((p - anchor) * np.conj(u)).real, 0.0)
+            gap = min(gap, abs(anchor + t * u - p))
+        if gap > best_gap:
+            best_gap, best = gap, u
+    return complex(best)
+
+
+def completeness_probe(
+    triple: MTriple,
+    target,
+    eps_levels: Sequence[float],
+    anchor: complex | None = None,
+) -> CompletenessReport:
+    """Truncated radial length integrals toward a puncture, boundary point,
+    or infinity, with a log-divergence fit.
+
+    The verdict is evidence, not proof: it requires a positive fitted slope,
+    agreement within 10% between the fits with and without the last level,
+    and a final-decade increment consistent with the fitted slope.
+    """
+    eps = [float(e) for e in eps_levels]
+    if len(eps) < 2:
+        raise ArgumentError("eps_levels", "need at least two eps levels for the fit")
+    if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
+        raise ArgumentError("eps_levels", "eps_levels must be strictly decreasing")
+    if eps[-1] < 1e-8:
+        raise ArgumentError("eps_levels", "smallest eps must be >= 1e-8")
+    if anchor is None:
+        anchor = triple.domain.anchor()
+    anchor = complex(anchor)
+
+    dens = lambda zs: triple.density(zs).astype(complex)
+
+    if isinstance(target, str) and target in ("inf", "infinity"):
+        u = _infinity_direction(triple.domain, anchor)
+        stops = [anchor] + [anchor + u / e for e in eps]
+        label = "infinity"
+    else:
+        tgt = complex(target)
+        gap = abs(tgt - anchor)
+        if gap <= max(eps):
+            raise ArgumentError("target", "anchor too close to the probe target")
+        u = (tgt - anchor) / gap
+        for p in triple.domain.punctures:
+            if abs(p - tgt) > 1e-9 and segment_point_dist(
+                np.array([anchor]), np.array([tgt]), p
+            )[0] < 1e-3:
+                raise ArgumentError(
+                    "target", "probe path passes another puncture; choose a different anchor"
+                )
+        stops = [anchor] + [tgt - e * u for e in eps]
+        is_puncture = triple.domain.puncture_gap(tgt) < 1e-9
+        label = f"{'puncture' if is_puncture else 'boundary'} {tgt}"
+
+    lengths = []
+    total = 0.0
+    for a, b in zip(stops, stops[1:]):
+        seg = simpson_segments(dens, np.array([a]), np.array([b]), rel_tol=1e-9)
+        piece = float(abs(seg[0]))
+        if not math.isfinite(piece):
+            raise QuadratureError("length integrand overflowed before truncation")
+        total += piece
+        lengths.append(total)
+
+    xs = np.log(1.0 / np.asarray(eps))
+    ys = np.asarray(lengths)
+    slope, intercept, resid = _fit_line(xs, ys)
+    slope_prev, _, _ = _fit_line(xs[:-1], ys[:-1])
+    stable = abs(slope - slope_prev) <= 0.1 * max(abs(slope), 1e-12)
+    last_inc = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    evidence = bool(slope > 0 and stable and last_inc >= 0.5 * slope)
+
+    model = "log"
+    if ys.min() > 0:
+        p_slope, p_int, p_resid = _fit_line(xs, np.log(ys))
+        # strongly super-logarithmic growth is better described as a power law
+        if p_slope > 0.5 and p_resid * abs(np.log(ys).mean() or 1.0) < resid / max(ys.mean(), 1e-30):
+            model = "power"
+    return CompletenessReport(
+        target=label,
+        eps_levels=tuple(eps),
+        lengths=tuple(float(v) for v in lengths),
+        model=model,
+        slope=slope,
+        intercept=intercept,
+        residual=resid,
+        stable=stable,
+        divergence_evidence=evidence,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Hyperbolic reference distance
+# ---------------------------------------------------------------------------
+
+
+def poincare_density(zs) -> np.ndarray:
+    """Density 2/(1-|z|^2) of the curvature -1 metric on the unit disk."""
+    zs = np.asarray(zs, dtype=complex)
+    return 2.0 / (1.0 - np.abs(zs) ** 2)
+
+
+def hyperbolic_distance(z1: complex, z2: complex) -> float:
+    """Distance in the curvature -1 metric; d(0, z) = log((1+|z|)/(1-|z|))."""
+    z1, z2 = complex(z1), complex(z2)
+    if abs(z1) >= 1 or abs(z2) >= 1:
+        raise ValueError("arguments must lie in the open unit disk")
+    delta = abs(z1 - z2) / abs(1 - z1.conjugate() * z2)
+    return math.log1p(delta) - math.log1p(-delta)
+
+
+# ---------------------------------------------------------------------------
+# CSV export
+# ---------------------------------------------------------------------------
+
+
+def _write_csv(path, header: list, columns: list) -> None:
+    """One row per entry of the equal-length ``columns``; ``.tolist()`` gives
+    plain Python numbers, so floats print as shortest round-trip decimals."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(zip(*(np.asarray(c).tolist() for c in columns)))

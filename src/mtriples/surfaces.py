@@ -26,7 +26,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import ClassVar, Optional, Sequence
+from typing import TYPE_CHECKING, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .expr import (
     is_rational,
     rational_form,
 )
-from .geodesy import MeshedDomain, MeshError, _require_grid_points, _write_csv
+from .lengths import MeshError, _require_grid_points, _write_csv
 from .mtriple import (
     DomainSpec,
     MTriple,
@@ -54,6 +54,9 @@ from .mtriple import (
     metric_density_array,
 )
 from .quadrature import QuadratureError, simpson_polyline, simpson_segments
+
+if TYPE_CHECKING:  # geodesy imports scipy; period residuals need no mesh
+    from .geodesy import MeshedDomain
 
 __all__ = [
     "MinimalData",

@@ -588,8 +588,21 @@ _FLAT_FRONT = {"class": "flat_front", "omega": "1", "theta": "z/4", "domain": DI
         ("surface", "synth", dict(_FLAT_FRONT, step=1e-9), "/step"),
         ("triple", "curvature", {"triple": _TRIPLE, "points": [[1e308, 0]]}, "/points/0"),
         ("triple", "curvature", {"triple": _TRIPLE, "points": [[0.1, 0], [3, 0]]}, "/points/1"),
+        # the member 1e308 z cannot be sampled: |f|^2 overflows
+        ("probe", "marty", dict(_MARTY, indices=[1, 1e308]), "/indices/1"),
+        # (1e308)^2 overflows in the derivative's constant folding
+        ("probe", "marty", dict(_MARTY, family="z/({n})", indices=[1, 1e308]), "/indices/1"),
+        # complex ** with an exponent of 1e308 raises ZeroDivisionError
+        ("probe", "marty", dict(_MARTY, family="z^{n}", indices=[1, 1e308]), "/indices/1"),
+        # on a tiny region only z = 0 keeps |f| <= 1, and 2 sqrt(2) n overflows there
+        ("probe", "marty", dict(_MARTY, indices=[1, 7e307], region={"radius": 1e-300}),
+         "/indices/1"),
+        # the member z^2 + 1/n samples fine, but log n has no float
+        ("probe", "marty", dict(_MARTY, family="z^2+1/({n})", indices=[1, 10**400]), "/indices/1"),
     ],
-    ids=["alpha-1e308", "m-1e7", "cycle-1e7", "step-1e-9", "point-1e308", "point-outside"],
+    ids=["alpha-1e308", "m-1e7", "cycle-1e7", "step-1e-9", "point-1e308", "point-outside",
+         "marty-index-1e308", "marty-divisor-1e308", "marty-exponent-1e308", "marty-gradient-inf",
+         "marty-index-1e400"],
 )
 def test_magnitude_the_numerics_cannot_hold_is_schema_error(
     tmp_path, capsys, group, action, cfg, pointer

@@ -239,6 +239,20 @@ class TestMarty:
             marty_sup(lambda n: Mul(Const(complex(n)), Z), [1, 2], self.REGION, grid=10**7)
         assert refused.value.name == "grid"
 
+    def test_member_that_cannot_be_sampled_is_refused_at_its_position(self):
+        # |f|^2 overflows for f = 1e308 z, and the pole-aware repair cannot
+        # resolve the reciprocal's derivative either
+        family = lambda n: Mul(Const(complex(n)), Z)
+        with pytest.raises(ArgumentError, match="cannot be sampled") as refused:
+            marty_sup(family, [1, int(1e308)], self.REGION, grid=20)
+        assert refused.value.name == "indices/1"
+
+    def test_index_past_the_largest_float_is_refused(self):
+        # every member samples fine, but log n of the second has no float
+        with pytest.raises(ArgumentError, match="largest float") as refused:
+            marty_sup(lambda n: parse_mero("z^2"), [2, 10**400], self.REGION, grid=20)
+        assert refused.value.name == "indices/1"
+
 
 class TestZalcman:
     def test_dilation_closed_form(self):
