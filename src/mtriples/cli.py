@@ -287,7 +287,7 @@ def _handle_estimate(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     # the property check stands off from them on its own
     mesh = _mesh(triple.domain, triple.density, resolution, refine=True)
     prop_report = property_check(triple.g, prop, mesh, delta)
-    est = verify_estimate(triple, prop, mesh)
+    est = verify_estimate(triple, prop, mesh, delta)
     out = {
         "triple": triple_to_json(triple),
         "property": prop_report,
@@ -398,7 +398,10 @@ def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
             raise ConfigError("/family", "expected an expression template with {n}")
         indices = _as_list(_need(cfg, "indices", ""), "/indices")
         indices = [_as_positive_int(n, f"/indices/{k}") for k, n in enumerate(indices)]
-        members = {n: _as_expr(template.replace("{n}", repr(n)), "/family") for n in indices}
+        _as_expr(template.replace("{n}", "1"), "/family")  # the template's own syntax
+        # a member that fails only past it is over a parser cap for its index
+        members = {n: _as_expr(template.replace("{n}", repr(n)), f"/indices/{k}")
+                   for k, n in enumerate(indices)}
         region_cfg = _need(cfg, "region", "")
         if not isinstance(region_cfg, dict):
             raise ConfigError("/region", "expected a region object")
@@ -510,6 +513,9 @@ def _error_object(kind: str, message: str, pointer: str | None = None) -> str:
     return canonical_json(obj)
 
 
+_TOO_DEEP = "config nests deeper than the interpreter's recursion limit"
+
+
 def main(argv=None) -> int:
     opts = _build_parser().parse_args(argv)
     try:
@@ -522,6 +528,9 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(_error_object("config", f"config is not valid JSON: {exc}"), file=sys.stderr)
         return EXIT_ERROR
+    except RecursionError:
+        print(_error_object("config", _TOO_DEEP), file=sys.stderr)
+        return EXIT_ERROR
     if not isinstance(cfg, dict):
         print(_error_object("config", "config root must be an object", "/"), file=sys.stderr)
         return EXIT_ERROR
@@ -529,6 +538,9 @@ def main(argv=None) -> int:
         cfg_sha256 = config_hash(cfg)
     except ReportValueError as exc:  # json.loads accepts NaN and overflows to inf
         print(_error_object("config", f"config is not canonical JSON: {exc}"), file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        print(_error_object("config", _TOO_DEEP), file=sys.stderr)
         return EXIT_ERROR
 
     try:
@@ -553,15 +565,18 @@ def main(argv=None) -> int:
         print(_error_object(type(exc).__name__, detail), file=sys.stderr)
         return EXIT_ERROR
 
-    report = encode_report(report)
-    report["tool"] = {"name": "mtriples", "version": __version__}
-    report["config_sha256"] = cfg_sha256
-    report["seed"] = seed
-    report["subcommand"] = f"{opts.group} {opts.action}"
     try:
+        report = encode_report(report)
+        report["tool"] = {"name": "mtriples", "version": __version__}
+        report["config_sha256"] = cfg_sha256
+        report["seed"] = seed
+        report["subcommand"] = f"{opts.group} {opts.action}"
         path = emit_report(report, Path(opts.out) / "report.json")
     except ReportValueError as exc:
         print(_error_object("report", str(exc)), file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:  # a config field echoed into the report nests as deep
+        print(_error_object("config", _TOO_DEEP), file=sys.stderr)
         return EXIT_ERROR
     except OSError as exc:
         print(_error_object("io", f"cannot write report: {exc}"), file=sys.stderr)

@@ -197,11 +197,13 @@ def verify_estimate(
     triple: MTriple,
     prop: PropertySpec,
     mesh: MeshedDomain,
+    delta: float = OMITS_DELTA_DEFAULT,
 ) -> EstimateReport:
-    """sup over interior nodes of |K| d^2 against the squared constant."""
+    """sup over interior nodes of |K| d^2 against the squared constant, once
+    ``g`` passes ``property_check`` at resolution ``delta``."""
     from .geodesy import boundary_distance_field
 
-    check = property_check(triple.g, prop, mesh)
+    check = property_check(triple.g, prop, mesh, delta)
     if not check.verdict:
         raise PropertyViolation(
             f"g violates the {check.kind} property at {check.witness} "
@@ -413,10 +415,13 @@ def zalcman_rescale(h: MeroExpr, searchgrid: int = 300) -> ZalcmanResult:
     s = 2.0 / searchgrid
     pts = (lattice * s).ravel()
     pts = pts[np.abs(pts) < 1.0 - 1e-9]
-    vals = _conformal_gradient_grid(h, pts)
+    try:
+        vals = _conformal_gradient_grid(h, pts)
+    except ArithmeticError as exc:  # CPython's complex ** overflows folding h's constants
+        raise ArgumentError("h", f"h cannot be sampled: {exc}") from exc
     z0 = complex(pts[int(np.argmax(vals))])
     if 1.0 - abs(z0) < 2.0 * s:
-        raise ValueError("gradient maximum sits on the rim; no interior rescaling point")
+        raise ArgumentError("h", "gradient maximum sits on the rim; no interior rescaling point")
 
     # local refinement so maximality at the center holds to high accuracy
     width = s
@@ -436,7 +441,7 @@ def zalcman_rescale(h: MeroExpr, searchgrid: int = 300) -> ZalcmanResult:
         h1 = h
     scale = spherical_gradient(h1, 0j)
     if scale <= 0:
-        raise ValueError("spherical gradient vanishes at the recentered origin")
+        raise ArgumentError("h", "spherical gradient vanishes at the recentered origin")
     rescaled = substitute(h1, _mul(Const(complex(1.0 / scale)), Z))
 
     grad0 = spherical_gradient(rescaled, 0j)

@@ -38,9 +38,12 @@ Python operator, as in a tree walk, so numpy scalars (0-d results) take
 numpy's scalar arithmetic rather than the ufunc.
 
 Expressions are immutable and every function is pure, so concurrent
-evaluation of shared expressions is safe.  A node keeps the program it was
-lowered to, so a tree evaluated again is not lowered again; two threads that
-lower the same tree at once store equal programs.
+evaluation of shared expressions is safe.  A node memoizes in three slots of
+its own: the program it was lowered to, its reciprocal tree and its
+derivative, so a tree evaluated, inverted or differentiated again does that
+work once.  A memo lives and dies with its node; no module-level cache keeps
+trees alive or hashes them.  Two threads that fill the same memo at once
+store equal values.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -106,6 +108,11 @@ _BIG = 1e6  # array entries past this magnitude are repaired point by point
 # accepted tree and on its derivative.
 _MAX_NESTING = 100
 _MAX_DEPTH = 120
+# Degree cap on rational expressions: root finding (np.roots) builds a d x d
+# companion matrix, and the grid cap of 10^6 points (lengths.MAX_GRID_POINTS)
+# bounds that at d = 1000.  Past it, the polynomial normal form alone would
+# take one polymul per unit of a huge exponent.
+_MAX_DEGREE = 1000
 
 
 class ParseError(ValueError):
@@ -180,8 +187,9 @@ INFINITY = ExtComplex(None)
 
 
 class _Node:
-    # the program a node was lowered to and its reciprocal tree, kept for the next evaluation
-    __slots__ = ("_program", "_reciprocal")
+    # the program a node was lowered to, its reciprocal tree and its derivative,
+    # kept for the next evaluation
+    __slots__ = ("_program", "_reciprocal", "_derivative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -442,6 +450,8 @@ def parse_mero(src: str) -> MeroExpr:
         raise ParseError(f"trailing input {tok[1]!r}", tok[2])
     if _lower(node)[2] > _MAX_DEPTH:
         raise ParseError(f"expression tree deeper than {_MAX_DEPTH} levels", 0)
+    if is_rational(node) and max(_run(_lower(node), _DEGREE_RULES, None)) > _MAX_DEGREE:
+        raise ParseError(f"rational expression of degree above {_MAX_DEGREE}", 0)
     return node
 
 
@@ -613,14 +623,40 @@ _POLY_RULES = {
 }
 
 
+def _sum_degree(_, __, a, b):
+    return max(a[0] + b[1], b[0] + a[1]), a[1] + b[1]
+
+
+# (numerator, denominator) degrees of the _POLY_RULES pair before numpy trims
+# leading zeros: an upper bound that holds with equality unless terms cancel
+_DEGREE_RULES = {
+    Const: lambda *_: (0, 0),
+    Var: lambda *_: (1, 0),
+    Neg: lambda _, __, a: a,
+    Add: _sum_degree,
+    Sub: _sum_degree,
+    Mul: lambda _, __, a, b: (a[0] + b[0], a[1] + b[1]),
+    Div: lambda _, __, a, b: (a[0] + b[1], a[1] + b[0]),
+    Pow: lambda _, n, a: (a[0] * n, a[1] * n) if n >= 0 else (-a[1] * n, -a[0] * n),
+}
+
+
 # ---------------------------------------------------------------------------
 # Differentiation
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def derivative(e: MeroExpr) -> MeroExpr:
-    """Exact symbolic d/dz; the result is again a grammar expression."""
+    """Exact symbolic d/dz; the result is again a grammar expression, kept
+    on the node for the next call."""
+    d = getattr(e, "_derivative", None)
+    if d is None:
+        d = _differentiate(e)
+        object.__setattr__(e, "_derivative", d)
+    return d
+
+
+def _differentiate(e: MeroExpr) -> MeroExpr:
     if isinstance(e, Const):
         return _ZERO
     if isinstance(e, Var):

@@ -4,7 +4,9 @@ The mesh is a weighted graph over lattice sample points with a 16-neighbor
 stencil (axis, diagonal and knight moves), a ghost ring of sources placed
 just inside the outer boundary, and optional geometric refinement rings
 around punctures.  Ghosts and ring nodes find their lattice neighbours in the
-lattice's id grid (``_near_lattice``).  Edge weights are conformal lengths of
+lattice's id grid (``_near_lattice``).  The mesh keeps that grid as
+``lattice``: lattice node ids run 0..n_lat-1 in row-major order, and the
+ring and ghost nodes follow them.  Edge weights are conformal lengths of
 the straight segments, so multi-source shortest paths overestimate the true
 geodesic distance to the boundary.  The overestimate comes from the
 stencil's directions, not from the spacing, so refinement does not remove
@@ -76,6 +78,12 @@ class MeshedDomain:
 
     A mesh from ``build_mesh`` shares every array but ``weights`` with the
     other meshes of its topology; those arrays are read-only.
+
+    ``lattice`` is the id grid of the whole lattice box: entry (i, j) is the
+    id of the node at lattice point (i, j), or -1 where no node sits.  Its
+    ids are 0..n_lat-1 in row-major order; puncture-ring and ghost nodes sit
+    off the lattice and have no entry.  Lattice faces, finite differences
+    and the singular locus all read it.
     """
 
     nodes: np.ndarray  # complex positions
@@ -88,7 +96,7 @@ class MeshedDomain:
     resolution: int
     spacing: float
     domain: DomainSpec
-    lattice_ij: np.ndarray  # (n, 2) lattice indices, -1 for off-lattice nodes
+    lattice: np.ndarray  # (ni, nj) id grid of the lattice box, -1 where no node sits
     adjacency: tuple  # symmetric CSR layout from _adjacency: row pointers, neighbours, edge ids
 
     @property
@@ -113,32 +121,6 @@ class MeshedDomain:
 
     def node_nearest(self, z: complex) -> int:
         return int(np.argmin(np.abs(self.nodes - z)))
-
-    def lattice_id_grid(self) -> np.ndarray:
-        """Dense (ni, nj) array of node ids for lattice nodes, -1 elsewhere."""
-        on = self.lattice_ij[:, 0] >= 0
-        if not np.any(on):
-            return np.full((0, 0), -1, dtype=int)
-        ni = int(self.lattice_ij[on, 0].max()) + 1
-        nj = int(self.lattice_ij[on, 1].max()) + 1
-        grid = np.full((ni, nj), -1, dtype=int)
-        ids = np.nonzero(on)[0]
-        grid[self.lattice_ij[ids, 0], self.lattice_ij[ids, 1]] = ids
-        return grid
-
-    def lattice_faces(self) -> np.ndarray:
-        """Two CCW triangles per complete lattice cell."""
-        grid = self.lattice_id_grid()
-        if grid.size == 0:
-            return np.zeros((0, 3), dtype=int)
-        a = grid[:-1, :-1]
-        b = grid[1:, :-1]
-        c = grid[1:, 1:]
-        d = grid[:-1, 1:]
-        ok = (a >= 0) & (b >= 0) & (c >= 0) & (d >= 0)
-        t1 = np.stack([a[ok], b[ok], c[ok]], axis=1)
-        t2 = np.stack([a[ok], c[ok], d[ok]], axis=1)
-        return np.concatenate([t1, t2], axis=0)
 
 
 def _puncture_rings(p: complex, spacing: float) -> np.ndarray:
@@ -282,8 +264,6 @@ def _mesh_topology(domain: DomainSpec, refine_punctures: bool, spacing, i_lo, i_
     edges_j.append(q)
 
     all_nodes = np.concatenate(nodes)
-    all_ij = np.full((len(all_nodes), 2), -1, dtype=int)  # off-lattice nodes keep -1
-    all_ij[:n_lat] = np.stack([ii[inside] - i_lo, jj[inside] - j_lo], axis=1)
     ei = np.concatenate(edges_i).astype(int)
     ej = np.concatenate(edges_j).astype(int)
 
@@ -315,7 +295,7 @@ def _mesh_topology(domain: DomainSpec, refine_punctures: bool, spacing, i_lo, i_
         raise MeshError("interior mesh has stray disconnected nodes")
 
     topology = dict(nodes=all_nodes, edges_i=ei, edges_j=ej, interior=interior,
-                    boundary_adjacent=boundary, puncture_adjacent=puncture, lattice_ij=all_ij)
+                    boundary_adjacent=boundary, puncture_adjacent=puncture, lattice=id_grid)
     for arr in topology.values():
         arr.flags.writeable = False
     # the segment filter and the connectivity check leave about 60 MB at

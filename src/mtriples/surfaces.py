@@ -344,11 +344,22 @@ def _form_integrals(data: WeierstrassData, mesh: MeshedDomain) -> np.ndarray:
     return _integrate_tree(mesh, root, [_expr_vec(e) for e in data.forms()])
 
 
+def _lattice_cells(mesh: MeshedDomain) -> np.ndarray:
+    """(4, k) corner ids of every lattice cell whose four corners are mesh
+    nodes, in row-major cell order.  Corners 0-3 of cell (i, j) are lattice
+    points (i, j), (i+1, j), (i+1, j+1) and (i, j+1)."""
+    grid = mesh.lattice
+    cells = np.stack([grid[:-1, :-1], grid[1:, :-1], grid[1:, 1:], grid[:-1, 1:]]).reshape(4, -1)
+    return cells[:, np.all(cells >= 0, axis=0)]
+
+
 def _surface(data: WeierstrassData, mesh: MeshedDomain, vertices, diagnostics, metadata=None, **lifts):
-    """The SurfaceMesh of ``data`` on the lattice faces of ``mesh``."""
+    """The SurfaceMesh of ``data`` on the lattice of ``mesh``, two CCW
+    triangles per lattice cell."""
+    cells = _lattice_cells(mesh)
     return SurfaceMesh(
         vertices=vertices,
-        faces=mesh.lattice_faces(),
+        faces=np.concatenate([cells[[0, 1, 2]].T, cells[[0, 2, 3]].T]),
         mesh=mesh,
         frame=data.frame,
         diagnostics=diagnostics,
@@ -599,7 +610,7 @@ def _lattice_stencil(mesh: MeshedDomain, exclude: np.ndarray | None):
 
     Order: center, e1, w1, n1, s1, e2, w2, n2, s2.
     """
-    grid = mesh.lattice_id_grid()
+    grid = mesh.lattice
     if grid.size == 0:
         raise MeshError("mesh carries no lattice for finite differences")
     c = grid[2:-2, 2:-2]
@@ -735,31 +746,21 @@ def gauss_normal_check(surface: SurfaceMesh, g: MeroExpr) -> GaussNormalReport:
 def singular_locus(data: WeierstrassData, mesh: MeshedDomain) -> list:
     """Zero contour of ``data.singular_indicator`` on the lattice, as polylines.
 
-    Marching squares over every complete lattice cell at once.  Corners 0-3
-    of cell (i, j) are lattice points (i, j), (i+1, j), (i+1, j+1), (i, j+1),
-    and edge k runs from corner k to corner k+1 (mod 4).  A cell crossed
-    twice joins its two crossings in edge order.  A saddle cell, crossed on
-    all four edges, joins edges 0-1 and 2-3 when corner 0 lies on the side
-    of the mean of its corners, else edges 0-3 and 1-2.  Segments are
-    chained in row-major cell order.
+    Marching squares over every cell of ``_lattice_cells`` at once; edge k
+    runs from corner k to corner k+1 (mod 4).  A cell crossed twice joins
+    its two crossings in edge order.  A saddle cell, crossed on all four
+    edges, joins edges 0-1 and 2-3 when corner 0 lies on the side of the
+    mean of its corners, else edges 0-3 and 1-2.  Segments are chained in
+    row-major cell order.
     """
-    grid = mesh.lattice_id_grid()
-    if grid.size == 0:
+    if mesh.lattice.size == 0:
         raise MeshError("mesh carries no lattice")
-    vals = np.full(grid.shape, np.nan)
-    on = grid >= 0
-    vals[on] = data.singular_indicator(mesh.nodes[grid[on]])
-    if not np.all(np.isfinite(vals[on])):
+    # lattice ids are 0..n_lat-1 in row-major order
+    vals = data.singular_indicator(mesh.nodes[: np.count_nonzero(mesh.lattice >= 0)])
+    if not np.all(np.isfinite(vals)):
         raise MeshError("singular indicator is not finite at a lattice corner")
-    pos = np.full(grid.shape, np.nan + 1j * np.nan, dtype=complex)
-    pos[on] = mesh.nodes[grid[on]]
-
-    def corners(a):
-        return np.stack([a[:-1, :-1], a[1:, :-1], a[1:, 1:], a[:-1, 1:]]).reshape(4, -1)
-
-    cv, cz = corners(vals), corners(pos)
-    complete = np.all(np.isfinite(cv), axis=0)
-    cv, cz = cv[:, complete], cz[:, complete]
+    cells = _lattice_cells(mesh)
+    cv, cz = vals[cells], mesh.nodes[cells]
     nxt = [1, 2, 3, 0]
     crossed = (cv > 0.0) != (cv[nxt] > 0.0)  # (edge, cell)
     a, b = cv[crossed], cv[nxt][crossed]

@@ -106,6 +106,27 @@ class TestEstimateCommand:
         err = json.loads(proc.stderr.splitlines()[0])
         assert err["error"]["kind"] == "verdict"
 
+    @pytest.mark.parametrize(
+        "radius, delta, code",
+        [(0.9995, 1e-6, 0), (0.9, 0.3, 2)],
+        ids=["min-distance-above-delta", "min-distance-below-delta"],
+    )
+    def test_config_delta_decides_the_verdict(self, tmp_path, radius, delta, code):
+        # g = z comes within 7.5e-4 (radius 0.9995) and 0.053 (radius 0.9) of 1 and -1
+        cfg = {
+            "triple": {"domain": dict(DISK, radius=radius), "f": "1", "g": "z", "m": 1},
+            "property": {"omits": [1, -1, "inf"]},
+            "resolution": 40,
+            "delta": delta,
+        }
+        proc, report, _ = run_cli(tmp_path, "estimate", "verify", cfg)
+        assert proc.returncode == code
+        if code == 0:
+            assert report["property"]["verdict"] is True
+            assert report["property"]["threshold"] == delta
+        else:
+            assert json.loads(proc.stderr.splitlines()[-1])["error"]["kind"] == "verdict"
+
     def test_schema_error_carries_pointer(self, tmp_path):
         cfg = {"triple": {"domain": DISK, "f": "1", "m": 2}, "property": {"bounded": 1.0}}
         proc, _, _ = run_cli(tmp_path, "estimate", "verify", cfg)
@@ -358,6 +379,24 @@ class TestReportHygiene:
         err = json.loads(proc.stderr.splitlines()[0])
         assert err["error"]["kind"] == "config"
 
+    # 5000 levels stop the JSON decoder; 700 pass it but not the report's echo of the triple
+    @pytest.mark.parametrize("depth", [5000, 700])
+    def test_deeply_nested_config(self, tmp_path, depth):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            '{"triple": {"domain": {"kind": "disk", "radius": 1.0}, "f": "1", "g": "z", "m": 2,'
+            f' "note": {"[" * depth}{"]" * depth}}}}}'
+        )
+        proc = subprocess.run(
+            EXE + ["triple", "check", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert not (tmp_path / "out" / "report.json").exists()
+        err = json.loads(proc.stderr.splitlines()[-1])
+        assert err["error"]["kind"] == "config"
+
     def test_invalid_json_config(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -401,6 +440,10 @@ _SURFACE = {"class": "minimal", "f": "1", "g": "z", "domain": DISK, "resolution"
         ("example", "optimal", {"m": 1, "alphas": [[1, 0], [-1, 0]], "radius": "abc"}, "/radius"),
         ("triple", "check", {"triple": dict(_TRIPLE, g="(" * 400 + "z" + ")" * 400)}, "/triple/g"),
         ("triple", "check", {"triple": dict(_TRIPLE, g="+".join(["z"] * 1200))}, "/triple/g"),
+        ("triple", "curvature", {"triple": dict(_TRIPLE, g="z^100000000000000000000"),
+                                 "points": [[0.1, 0]]}, "/triple/g"),
+        ("triple", "check", {"triple": dict(_TRIPLE, g="(z^1000)^1000")}, "/triple/g"),
+        ("probe", "zalcman", {"h": "(2*z)^100000000000000000000", "searchgrid": 40}, "/h"),
         ("triple", "curvature", {"triple": _TRIPLE, "points": 5}, "/points"),
         ("example", "optimal", {"m": 1, "alphas": 5}, "/alphas"),
         ("surface", "periods", dict(_SURFACE, cycles=5), "/cycles"),
@@ -433,6 +476,7 @@ _SURFACE = {"class": "minimal", "f": "1", "g": "z", "domain": DISK, "resolution"
         "fd_step-abc", "fd_step-0", "delta-abc", "delta-nan", "bounded-inf", "marty-indices",
         "marty-region", "marty-grid", "zalcman-searchgrid", "fujimoto-eta", "fujimoto-radius",
         "completeness-eps", "optimal-radius", "nested-parentheses", "long-sum",
+        "huge-exponent", "power-of-power", "zalcman-huge-exponent",
         "points-not-list", "alphas-not-list", "cycles-not-list", "cycle-not-list",
         "exports-string", "exports-nested", "eps-levels-not-list", "targets-not-list",
         "property-omits-not-list", "fujimoto-omits-not-list", "fujimoto-radius-negative",
@@ -473,9 +517,13 @@ def _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer):
          "/targets/1"),
         ("completeness", dict(_COMPLETENESS, target=None, targets=[[-1.5, 0]]), "/targets/0"),
         ("zalcman", {"h": "3", "searchgrid": 20}, "/h"),
+        ("zalcman", {"h": "z^900", "searchgrid": 40}, "/h"),
+        # (1e300)^2 overflows in the derivative's constant folding
+        ("zalcman", {"h": "z/(1" + "0" * 300 + ")", "searchgrid": 40}, "/h"),
     ],
     ids=["eta-above-bound", "eta-zero", "two-omits", "no-infinity", "eps-increasing",
-         "eps-too-small", "one-eps-level", "anchor-at-target", "path-through-puncture", "constant-h"],
+         "eps-too-small", "one-eps-level", "anchor-at-target", "path-through-puncture", "constant-h",
+         "maximum-on-rim", "constant-overflow"],
 )
 def test_probe_argument_the_library_rejects_is_schema_error(
     tmp_path, capsys, action, cfg, pointer

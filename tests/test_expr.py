@@ -1,6 +1,8 @@
 """Expression core: parsing, evaluation, differentiation, sphere geometry."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,8 +36,14 @@ from mtriples.expr import (
     stereographic,
     substitute,
     to_source,
+    _DEGREE_RULES,
+    _MAX_DEGREE,
     _MAX_DEPTH,
     _MAX_NESTING,
+    _POLY_RULES,
+    _lower,
+    _run,
+    is_rational,
 )
 
 from mtriples.mtriple import Disk, make_triple, metric_density, metric_density_array
@@ -126,6 +134,33 @@ class TestParserCaps:
         parse_mero("+".join(["z"] * _MAX_DEPTH))
         with pytest.raises(ParseError, match="deeper"):
             parse_mero("+".join(["z"] * (_MAX_DEPTH + 1)))
+
+    @pytest.mark.parametrize(
+        "src",
+        ["z^1001", "1/z^1001", "(z^1000)^1000", "z^100000000000000000000",
+         "(2*z)^100000000000000000000", "z^600*(z+1)^401", "1/(z^600*(z^401-1))"],
+    )
+    def test_rational_degree_past_the_cap_refused(self, src):
+        with pytest.raises(ParseError, match="degree above 1000"):
+            parse_mero(src)
+
+    @pytest.mark.parametrize("src", [f"z^{_MAX_DEGREE}", f"1/z^{_MAX_DEGREE}",
+                                     "z^600/(z+1)^400", "exp(z^100000000000000000000)"])
+    def test_degree_at_the_cap_or_outside_rationals_accepted(self, src):
+        parse_mero(src)
+
+    def test_degree_rules_bound_the_normal_form(self):
+        # equal unless numpy trims a leading coefficient that cancels to zero
+        rng = np.random.default_rng(21)
+        exact = 0
+        for _ in range(200):
+            e = random_expr(rng, depth=4, allow_exp=False)
+            assert is_rational(e)
+            num, den = _run(_lower(e), _POLY_RULES, None)
+            bound = _run(_lower(e), _DEGREE_RULES, None)
+            assert bound[0] >= len(num) - 1 and bound[1] >= len(den) - 1
+            exact += bound == (len(num) - 1, len(den) - 1)
+        assert exact > 150
 
     @pytest.mark.parametrize(
         "src",
@@ -232,6 +267,29 @@ class TestDerivative:
             d = derivative(e)
             # printable and reparseable means it stayed inside the grammar
             parse_mero(to_source(d))
+
+    def test_kept_on_the_node(self):
+        e = parse_mero("(z^2 + 1)/(z - 3)")
+        assert derivative(e) is derivative(e)
+
+    def test_memory_flat_once_trees_are_dropped(self):
+        def churn(n):
+            for k in range(n):
+                e = parse_mero(f"(z^2 + {k})/(z - {k + 1}) * exp({k}*z)")
+                derivative(derivative(e))
+
+        churn(100)  # fills any one-off caches before the baseline
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            churn(2000)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # a memo that kept the 2000 trees and their derivatives alive holds megabytes
+        assert grown < 200_000
 
     def test_substitute_composition(self):
         e = parse_mero("z^2 + 1")

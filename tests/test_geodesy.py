@@ -177,7 +177,7 @@ class TestSpanningTree:
             resolution=8,
             spacing=1.0,
             domain=Disk(0, 3.0),
-            lattice_ij=np.full((3, 2), -1),
+            lattice=np.full((0, 0), -1),
             adjacency=geodesy._adjacency(3, np.array([0]), np.array([1])),
         )
         with pytest.raises(MeshError):
@@ -374,7 +374,6 @@ def _reference_build_mesh(domain, density, resolution, refine_punctures=True):
         raise MeshError("mesh too coarse for this domain")
     id_grid[inside] = np.arange(n_lat)
     nodes = [zz[inside]]
-    lattice_ij = [np.stack([ii[inside] - i_lo, jj[inside] - j_lo], axis=1)]
 
     edges_i = []
     edges_j = []
@@ -407,7 +406,6 @@ def _reference_build_mesh(domain, density, resolution, refine_punctures=True):
                 ids[keep] = next_id + np.arange(int(keep.sum()))
                 next_id += int(keep.sum())
                 nodes.append(ring[keep])
-                lattice_ij.append(np.full((int(keep.sum()), 2), -1, dtype=int))
                 ring_pos.update(zip(ids[keep], ring[keep]))
                 ring_ids.append(ids)
             for level, ids in enumerate(ring_ids):
@@ -439,7 +437,6 @@ def _reference_build_mesh(domain, density, resolution, refine_punctures=True):
     ghost_start = next_id
     next_id += len(ghosts)
     nodes.append(ghosts)
-    lattice_ij.append(np.full((len(ghosts), 2), -1, dtype=int))
     pairs = lat_tree.query_ball_point(
         np.column_stack([ghosts.real, ghosts.imag]), 2.2 * spacing
     )
@@ -453,7 +450,6 @@ def _reference_build_mesh(domain, density, resolution, refine_punctures=True):
     edges_j.append(np.array(gj, dtype=int))
 
     all_nodes = np.concatenate(nodes)
-    all_ij = np.concatenate(lattice_ij, axis=0)
     ei = np.concatenate(edges_i).astype(int)
     ej = np.concatenate(edges_j).astype(int)
 
@@ -490,7 +486,7 @@ def _reference_build_mesh(domain, density, resolution, refine_punctures=True):
         resolution=resolution,
         spacing=spacing,
         domain=domain,
-        lattice_ij=all_ij,
+        lattice=id_grid,
         adjacency=geodesy._adjacency(n, ei, ej),
     )
 
@@ -537,7 +533,7 @@ def _reference_graph(mesh, src):
 
 
 _MESH_ARRAYS = ("nodes", "edges_i", "edges_j", "weights", "interior", "boundary_adjacent",
-                "puncture_adjacent", "lattice_ij")
+                "puncture_adjacent", "lattice")
 
 
 def _same_bits(a, b):
@@ -640,7 +636,7 @@ class TestTopologyCache:
             resolution=8,
             spacing=1.0,
             domain=Disk(0, 3.0),
-            lattice_ij=np.full((3, 2), -1),
+            lattice=np.full((0, 0), -1),
             adjacency=geodesy._adjacency(3, ei, ej),
         )
         for stray in (-1, 3):

@@ -563,7 +563,7 @@ _MS_EDGES = {
 def _reference_segments(data, mesh):
     """(segments, saddle cells) of the per-cell marching-squares loop that
     the whole-array version replaced."""
-    grid = mesh.lattice_id_grid()
+    grid = mesh.lattice
     vals = np.full(grid.shape, np.nan)
     on = grid >= 0
     vals[on] = data.singular_indicator(mesh.nodes[grid[on]])
