@@ -179,7 +179,7 @@ def _triple_parts(cfg, pointer: str) -> tuple:
 
 
 def triple_from_json(cfg, pointer: str) -> MTriple:
-    return make_triple(*_triple_parts(cfg, pointer))
+    return _probe(make_triple, {e: f"{pointer}/{e}" for e in "fg"}, *_triple_parts(cfg, pointer))
 
 
 def triple_to_json(t: MTriple) -> dict:
@@ -249,7 +249,7 @@ def _handle_triple(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     triple_cfg = _need(cfg, "triple", "")
     domain, f, g, m = _triple_parts(triple_cfg, "/triple")
     # regularity is reported, not enforced: a failing triple still gets a report
-    report = check_regularity(domain, f, g, m)
+    report = _probe(check_regularity, {e: f"/triple/{e}" for e in "fg"}, domain, f, g, m)
     out = {"triple": triple_cfg, "regularity": report}
     ok = report.overall
     if action == "check":
@@ -287,7 +287,7 @@ def _handle_estimate(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     # the property check stands off from them on its own
     mesh = _mesh(triple.domain, triple.density, resolution, refine=True)
     prop_report = property_check(triple.g, prop, mesh, delta)
-    est = verify_estimate(triple, prop, mesh, delta)
+    est = verify_estimate(triple, prop, mesh, prop_report)
     out = {
         "triple": triple_to_json(triple),
         "property": prop_report,
@@ -321,6 +321,8 @@ def _surface_data(cfg: dict):
     exprs = [_as_expr(_need(cfg, name, ""), f"/{name}") for name in names]
     try:
         data = cls(*exprs, domain, base)
+    except ArgumentError as exc:
+        raise ConfigError("/" + exc.name, f"invalid surface data: {exc}") from exc
     except (ValueError, RegularityViolation, NonHolomorphic) as exc:
         raise ConfigError("/" + names[0], f"invalid surface data: {exc}") from exc
     return cls_name, data, synth

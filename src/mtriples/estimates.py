@@ -197,13 +197,13 @@ def verify_estimate(
     triple: MTriple,
     prop: PropertySpec,
     mesh: MeshedDomain,
-    delta: float = OMITS_DELTA_DEFAULT,
+    check: PropertyReport | None = None,
 ) -> EstimateReport:
     """sup over interior nodes of |K| d^2 against the squared constant, once
-    ``g`` passes ``property_check`` at resolution ``delta``."""
+    ``g`` passes ``property_check``: ``check`` if given, else a default-delta run."""
     from .geodesy import boundary_distance_field
 
-    check = property_check(triple.g, prop, mesh, delta)
+    check = property_check(triple.g, prop, mesh) if check is None else check
     if not check.verdict:
         raise PropertyViolation(
             f"g violates the {check.kind} property at {check.witness} "

@@ -4,7 +4,7 @@ the rest of the package.
 Path lengths along polylines, completeness probes (truncated radial length
 integrals with a log-divergence fit) and the hyperbolic reference distance
 are adaptive-Simpson integrals and closed forms; the point cap that every
-lattice, probe grid and RK4 batch obeys, ``MeshError`` and the CSV writer
+lattice, probe grid and RK4 batch obeys, ``MeshError`` and the row writer
 are shared with ``geodesy``, ``estimates`` and ``surfaces``.  This module
 does not import scipy, so the actions that build no mesh never load it;
 ``geodesy`` re-exports every public name here.
@@ -12,7 +12,6 @@ does not import scipy, so the actions that build no mesh never load it;
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -118,12 +117,7 @@ def _infinity_direction(domain: DomainSpec, anchor: complex) -> complex:
     return complex(best)
 
 
-def completeness_probe(
-    triple: MTriple,
-    target,
-    eps_levels: Sequence[float],
-    anchor: complex | None = None,
-) -> CompletenessReport:
+def completeness_probe(triple: MTriple, target, eps_levels: Sequence[float]) -> CompletenessReport:
     """Truncated radial length integrals toward a puncture, boundary point,
     or infinity, with a log-divergence fit.
 
@@ -138,9 +132,7 @@ def completeness_probe(
         raise ArgumentError("eps_levels", "eps_levels must be strictly decreasing")
     if eps[-1] < 1e-8:
         raise ArgumentError("eps_levels", "smallest eps must be >= 1e-8")
-    if anchor is None:
-        anchor = triple.domain.anchor()
-    anchor = complex(anchor)
+    anchor = triple.domain.anchor()
 
     dens = lambda zs: triple.density(zs).astype(complex)
 
@@ -227,10 +219,17 @@ def hyperbolic_distance(z1: complex, z2: complex) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _rows(row: str, values: list) -> str:
+    """``row``, one ``%`` field per column, once per row of the row-major ``values``."""
+    return (row * (len(values) // row.count("%"))) % tuple(values)
+
+
 def _write_csv(path, header: list, columns: list) -> None:
-    """One row per entry of the equal-length ``columns``; ``.tolist()`` gives
-    plain Python numbers, so floats print as shortest round-trip decimals."""
+    """One row per entry of the equal-length ``columns``, as ``csv.writer``
+    writes numbers: each its Python ``repr``, every row ended by CRLF."""
+    ncols = len(columns)
+    values = [None] * (ncols * len(columns[0]))
+    for k, col in enumerate(columns):
+        values[k::ncols] = np.asarray(col).tolist()
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+        fh.write(",".join(header) + "\r\n" + _rows(",".join(["%r"] * ncols) + "\r\n", values))

@@ -22,8 +22,10 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .expr import (
+    ArgumentError,
     EvalError,
     MeroExpr,
+    OrderUndeterminedError,
     derivative,
     eval_array,
     eval_ext,
@@ -362,12 +364,20 @@ def _cluster(points: np.ndarray, tol: float = 6e-4) -> list[complex]:
     return [complex(np.mean(g)) for g in groups]
 
 
+def _order(e: MeroExpr, name: str, p: complex) -> int:
+    try:
+        return local_order(e, p)
+    except OrderUndeterminedError as exc:
+        raise ArgumentError(name, str(exc)) from exc
+
+
 def check_regularity(domain: DomainSpec, f: MeroExpr, g: MeroExpr, m: int) -> RegularityReport:
     """Compare divisor orders of rational f and g at every candidate point.
 
     Candidates are the clustered roots of the numerator/denominator
     polynomials of both expressions that lie strictly inside the domain
-    (punctures excluded).  Non-rational data yields an unchecked report.
+    (punctures excluded).  Non-rational data yields an unchecked report.  An
+    order the sampler cannot determine is an ``ArgumentError`` on ``f`` or ``g``.
     """
     if not (is_rational(f) and is_rational(g)):
         return RegularityReport(entries=(), overall=True, checked=False)
@@ -384,8 +394,7 @@ def check_regularity(domain: DomainSpec, f: MeroExpr, g: MeroExpr, m: int) -> Re
     entries = []
     overall = True
     for p in sorted(candidates, key=lambda w: (w.real, w.imag)):
-        ord_f = local_order(f, p)
-        ord_g = local_order(g, p)
+        ord_f, ord_g = (_order(e, name, p) for e, name in ((f, "f"), (g, "g")))
         if ord_f < 0:
             verdict = "f-pole"
         elif ord_g < 0 and ord_f != -m * ord_g:

@@ -44,7 +44,7 @@ from .expr import (
     is_rational,
     rational_form,
 )
-from .lengths import MeshError, _require_grid_points, _write_csv
+from .lengths import MeshError, _require_grid_points, _rows, _write_csv
 from .mtriple import (
     DomainSpec,
     MTriple,
@@ -828,16 +828,15 @@ def _chain_segments(segments: list) -> list:
 
 
 def _metadata_lines(surface: SurfaceMesh) -> list:
-    out = []
-    for k in sorted(surface.metadata):
-        out.append(f"{k}: {json.dumps(surface.metadata[k], sort_keys=True)}")
-    return out
+    return [f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(surface.metadata.items())]
 
 
-def _rows(row: str, table: np.ndarray) -> str:
-    """``row`` once per row of ``table``, filled by one ``%`` from ``.tolist()``:
-    Python floats and ints print as numpy's do, and far faster."""
-    return (row * len(table)) % tuple(table.ravel().tolist())
+def _json_table(arr) -> list:
+    """``arr`` as nested lists for ``json``, each complex entry an ``[re, im]`` pair."""
+    arr = np.asarray(arr)
+    if np.iscomplexobj(arr):
+        return np.stack([arr.real, arr.imag], axis=-1).tolist()
+    return arr.astype(float).tolist()
 
 
 def export_mesh(surface: SurfaceMesh, fmt: str, path) -> None:
@@ -847,13 +846,12 @@ def export_mesh(surface: SurfaceMesh, fmt: str, path) -> None:
     fmt = fmt.lower()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    herm = None
-    if surface.hermitian_psi is not None and fmt != "csv":
-        herm = [[[x.real, x.imag] for x in m.ravel()] for m in surface.hermitian_psi]
+    psi = surface.hermitian_psi
+    herm = None if psi is None or fmt == "csv" else _json_table(psi.reshape(len(psi), -1))
     if fmt == "obj":
         comments = "".join(f"# {s}\n" for s in _metadata_lines(surface))
-        vertices = _rows("v %.17g %.17g %.17g\n", surface.vertices)
-        path.write_text(comments + vertices + _rows("f %d %d %d\n", surface.faces + 1))
+        vertices = _rows("v %.17g %.17g %.17g\n", surface.vertices.ravel().tolist())
+        path.write_text(comments + vertices + _rows("f %d %d %d\n", (surface.faces + 1).ravel().tolist()))
     elif fmt == "ply":
         header = ["ply", "format ascii 1.0"]
         header += [f"comment {s}" for s in _metadata_lines(surface)]
@@ -866,18 +864,17 @@ def export_mesh(surface: SurfaceMesh, fmt: str, path) -> None:
             "property list uchar int vertex_indices",
             "end_header",
         ]
-        vertices = _rows("%.9g %.9g %.9g\n", surface.vertices)
-        path.write_text("\n".join(header) + "\n" + vertices + _rows("3 %d %d %d\n", surface.faces))
+        vertices = _rows("%.9g %.9g %.9g\n", surface.vertices.ravel().tolist())
+        faces = _rows("3 %d %d %d\n", surface.faces.ravel().tolist())
+        path.write_text("\n".join(header) + "\n" + vertices + faces)
     elif fmt == "csv":
         zs, verts = surface.mesh.nodes, surface.vertices
         cols = [("id", np.arange(surface.n_vertices)), ("u", zs.real), ("v", zs.imag)]
         cols += [(name, verts[:, k].astype(float)) for k, name in enumerate("xyz")]
         for name in sorted(surface.diagnostics):
             arr = np.asarray(surface.diagnostics[name])
-            if np.iscomplexobj(arr):
-                cols += [(name + "_re", arr.real), (name + "_im", arr.imag)]
-            else:
-                cols.append((name, arr.astype(float)))
+            parts = [("_re", arr.real), ("_im", arr.imag)] if np.iscomplexobj(arr) else [("", arr)]
+            cols += [(name + suffix, part.astype(float)) for suffix, part in parts]
         _write_csv(path, [name for name, _ in cols], [arr for _, arr in cols])
     elif fmt == "json":
         payload = {
@@ -885,14 +882,7 @@ def export_mesh(surface: SurfaceMesh, fmt: str, path) -> None:
             "frame": surface.frame,
             "vertices": surface.vertices.tolist(),
             "faces": surface.faces.tolist(),
-            "diagnostics": {
-                name: (
-                    [[v.real, v.imag] for v in np.asarray(arr)]
-                    if np.iscomplexobj(np.asarray(arr))
-                    else np.asarray(arr).astype(float).tolist()
-                )
-                for name, arr in surface.diagnostics.items()
-            },
+            "diagnostics": {name: _json_table(arr) for name, arr in surface.diagnostics.items()},
         }
         if herm is not None:
             payload["hermitian_psi"] = herm

@@ -647,10 +647,16 @@ _FLAT_FRONT = {"class": "flat_front", "omega": "1", "theta": "z/4", "domain": DI
          "/indices/1"),
         # the member z^2 + 1/n samples fine, but log n has no float
         ("probe", "marty", dict(_MARTY, family="z^2+1/({n})", indices=[1, 10**400]), "/indices/1"),
+        # |z|^1000 underflows at the order sampler's radii 1e-3..1e-5
+        ("triple", "check", {"triple": dict(_TRIPLE, g="z^1000")}, "/triple/g"),
+        ("estimate", "verify", dict(_ESTIMATE, triple=dict(_ESTIMATE["triple"], g="z^1000")),
+         "/triple/g"),
+        ("surface", "singular", dict(_SURFACE, **{"class": "maxface"}, g="z^1000"), "/g"),
     ],
     ids=["alpha-1e308", "m-1e7", "cycle-1e7", "step-1e-9", "point-1e308", "point-outside",
          "marty-index-1e308", "marty-divisor-1e308", "marty-exponent-1e308", "marty-gradient-inf",
-         "marty-index-1e400"],
+         "marty-index-1e400", "check-order-undetermined", "estimate-order-undetermined",
+         "singular-order-undetermined"],
 )
 def test_magnitude_the_numerics_cannot_hold_is_schema_error(
     tmp_path, capsys, group, action, cfg, pointer
@@ -674,3 +680,21 @@ def test_refined_estimate_leaves_scipy_spatial_unimported(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.stdout.splitlines()[-1] == "0 [True] False", proc.stderr
+
+
+def test_estimate_verify_runs_the_property_check_once(tmp_path, monkeypatch):
+    from mtriples import cli, estimates
+
+    calls = []
+    original = estimates.property_check
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimates, "property_check", counted)
+    monkeypatch.setattr(cli, "property_check", counted)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_ESTIMATE))
+    assert main(["estimate", "verify", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1

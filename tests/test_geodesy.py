@@ -1,5 +1,6 @@
 """Meshing, distance fields, path lengths, probes, hyperbolic reference."""
 
+import csv
 import math
 
 import numpy as np
@@ -128,6 +129,25 @@ class TestBuildMesh:
         assert np.array_equal(nodes, want)
         edges = np.array([[float(x) for x in row.split(",")] for row in elines[1:]])
         assert np.array_equal(edges, np.column_stack([m.edges_i, m.edges_j, m.weights]))
+
+    @pytest.mark.parametrize("n", [11, 0], ids=["values", "empty"])
+    def test_write_csv_matches_csv_writer(self, tmp_path, n):
+        # values the digest configs never produce, each printed by repr
+        floats = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, 0.1 + 0.2, 1e-7, 1.0,
+                  -1.19, 123456789.0]
+        ints = [0, -1, 2**53 + 1, -(2**53 + 1), 2**63 - 1, 7, 10**15, -42, 3, 2, 1]
+        header = ["id", "big", "x", "neg", "flag"]
+        columns = [np.arange(n), np.array(ints[:n], dtype=np.int64), np.array(floats[:n]),
+                   -np.array(floats[:n]), (np.arange(n) % 2 == 0).astype(int)]
+        lengths._write_csv(tmp_path / "got.csv", header, columns)
+        # the former writer: csv.writer over one Python row per entry
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+        want = (tmp_path / "want.csv").read_bytes()
+        assert (tmp_path / "got.csv").read_bytes() == want
+        assert want.count(b"\r\n") == n + 1
 
 
 def _reference_bfs(mesh, root):

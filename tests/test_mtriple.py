@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mtriples.expr import (
+    ArgumentError,
     Const,
     EvalError,
     Mul,
@@ -163,6 +164,13 @@ class TestRegularity:
         assert d["overall"] and d["checked"]
         assert d["entries"][0]["f_order"] == 2
         assert d["entries"][0]["g_order"] == -2
+
+    @pytest.mark.parametrize("f, g, name", [("1", "z^1000", "g"), ("z^1000", "1/z^1000", "f")])
+    def test_order_the_sampler_cannot_determine_names_its_expression(self, f, g, name):
+        # |z|^1000 underflows to 0 at the sampling radii 1e-3..1e-5
+        with pytest.raises(ArgumentError, match="cannot sample magnitudes") as info:
+            check_regularity(Disk(0, 1.0), parse_mero(f), parse_mero(g), 1)
+        assert info.value.name == name
 
     def test_m_must_be_positive_integer(self):
         with pytest.raises(ValueError):

@@ -540,6 +540,38 @@ class TestExport:
         # ball-model vertices stay inside the unit ball
         assert np.max(np.linalg.norm(surf.vertices, axis=1)) < 1.0
 
+    def test_flatfront_json_matches_per_entry_pairs(self, tmp_path):
+        dom = Disk(0, 1.0)
+        mesh = build_mesh(dom, ONES, 30)
+        surf = synth_flatfront(FlatFrontData("1", "z/4", dom, 0j), mesh, step=0.02)
+        rho = surf.diagnostics["form_ratio"].copy()
+        rho[:4] = [complex(math.inf, 0), complex(math.nan, math.nan), complex(-0.0, -math.inf),
+                   complex(5e-324, 1e308)]
+        surf.diagnostics["form_ratio"] = rho
+        export_mesh(surf, "json", tmp_path / "surface.json")
+        export_mesh(surf, "ply", tmp_path / "mesh.ply")
+        # the former writer: one [re, im] pair built per entry
+        herm = [[[x.real, x.imag] for x in m.ravel()] for m in surf.hermitian_psi]
+        diagnostics = {
+            name: (
+                [[v.real, v.imag] for v in np.asarray(arr)]
+                if np.iscomplexobj(np.asarray(arr))
+                else np.asarray(arr).astype(float).tolist()
+            )
+            for name, arr in surf.diagnostics.items()
+        }
+        payload = {"metadata": surf.metadata, "frame": surf.frame,
+                   "vertices": surf.vertices.tolist(), "faces": surf.faces.tolist(),
+                   "diagnostics": diagnostics, "hermitian_psi": herm}
+        # a plain flag: pytest's diff of two megabyte strings would take minutes
+        text = (tmp_path / "surface.json").read_text()
+        same = text == json.dumps(payload, sort_keys=True)
+        assert same, "surface.json differs from the per-entry reference"
+        assert "[Infinity, 0.0], [NaN, NaN], [-0.0, -Infinity], [5e-324, 1e+308]" in text
+        sidecar = (tmp_path / "mesh.ply.hermitian.json").read_text()
+        same = sidecar == json.dumps({"hermitian_psi": herm}, sort_keys=True)
+        assert same, "the sidecar differs from the per-entry reference"
+
 
 # edge keys between corners k and k+1 (mod 4); lookup by sign code
 _MS_EDGES = {
