@@ -19,18 +19,14 @@ __version__ = "0.1.0"
 # the submodule that defines each exported name
 _EXPORTS = {
     "expr": (
-        "INFINITY", "ExtComplex", "MeroExpr", "MobiusMap", "chordal", "derivative", "eval_ext",
-        "local_order", "mobius_apply", "parse_mero", "spherical_gradient", "stereographic",
-        "to_source",
+        "INFINITY", "ExtComplex", "MeroExpr", "chordal", "derivative", "eval_ext", "local_order",
+        "parse_mero", "spherical_gradient", "to_source",
     ),
     "mtriple": (
         "Annulus", "Disk", "DomainSpec", "MTriple", "Rectangle", "TruncatedPlane",
         "check_regularity", "curvature", "curvature_fd", "make_triple", "metric_density",
     ),
-    "lengths": (
-        "CompletenessReport", "completeness_probe", "hyperbolic_distance", "path_length",
-        "poincare_density",
-    ),
+    "lengths": ("CompletenessReport", "completeness_probe"),
     "geodesy": ("MeshedDomain", "boundary_distance_field", "build_mesh"),
     "estimates": (
         "Bounded", "EstimateReport", "Omits", "curvature_constant", "fujimoto_ratio", "marty_sup",

@@ -97,6 +97,8 @@ def _as_complex(value, pointer: str) -> complex:
 
 
 def _as_float(value, pointer: str) -> float:
+    if isinstance(value, bool):  # float() reads JSON true as 1.0
+        raise ConfigError(pointer, f"expected a number, got {value!r}")
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -233,7 +235,7 @@ def property_from_json(cfg, pointer: str):
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns (report_dict, verdict_ok, artifacts)
+# Handlers: each returns (report, verdict_ok)
 # ---------------------------------------------------------------------------
 
 
@@ -393,6 +395,15 @@ def _probe(fn, pointers: dict, *args):
         raise ConfigError(pointers[exc.name], str(exc)) from exc
 
 
+def _disk(center: complex, radius: float, pointer: str) -> Disk:
+    """``Disk(center, radius)``, with a radius whose disk overflows a float
+    reported at ``pointer``."""
+    try:
+        return Disk(center, radius)
+    except ValueError as exc:
+        raise ConfigError(pointer, str(exc)) from exc
+
+
 def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     if action == "marty":
         template = _need(cfg, "family", "")
@@ -410,7 +421,8 @@ def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         center = _as_complex(region_cfg.get("center", 0), "/region/center")
         radius = _as_positive(_need(region_cfg, "radius", "/region"), "/region/radius")
         grid = _as_positive_int(cfg.get("grid", 120), "/grid")
-        args = (members.__getitem__, indices, Disk(center, radius), grid, template)
+        region = _disk(center, radius, "/region/radius")
+        args = (members.__getitem__, indices, region, grid, template)
         pointers = {"grid": "/grid", **{f"indices/{k}": f"/indices/{k}" for k in range(len(indices))}}
         rep = _probe(marty_sup, pointers, *args)
         return {"marty": rep}, True
@@ -427,7 +439,7 @@ def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
         radius = _as_positive(_need(cfg, "radius", ""), "/radius")
         resolution = _resolution(cfg, opts, 150)
         ones = lambda zs: np.ones(np.shape(zs))
-        mesh = _mesh(Disk(0, radius), ones, resolution, refine=False)
+        mesh = _mesh(_disk(0, radius, "/radius"), ones, resolution, refine=False)
         pointers = {"values": "/omits", "eta": "/eta"}
         return {"fujimoto": _probe(fujimoto_ratio, pointers, f, values, eta, radius, mesh)}, True
     # action == "completeness"

@@ -70,7 +70,6 @@ __all__ = [
     "Pow",
     "Exp",
     "Neg",
-    "MobiusMap",
     "ParseError",
     "EvalError",
     "OrderUndeterminedError",
@@ -90,8 +89,6 @@ __all__ = [
     "chordal_array",
     "spherical_gradient",
     "spherical_gradient_array",
-    "stereographic",
-    "mobius_apply",
     "invert_expr",
 ]
 
@@ -771,7 +768,7 @@ _RAW_RULES = {
 }
 
 
-def eval_ext(e: MeroExpr, z: complex, *, resolve: bool = True) -> ExtComplex:
+def eval_ext(e: MeroExpr, z: complex) -> ExtComplex:
     """Evaluate at a point of the plane with pole-aware arithmetic.
 
     A clean pole returns INFINITY.  Forms such as 0/0 or inf - inf are
@@ -781,7 +778,7 @@ def eval_ext(e: MeroExpr, z: complex, *, resolve: bool = True) -> ExtComplex:
     try:
         v = _run(_lower(e), _RAW_RULES, complex(z))
     except _Indeterminate:
-        if resolve and is_rational(e):
+        if is_rational(e):
             return _resolve_by_order(e, complex(z))
         raise EvalError(f"indeterminate evaluation at z={z}") from None
     return INFINITY if v is _INF else ExtComplex(v)
@@ -980,21 +977,6 @@ def chordal_array(zs: np.ndarray, target: "ExtComplex | complex") -> np.ndarray:
     return out
 
 
-def stereographic(v) -> np.ndarray:
-    """Projection onto the unit sphere; infinity maps to the north pole."""
-    ev = ExtComplex.of(v)
-    if ev.is_inf:
-        return np.array([0.0, 0.0, 1.0])
-    z = ev.value
-    r = abs(z)
-    if r == 0.0:
-        return np.array([0.0, 0.0, -1.0])
-    with np.errstate(over="ignore"):
-        t = r / (r * r + 1.0)  # overflows gracefully to 0 for huge r
-        nz = 1.0 - 2.0 / (r * r + 1.0)
-    return np.array([2.0 * (z.real / r) * t, 2.0 * (z.imag / r) * t, nz])
-
-
 def _gradient_of(v, d):
     """2*sqrt(2)*|d| / (1 + |v|^2) on Python complex numbers or on numpy arrays."""
     return 2.0 * math.sqrt(2.0) * abs(d) / (1.0 + abs(v) ** 2)
@@ -1025,56 +1007,3 @@ def spherical_gradient_array(e: MeroExpr, zs: np.ndarray) -> np.ndarray:
         out = _gradient_of(fv, dv)
         bad = ~np.isfinite(out) | (np.abs(fv) > _BIG)
     return _repair(out, bad, zs, lambda z: spherical_gradient(e, z))
-
-
-# ---------------------------------------------------------------------------
-# Moebius transformations
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class MobiusMap:
-    """Linear fractional transformation z -> (a z + b)/(c z + d), ad - bc != 0."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c == 0:
-            raise ValueError("degenerate Moebius map: ad - bc = 0")
-
-    @classmethod
-    def identity(cls) -> "MobiusMap":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def to_zero_one_inf(cls, p, q, r) -> "MobiusMap":
-        """The unique map sending (p, q, r) to (0, 1, infinity)."""
-        p, q, r = ExtComplex.of(p), ExtComplex.of(q), ExtComplex.of(r)
-        if p.is_inf:
-            return cls(0, q.value - r.value, 1, -r.value)
-        if q.is_inf:
-            return cls(1, -p.value, 1, -r.value)
-        if r.is_inf:
-            return cls(1, -p.value, 0, q.value - p.value)
-        return cls(
-            q.value - r.value,
-            -p.value * (q.value - r.value),
-            q.value - p.value,
-            -r.value * (q.value - p.value),
-        )
-
-
-def mobius_apply(t: MobiusMap, v) -> ExtComplex:
-    ev = ExtComplex.of(v)
-    if ev.is_inf:
-        if t.c == 0:
-            return INFINITY
-        return ExtComplex(t.a / t.c)
-    num = t.a * ev.value + t.b
-    den = t.c * ev.value + t.d
-    if den == 0:
-        return INFINITY
-    return ExtComplex(num / den)

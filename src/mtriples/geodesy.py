@@ -14,10 +14,9 @@ it: on the flat unit disk the interior ratio stays near 1.02 from resolution
 50 to 400.
 
 This is the one module that imports scipy (its sparse graph routines), and
-it does so at the top, so importing it pays that cost at once.  Path
-lengths, completeness probes, the hyperbolic reference, ``MeshError`` and
-the grid cap live in ``lengths``, which needs no scipy; they are re-exported
-here.
+it does so at the top, so importing it pays that cost at once.  Completeness
+probes, ``MeshError`` and the grid cap live in ``lengths``, which needs no
+scipy; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -35,13 +34,9 @@ from .lengths import (
     MAX_GRID_POINTS,
     CompletenessReport,
     MeshError,
-    _as_density,
     _require_grid_points,
     _write_csv,
     completeness_probe,
-    hyperbolic_distance,
-    path_length,
-    poincare_density,
 )
 from .mtriple import DomainSpec, segment_point_dist
 from .quadrature import QuadratureError, gauss4_segments
@@ -52,12 +47,9 @@ __all__ = [
     "MAX_GRID_POINTS",
     "CompletenessReport",
     "build_mesh",
-    "path_length",
     "boundary_distance_field",
     "dijkstra_distances",
     "completeness_probe",
-    "hyperbolic_distance",
-    "poincare_density",
     "write_nodes_csv",
     "write_edges_csv",
 ]
@@ -302,6 +294,21 @@ def _mesh_topology(domain: DomainSpec, refine_punctures: bool, spacing, i_lo, i_
     # resolution 400; drop them so that the layout build stays under the peak
     del za, zb, edges_i, edges_j, m
     return dict(topology, spacing=spacing, adjacency=_adjacency(n, ei, ej))
+
+
+def _as_density(density: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """``density`` as a real array callable that keeps its input's shape."""
+
+    def fvec(zs: np.ndarray) -> np.ndarray:
+        arr = np.asarray(density(zs), dtype=float)
+        if arr.shape != np.shape(zs):
+            raise MeshError(
+                f"density returned shape {arr.shape} for points of shape {np.shape(zs)}; "
+                "it must be vectorized"
+            )
+        return arr
+
+    return fvec
 
 
 def build_mesh(

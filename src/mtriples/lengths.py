@@ -1,9 +1,8 @@
 """Conformal lengths that need no mesh graph, and what meshing shares with
 the rest of the package.
 
-Path lengths along polylines, completeness probes (truncated radial length
-integrals with a log-divergence fit) and the hyperbolic reference distance
-are adaptive-Simpson integrals and closed forms; the point cap that every
+Completeness probes (truncated radial length integrals with a
+log-divergence fit) are adaptive-Simpson integrals; the point cap that every
 lattice, probe grid and RK4 batch obeys, ``MeshError`` and the row writer
 are shared with ``geodesy``, ``estimates`` and ``surfaces``.  This module
 does not import scipy, so the actions that build no mesh never load it;
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,10 +25,7 @@ __all__ = [
     "MeshError",
     "MAX_GRID_POINTS",
     "CompletenessReport",
-    "path_length",
     "completeness_probe",
-    "hyperbolic_distance",
-    "poincare_density",
 ]
 
 # The most points a mesh lattice, a probe grid or one batch of RK4 samples
@@ -47,35 +43,11 @@ def _require_grid_points(n: float, name: str) -> None:
     """Refuse a lattice of at least ``n`` points past ``MAX_GRID_POINTS``;
     ``name`` is the parameter that sets its size."""
     if n > MAX_GRID_POINTS:
-        raise ArgumentError(name, f"at least {n:.0f} grid points, past the cap of {MAX_GRID_POINTS}")
-
-
-def _as_density(density: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """``density`` as a real array callable that keeps its input's shape."""
-
-    def fvec(zs: np.ndarray) -> np.ndarray:
-        arr = np.asarray(density(zs), dtype=float)
-        if arr.shape != np.shape(zs):
-            raise MeshError(
-                f"density returned shape {arr.shape} for points of shape {np.shape(zs)}; "
-                "it must be vectorized"
-            )
-        return arr
-
-    return fvec
-
-
-def path_length(density: Callable, polyline: Sequence[complex], rel_tol: float = 1e-10) -> float:
-    """Adaptive-Simpson conformal length of a polyline."""
-    pts = np.asarray([complex(p) for p in polyline], dtype=complex)
-    if pts.size < 2:
-        return 0.0
-    fvec = _as_density(density)
-    vals = simpson_segments(
-        lambda zs: fvec(zs).astype(complex), pts[:-1], pts[1:], rel_tol=rel_tol
-    )
-    # integral of a real density against |dz|
-    return float(np.sum(np.abs(vals)))
+        # an int too large for a float, or for str(), is written as a power of ten
+        count = n if n < 1e15 else f"10^{math.log10(n):.1f}"
+        raise ArgumentError(
+            name, f"at least {count} grid points, past the cap of {MAX_GRID_POINTS}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +91,8 @@ def _infinity_direction(domain: DomainSpec, anchor: complex) -> complex:
 
 def completeness_probe(triple: MTriple, target, eps_levels: Sequence[float]) -> CompletenessReport:
     """Truncated radial length integrals toward a puncture, boundary point,
-    or infinity, with a log-divergence fit.
+    or infinity, with a log-divergence fit.  A finite target outside the
+    closed domain is refused.
 
     The verdict is evidence, not proof: it requires a positive fitted slope,
     agreement within 10% between the fits with and without the last level,
@@ -142,6 +115,9 @@ def completeness_probe(triple: MTriple, target, eps_levels: Sequence[float]) -> 
         label = "infinity"
     else:
         tgt = complex(target)
+        # punctures lie inside; a boundary point off by rounding still counts
+        if not triple.domain.contains(tgt, margin=-1e-9 * triple.domain.scale()):
+            raise ArgumentError("target", f"{tgt} is not a point of the closed domain")
         gap = abs(tgt - anchor)
         if gap <= max(eps):
             raise ArgumentError("target", "anchor too close to the probe target")
@@ -192,26 +168,6 @@ def completeness_probe(triple: MTriple, target, eps_levels: Sequence[float]) -> 
         stable=stable,
         divergence_evidence=evidence,
     )
-
-
-# ---------------------------------------------------------------------------
-# Hyperbolic reference distance
-# ---------------------------------------------------------------------------
-
-
-def poincare_density(zs) -> np.ndarray:
-    """Density 2/(1-|z|^2) of the curvature -1 metric on the unit disk."""
-    zs = np.asarray(zs, dtype=complex)
-    return 2.0 / (1.0 - np.abs(zs) ** 2)
-
-
-def hyperbolic_distance(z1: complex, z2: complex) -> float:
-    """Distance in the curvature -1 metric; d(0, z) = log((1+|z|)/(1-|z|))."""
-    z1, z2 = complex(z1), complex(z2)
-    if abs(z1) >= 1 or abs(z2) >= 1:
-        raise ValueError("arguments must lie in the open unit disk")
-    delta = abs(z1 - z2) / abs(1 - z1.conjugate() * z2)
-    return math.log1p(delta) - math.log1p(-delta)
 
 
 # ---------------------------------------------------------------------------

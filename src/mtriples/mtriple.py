@@ -94,7 +94,7 @@ class _DomainBase:
 
     # subclasses implement: kind, contains (scalars or arrays), rim(inset, step)
     # (points a relative ``inset`` inside the boundary, about ``step`` apart),
-    # boundary_gap, bbox, anchor, scale
+    # bbox, anchor, scale
 
     def keeps_segments(self, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
         """Which segments za -> zb between points of the region stay inside
@@ -145,9 +145,6 @@ class Disk(_DomainBase):
     def rim(self, inset: float, step: float) -> np.ndarray:
         return _circle(self.center, self.radius - inset * self.scale(), step)
 
-    def boundary_gap(self, z: complex) -> float:
-        return self.radius - abs(z - self.center)
-
     def bbox(self):
         c, r = self.center, self.radius
         return (c.real - r, c.real + r, c.imag - r, c.imag + r)
@@ -187,10 +184,6 @@ class Annulus(_DomainBase):
 
     def keeps_segments(self, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
         return segment_point_dist(za, zb, self.center) > self.r_inner
-
-    def boundary_gap(self, z: complex) -> float:
-        r = abs(z - self.center)
-        return min(r - self.r_inner, self.r_outer - r)
 
     def bbox(self):
         c, r = self.center, self.r_outer
@@ -239,14 +232,6 @@ class Rectangle(_DomainBase):
             [xs + 1j * lo.imag, xs + 1j * hi.imag, lo.real + 1j * ys[1:-1], hi.real + 1j * ys[1:-1]]
         )
 
-    def boundary_gap(self, z: complex) -> float:
-        return min(
-            z.real - self.corner_min.real,
-            self.corner_max.real - z.real,
-            z.imag - self.corner_min.imag,
-            self.corner_max.imag - z.imag,
-        )
-
     def bbox(self):
         return (
             self.corner_min.real,
@@ -287,9 +272,6 @@ class TruncatedPlane(_DomainBase):
 
     def rim(self, inset: float, step: float) -> np.ndarray:
         return _circle(0j, self.radius * (1.0 - inset), step)
-
-    def boundary_gap(self, z: complex) -> float:
-        return self.radius - abs(z)
 
     def bbox(self):
         r = self.radius
@@ -344,19 +326,19 @@ def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.roots(c)
 
 
-def _cluster(points: np.ndarray, tol: float = 6e-4) -> list[complex]:
+def _cluster(points: np.ndarray) -> list[complex]:
     """Centroids of root clusters.
 
     np.roots scatters a multiplicity-k root over a radius ~eps^(1/k), but
     symmetrically, so the cluster mean recovers the root to far better
-    accuracy than any single member.  Roots closer than ``tol`` that are
+    accuracy than any single member.  Roots closer than 6e-4 that are
     genuinely distinct are outside the supported resolution of the order
     estimator and get merged.
     """
     groups: list[list[complex]] = []
     for p in points:
         for grp in groups:
-            if abs(p - grp[0]) <= tol:
+            if abs(p - grp[0]) <= 6e-4:
                 grp.append(complex(p))
                 break
         else:

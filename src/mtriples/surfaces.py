@@ -32,6 +32,7 @@ import numpy as np
 
 from .expr import (
     Add,
+    ArgumentError,
     Const,
     EvalError,
     MeroExpr,
@@ -520,7 +521,7 @@ def synth_flatfront(data: FlatFrontData, mesh: MeshedDomain, step: float) -> Sur
     """Integrate the Legendrian-lift ODE and project psi = L L* to the ball."""
     _require_step(step)
     if step > 1e-2 * data.domain.diameter():
-        raise ValueError("step must be at most 1% of the domain diameter")
+        raise ArgumentError("step", "step must be at most 1% of the domain diameter")
     root = mesh.node_nearest(data.base_point)
     parent, order = mesh.spanning_tree(root)
     child = order[1:]

@@ -1,10 +1,13 @@
-"""Shared generators for the randomized suites (all seeded by the caller)."""
+"""Shared generators for the randomized suites (all seeded by the caller),
+and closed-form oracles that only the tests use."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from mtriples.expr import Add, Const, Div, Exp, Mul, Neg, Pow, Sub, Z, MeroExpr
+from mtriples.expr import Add, Const, Div, Exp, Mul, Neg, Pow, Sub, Z, ExtComplex, MeroExpr
 from mtriples.mtriple import Disk, MTriple, make_triple
 
 
@@ -131,3 +134,33 @@ def raises(fn, *args) -> bool:
     except Exception:  # noqa: BLE001
         return True
     return False
+
+
+def stereographic(v) -> np.ndarray:
+    """Projection onto the unit sphere; infinity maps to the north pole."""
+    ev = ExtComplex.of(v)
+    if ev.is_inf:
+        return np.array([0.0, 0.0, 1.0])
+    z = ev.value
+    r = abs(z)
+    if r == 0.0:
+        return np.array([0.0, 0.0, -1.0])
+    with np.errstate(over="ignore"):
+        t = r / (r * r + 1.0)  # overflows gracefully to 0 for huge r
+        nz = 1.0 - 2.0 / (r * r + 1.0)
+    return np.array([2.0 * (z.real / r) * t, 2.0 * (z.imag / r) * t, nz])
+
+
+def poincare_density(zs) -> np.ndarray:
+    """Density 2/(1-|z|^2) of the curvature -1 metric on the unit disk."""
+    zs = np.asarray(zs, dtype=complex)
+    return 2.0 / (1.0 - np.abs(zs) ** 2)
+
+
+def hyperbolic_distance(z1: complex, z2: complex) -> float:
+    """Distance in the curvature -1 metric; d(0, z) = log((1+|z|)/(1-|z|))."""
+    z1, z2 = complex(z1), complex(z2)
+    if abs(z1) >= 1 or abs(z2) >= 1:
+        raise ValueError("arguments must lie in the open unit disk")
+    delta = abs(z1 - z2) / abs(1 - z1.conjugate() * z2)
+    return math.log1p(delta) - math.log1p(-delta)

@@ -34,7 +34,6 @@ from mtriples.geodesy import (
     build_mesh,
     completeness_probe,
     dijkstra_distances,
-    poincare_density,
 )
 from mtriples.mtriple import Annulus, Disk, curvature, curvature_fd, make_triple
 from mtriples.surfaces import (
@@ -53,7 +52,12 @@ from mtriples.surfaces import (
     synth_minimal,
 )
 
-from _helpers import random_bounded_triple, random_regular_triple, sample_points_away
+from _helpers import (
+    poincare_density,
+    random_bounded_triple,
+    random_regular_triple,
+    sample_points_away,
+)
 
 ONES = lambda zs: np.ones(np.shape(zs))
 SQRT2 = math.sqrt(2.0)

@@ -197,7 +197,7 @@ class TestSurfaceCommand:
         assert abs(abs(third) - 4 * math.pi) < 1e-6
 
 
-    @pytest.mark.parametrize("step", ["abc", 0, -1, "inf"])
+    @pytest.mark.parametrize("step", ["abc", 0, -1, "inf", True, 0.5])
     def test_bad_step_is_schema_error(self, tmp_path, step):
         cfg = {"class": "flat_front", "omega": "1", "theta": "z/2", "domain": DISK,
                "resolution": 20, "step": step}
@@ -416,6 +416,9 @@ _COMPLETENESS = {"triple": {"domain": {"kind": "truncated_plane", "radius": 3.0,
                                        "punctures": [[1, 0], [-1, 0]]},
                             "f": "1/(z^2-1)", "g": "z", "m": 1},
                  "target": "infinity", "eps_levels": [1e-1, 1e-2]}
+# the boundary point [1, 0] is a target; points past it are not
+_DISK_COMPLETENESS = {"triple": {"domain": DISK, "f": "1", "g": "z", "m": 1},
+                      "targets": [[1, 0]], "eps_levels": [1e-1, 1e-2]}
 _ESTIMATE = {"triple": {"domain": DISK, "f": "1", "g": "z/2", "m": 2},
              "property": {"bounded": 1.0}, "resolution": 20}
 _SURFACE = {"class": "minimal", "f": "1", "g": "z", "domain": DISK, "resolution": 20}
@@ -520,10 +523,15 @@ def _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer):
         ("zalcman", {"h": "z^900", "searchgrid": 40}, "/h"),
         # (1e300)^2 overflows in the derivative's constant folding
         ("zalcman", {"h": "z/(1" + "0" * 300 + ")", "searchgrid": 40}, "/h"),
+        ("completeness", dict(_DISK_COMPLETENESS, targets=[[2, 0]]), "/targets/0"),
+        ("completeness", dict(_DISK_COMPLETENESS, targets=[[1e308, 0]]), "/targets/0"),
+        ("fujimoto", dict(_FUJIMOTO, radius=1e308), "/radius"),
+        ("marty", dict(_MARTY, region={"radius": 1e308}), "/region/radius"),
     ],
     ids=["eta-above-bound", "eta-zero", "two-omits", "no-infinity", "eps-increasing",
          "eps-too-small", "one-eps-level", "anchor-at-target", "path-through-puncture", "constant-h",
-         "maximum-on-rim", "constant-overflow"],
+         "maximum-on-rim", "constant-overflow", "target-outside", "target-huge",
+         "fujimoto-radius-huge", "marty-radius-huge"],
 )
 def test_probe_argument_the_library_rejects_is_schema_error(
     tmp_path, capsys, action, cfg, pointer
@@ -546,8 +554,14 @@ _HUGE = 10**7  # 10^14 grid points, far past the cap
          "/resolution"),
         ("probe", "marty", dict(_MARTY, grid=_HUGE), "/grid"),
         ("probe", "zalcman", {"h": "10*z", "searchgrid": _HUGE}, "/searchgrid"),
+        # ints past any float, and one whose square str() refuses (past 4300
+        # digits): the refusal must still format its count
+        ("probe", "marty", dict(_MARTY, grid=1e308), "/grid"),
+        ("probe", "zalcman", {"h": "10*z", "searchgrid": 1e308}, "/searchgrid"),
+        ("probe", "marty", dict(_MARTY, grid=10**3000), "/grid"),
     ],
-    ids=["estimate", "synth", "singular", "fujimoto", "optimal", "marty", "zalcman"],
+    ids=["estimate", "synth", "singular", "fujimoto", "optimal", "marty", "zalcman",
+         "marty-1e308", "zalcman-1e308", "marty-3000-digits"],
 )
 def test_grid_past_the_point_cap_is_schema_error(tmp_path, capsys, group, action, cfg, pointer):
     _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer)

@@ -1,4 +1,4 @@
-"""Meshing, distance fields, path lengths, probes, hyperbolic reference."""
+"""Meshing, distance fields, probes, hyperbolic reference."""
 
 import csv
 import math
@@ -19,9 +19,6 @@ from mtriples.geodesy import (
     build_mesh,
     completeness_probe,
     dijkstra_distances,
-    hyperbolic_distance,
-    path_length,
-    poincare_density,
     write_edges_csv,
     write_nodes_csv,
 )
@@ -36,6 +33,8 @@ from mtriples.mtriple import (
 from mtriples.quadrature import QuadratureError
 from mtriples.reporting import encode_report
 from test_quadrature import reference_gauss4_segments
+
+from _helpers import hyperbolic_distance, poincare_density
 
 ONES = lambda zs: np.ones(np.shape(zs))
 
@@ -253,33 +252,6 @@ class TestDistanceField:
         assert d[src[0]] < 1e-12
 
 
-class TestPathLength:
-    def test_unit_segment(self):
-        assert abs(path_length(ONES, [0, 1]) - 1.0) < 1e-12
-
-    def test_poincare_radial(self):
-        got = path_length(poincare_density, [0, 0.5])
-        assert abs(got - math.log(3)) < 1e-9
-
-    def test_triple_density_radial(self):
-        t = make_triple(Disk(0, 1.0), "1", "z", 2)
-        got = path_length(t.density, [0, 1.0 - 1e-12])
-        assert abs(got - 4.0 / 3.0) < 1e-6
-
-    def test_polyline_additivity(self):
-        a = path_length(poincare_density, [0, 0.3, 0.5])
-        b = path_length(poincare_density, [0, 0.3]) + path_length(poincare_density, [0.3, 0.5])
-        assert abs(a - b) < 1e-12
-
-    def test_nonfinite_sample_reported(self):
-        def inverse_distance(zs):
-            with np.errstate(divide="ignore"):
-                return 1.0 / np.abs(zs)
-
-        with pytest.raises(Exception):
-            path_length(inverse_distance, [-1, 1])
-
-
 @pytest.fixture(scope="module")
 def optimal_triple():
     dom = TruncatedPlane(3.0, punctures=(1 + 0j, -1 + 0j))
@@ -314,6 +286,16 @@ class TestCompletenessProbe:
             completeness_probe(optimal_triple, 1 + 0j, [1e-3, 1e-2])
         with pytest.raises(ValueError):
             completeness_probe(optimal_triple, 1 + 0j, [1e-3, 1e-9])
+
+    def test_target_must_lie_in_the_closed_domain(self):
+        t = make_triple(Disk(0, 1.0), "1", "z", 1)
+        # on the rim up to rounding: |e^{0.3i}| is not exactly 1
+        rim = complex(math.cos(0.3), math.sin(0.3)) * (1 + 1e-15)
+        assert completeness_probe(t, rim, self.EPS).target.startswith("boundary")
+        for far in (1.001, complex("nan")):
+            with pytest.raises(ArgumentError) as refused:
+                completeness_probe(t, far, self.EPS)
+            assert refused.value.name == "target"
 
     def test_report_serializes(self, optimal_triple):
         rep = completeness_probe(optimal_triple, 1 + 0j, self.EPS)

@@ -14,21 +14,19 @@ import pytest
 from test_cli import _COMPLETENESS, _MARTY, _TRIPLE
 
 # the public names of the package as it was when __init__ imported every
-# submodule eagerly: the exported functions and classes and the six
-# submodules that those imports bound
+# submodule eagerly (the exported functions and classes and the six
+# submodules that those imports bound), less six names no action reached
 PUBLIC_NAMES = [
     "Annulus", "Bounded", "CompletenessReport", "Disk", "DomainSpec", "EstimateReport",
     "ExtComplex", "FlatFrontData", "INFINITY", "ImproperAffineData", "MTriple", "MaxfaceData",
-    "MeroExpr", "MeshedDomain", "MinimalData", "MobiusMap", "Omits", "Rectangle", "SurfaceMesh",
+    "MeroExpr", "MeshedDomain", "MinimalData", "Omits", "Rectangle", "SurfaceMesh",
     "TruncatedPlane", "boundary_distance_field", "build_mesh", "check_regularity", "chordal",
     "completeness_probe", "curvature", "curvature_constant", "curvature_fd", "derivative",
     "estimates", "eval_ext", "export_mesh", "expr", "fujimoto_ratio", "gauss_normal_check",
-    "geodesy", "hyperbolic_distance", "immersion_check", "local_order", "make_triple",
-    "marty_sup", "metric_density", "mobius_apply", "mtriple", "optimal_example", "parse_mero",
-    "path_length", "period_residuals", "poincare_density", "property_check", "quadrature",
-    "singular_locus", "spherical_gradient", "stereographic", "surfaces", "synth_flatfront",
-    "synth_improper_affine", "synth_maxface", "synth_minimal", "to_source", "verify_estimate",
-    "zalcman_rescale",
+    "geodesy", "immersion_check", "local_order", "make_triple", "marty_sup", "metric_density",
+    "mtriple", "optimal_example", "parse_mero", "period_residuals", "property_check", "quadrature",
+    "singular_locus", "spherical_gradient", "surfaces", "synth_flatfront", "synth_improper_affine",
+    "synth_maxface", "synth_minimal", "to_source", "verify_estimate", "zalcman_rescale",
 ]
 
 _HAS_SCIPY = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
