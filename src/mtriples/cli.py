@@ -265,11 +265,7 @@ def _handle_triple(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     if not ok:
         return out, False
     t = MTriple(domain, f, g, m, report)
-    points = _as_list(_need(cfg, "points", ""), "/points")
-    pts = [_as_complex(p, f"/points/{k}") for k, p in enumerate(points)]
-    for k, z in enumerate(pts):
-        if not domain.contains(z):
-            raise ConfigError(f"/points/{k}", f"point {z} is not inside the domain")
+    pts = _points_in(domain, _need(cfg, "points", ""), "/points")
     h = _as_positive(cfg.get("fd_step", 1e-3), "/fd_step")
     out["points"] = [
         {"point": p, "curvature": curvature(t, p), "curvature_fd": curvature_fd(t, p, h)}
@@ -330,15 +326,27 @@ def _surface_data(cfg: dict):
     return cls_name, data, synth
 
 
+def _points_in(domain, items, at: str) -> list:
+    """The list of points at ``at``, each inside ``domain``."""
+    points = [_as_complex(p, f"{at}/{j}") for j, p in enumerate(_as_list(items, at))]
+    for j, z in enumerate(points):
+        if not domain.contains(z):
+            raise ConfigError(f"{at}/{j}", f"point {z} is not inside the domain")
+    return points
+
+
 def _period_rows(data, cycles) -> list:
     from .surfaces import period_residuals
 
     rows = []
     for k, cycle in enumerate(_as_list(cycles, "/cycles")):
         at = f"/cycles/{k}"
-        points = [_as_complex(p, f"{at}/{j}") for j, p in enumerate(_as_list(cycle, at))]
+        points = _points_in(data.domain, cycle, at)
         if len(points) < 2:
             raise ConfigError(at, "a cycle needs at least two points")
+        ends = np.array(points)
+        if not data.domain.keeps_segments(ends, np.roll(ends, -1)).all():
+            raise ConfigError(at, "a chord of the cycle leaves the domain")
         # the cycle, not the library's step, is what a config sets here
         rows.append(_probe(period_residuals, {"step": at}, data, points))
     return rows

@@ -17,12 +17,12 @@ Numbers are unsigned decimal literals; the exponent after ``^`` is an
 unsigned decimal integer.  Note that unary minus binds at the atom level,
 so ``-z^2`` parses as ``(-z)^2``.
 
-Evaluation first lowers a tree, without recursion, to a program: its
-post-order with equal subtrees merged into one op.  The pole-aware point
-evaluator and the polynomial normal form are op tables run over that
-program, the array evaluator runs it with one numpy operation per op, and
-the depth and rationality of a tree are read from it.  Differentiation,
-substitution and printing work on the trees themselves.
+Every pass over a tree first lowers it, without recursion, to a program:
+its post-order with equal subtrees merged into one op.  The pole-aware point
+evaluator, the polynomial normal form, the printer, substitution and
+differentiation are op tables run over that program, the array evaluator
+runs it with one numpy operation per op, and the depth and rationality of a
+tree are read from it.
 
 The array evaluator gives the bits of a recursive numpy tree walk.  Constant
 subtrees, such as the ``(a+b*i)`` coefficients configs write, are evaluated
@@ -99,10 +99,9 @@ _ORDER_ANGLES = 8
 _LIMIT_SAMPLE_RADIUS = 1e-4
 _BIG = 1e6  # array entries past this magnitude are repaired point by point
 # Parser caps: nesting of parentheses, exp( and unary minus, and the depth of
-# the tree.  The evaluators are iterative; the derivative of a tree of depth d
-# is at most about 3d deep, so under Python's default recursion limit of 1000
-# the recursive derivative, substitution and printer still finish on an
-# accepted tree and on its derivative.
+# the tree.  They bound input size: every pass but the recursive-descent parser
+# runs the lowered program, and the nesting cap bounds the parser's recursion
+# (dataclass == and repr recurse too; no library path calls them on trees).
 _MAX_NESTING = 100
 _MAX_DEPTH = 120
 # Degree cap on rational expressions: root finding (np.roots) builds a d x d
@@ -474,41 +473,39 @@ def _fmt_const(c: complex) -> str:
     return f"({_fmt_real(c.real)} {sign} {_fmt_real(abs(c.imag))}*i)"
 
 
-# Context levels: 1 additive, 2 multiplicative operand, 3 right factor,
-# 5 atom position (unary-minus operand, power base).
-def _print(e: MeroExpr, level: int) -> str:
-    if isinstance(e, Const):
-        text = _fmt_const(e.value)
-        need = level >= 2 and text.startswith("-")
-        return f"({text})" if need else text
-    if isinstance(e, Var):
-        return "z"
-    if isinstance(e, Exp):
-        return f"exp({_print(e.arg, 0)})"
-    if isinstance(e, Neg):
-        # unary minus is itself an atom; its operand must print as an atom
-        return "-" + _print(e.arg, 5)
-    if isinstance(e, Pow):
-        text = f"{_print(e.base, 5)}^{e.exponent}"
-        return f"({text})" if level >= 5 else text
-    if isinstance(e, Add):
-        text = f"{_print(e.left, 1)} + {_print(e.right, 2)}"
-        return f"({text})" if level >= 2 else text
-    if isinstance(e, Sub):
-        text = f"{_print(e.left, 1)} - {_print(e.right, 2)}"
-        return f"({text})" if level >= 2 else text
-    if isinstance(e, Mul):
-        text = f"{_print(e.left, 2)}*{_print(e.right, 3)}"
-        return f"({text})" if level >= 3 else text
-    if isinstance(e, Div):
-        text = f"{_print(e.left, 2)}/{_print(e.right, 3)}"
-        return f"({text})" if level >= 3 else text
-    raise TypeError(f"not a MeroExpr: {e!r}")
+# Each op yields its text and the loosest context level that parenthesizes
+# it.  Levels: 1 additive, 2 multiplicative operand, 3 right factor, 5 atom
+# position (unary-minus operand, power base).
+_ATOM = math.inf  # never parenthesized
+
+
+def _wrap(operand: tuple, level: int) -> str:
+    text, need = operand
+    return f"({text})" if level >= need else text
+
+
+def _print_const(_, c: complex):
+    text = _fmt_const(c)
+    return text, 2 if text.startswith("-") else _ATOM
+
+
+_PRINT_RULES = {
+    Const: _print_const,
+    Var: lambda *_: ("z", _ATOM),
+    Exp: lambda _, __, a: (f"exp({a[0]})", _ATOM),
+    # unary minus is itself an atom; its operand must print as an atom
+    Neg: lambda _, __, a: ("-" + _wrap(a, 5), _ATOM),
+    Pow: lambda _, n, b: (f"{_wrap(b, 5)}^{n}", 5),
+    Add: lambda _, __, a, b: (f"{_wrap(a, 1)} + {_wrap(b, 2)}", 2),
+    Sub: lambda _, __, a, b: (f"{_wrap(a, 1)} - {_wrap(b, 2)}", 2),
+    Mul: lambda _, __, a, b: (f"{_wrap(a, 2)}*{_wrap(b, 3)}", 3),
+    Div: lambda _, __, a, b: (f"{_wrap(a, 2)}/{_wrap(b, 3)}", 3),
+}
 
 
 def to_source(e: MeroExpr) -> str:
     """Render back to grammar text; ``parse_mero(to_source(t)) == t`` for parsed trees."""
-    return _print(e, 0)
+    return _run(_lower(e), _PRINT_RULES, None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +561,16 @@ def is_rational(e: MeroExpr) -> bool:
 
 def substitute(e: MeroExpr, replacement: MeroExpr) -> MeroExpr:
     """Replace the variable by ``replacement`` (composition of functions)."""
-    if isinstance(e, Var):
-        return replacement
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, replacement))
-    if isinstance(e, Exp):
-        return Exp(substitute(e.arg, replacement))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, replacement), e.exponent)
-    left = substitute(e.left, replacement)
-    right = substitute(e.right, replacement)
-    return type(e)(left, right)
+    return _run(_lower(e), _SUBSTITUTE_RULES, replacement)
+
+
+# the tree rebuilt op by op, the variable replaced by the run's argument
+_SUBSTITUTE_RULES = {
+    kind: lambda _, __, *xs, kind=kind: kind(*xs) for kind in (Neg, Exp, Add, Sub, Mul, Div)
+}
+_SUBSTITUTE_RULES.update(
+    {Const: lambda _, c: Const(c), Var: lambda r, _: r, Pow: lambda _, n, b: Pow(b, n)}
+)
 
 
 # ---------------------------------------------------------------------------
@@ -648,35 +642,40 @@ def derivative(e: MeroExpr) -> MeroExpr:
     on the node for the next call."""
     d = getattr(e, "_derivative", None)
     if d is None:
-        d = _differentiate(e)
+        d = _run(_lower(e), _DERIVATIVE_RULES, Z)[1]
         object.__setattr__(e, "_derivative", d)
     return d
 
 
-def _differentiate(e: MeroExpr) -> MeroExpr:
-    if isinstance(e, Const):
-        return _ZERO
-    if isinstance(e, Var):
-        return _ONE
-    if isinstance(e, Add):
-        return _add(derivative(e.left), derivative(e.right))
-    if isinstance(e, Sub):
-        return _sub(derivative(e.left), derivative(e.right))
-    if isinstance(e, Neg):
-        return _neg(derivative(e.arg))
-    if isinstance(e, Mul):
-        return _add(_mul(derivative(e.left), e.right), _mul(e.left, derivative(e.right)))
-    if isinstance(e, Div):
-        num = _sub(_mul(derivative(e.left), e.right), _mul(e.left, derivative(e.right)))
-        return _div(num, _pow(e.right, 2))
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            return _ZERO
-        inner = _mul(Const(complex(e.exponent)), _pow(e.base, e.exponent - 1))
-        return _mul(inner, derivative(e.base))
-    if isinstance(e, Exp):
-        return _mul(e, derivative(e.arg))
-    raise TypeError(f"not a MeroExpr: {e!r}")
+def _with_tree(kind, rule):
+    """``(tree, rule(tree, payload, *operand pairs))``, the tree rebuilt."""
+    rebuild = _SUBSTITUTE_RULES[kind]
+
+    def pair(z, payload, *operands):
+        tree = rebuild(z, payload, *(t for t, _ in operands))
+        return tree, rule(tree, payload, *operands)
+
+    return pair
+
+
+# operand pairs (tree, derivative), folded in the order written: complex
+# multiply is not bitwise commutative
+_DERIVATIVE_RULES = {
+    kind: _with_tree(kind, rule)
+    for kind, rule in {
+        Const: lambda *_: _ZERO,
+        Var: lambda *_: _ONE,
+        Neg: lambda _, __, a: _neg(a[1]),
+        Add: lambda _, __, a, b: _add(a[1], b[1]),
+        Sub: lambda _, __, a, b: _sub(a[1], b[1]),
+        Mul: lambda _, __, a, b: _add(_mul(a[1], b[0]), _mul(a[0], b[1])),
+        Div: lambda _, __, a, b: _div(_sub(_mul(a[1], b[0]), _mul(a[0], b[1])), _pow(b[0], 2)),
+        Pow: lambda _, n, b: (
+            _mul(_mul(Const(complex(n)), _pow(b[0], n - 1)), b[1]) if n else _ZERO
+        ),
+        Exp: lambda tree, _, a: _mul(tree, a[1]),
+    }.items()
+}
 
 
 def invert_expr(e: MeroExpr) -> MeroExpr:

@@ -3,10 +3,10 @@ the rest of the package.
 
 Completeness probes (truncated radial length integrals with a
 log-divergence fit) are adaptive-Simpson integrals; the point cap that every
-lattice, probe grid and RK4 batch obeys, ``MeshError`` and the row writer
-are shared with ``geodesy``, ``estimates`` and ``surfaces``.  This module
-does not import scipy, so the actions that build no mesh never load it;
-``geodesy`` re-exports every public name here.
+lattice, probe grid, RK4 batch and Simpson pass obeys, ``MeshError`` and the
+row writer are shared with ``geodesy``, ``estimates`` and ``surfaces``.  This
+module does not import scipy, so the actions that build no mesh never load
+it; ``geodesy`` re-exports every public name here.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ __all__ = [
     "completeness_probe",
 ]
 
-# The most points a mesh lattice, a probe grid or one batch of RK4 samples
-# may have, refused before anything is allocated: resolution 400, the largest
-# in use, puts 403^2 = 162,409 points on a square bounding box, and
-# resolution 2*10^4 would ask numpy for 4*10^8.
+# The most points a mesh lattice, a probe grid, one batch of RK4 samples or
+# one adaptive Simpson pass may have, refused before anything is allocated:
+# resolution 400, the largest in use, puts 403^2 = 162,409 points on a square
+# bounding box, and resolution 2*10^4 would ask numpy for 4*10^8.
 MAX_GRID_POINTS = 1_000_000
 
 
@@ -91,8 +91,8 @@ def _infinity_direction(domain: DomainSpec, anchor: complex) -> complex:
 
 def completeness_probe(triple: MTriple, target, eps_levels: Sequence[float]) -> CompletenessReport:
     """Truncated radial length integrals toward a puncture, boundary point,
-    or infinity, with a log-divergence fit.  A finite target outside the
-    closed domain is refused.
+    or infinity, with a log-divergence fit.  Any other finite target, inside
+    the domain or outside its closure, is refused.
 
     The verdict is evidence, not proof: it requires a positive fitted slope,
     agreement within 10% between the fits with and without the last level,
@@ -115,9 +115,15 @@ def completeness_probe(triple: MTriple, target, eps_levels: Sequence[float]) -> 
         label = "infinity"
     else:
         tgt = complex(target)
+        is_puncture = triple.domain.puncture_gap(tgt) < 1e-9
         # punctures lie inside; a boundary point off by rounding still counts
-        if not triple.domain.contains(tgt, margin=-1e-9 * triple.domain.scale()):
+        rounding = 1e-9 * triple.domain.scale()
+        if not triple.domain.contains(tgt, margin=-rounding):
             raise ArgumentError("target", f"{tgt} is not a point of the closed domain")
+        if not is_puncture and triple.domain.contains(tgt, margin=rounding):
+            raise ArgumentError(
+                "target", f"{tgt} is interior: neither a puncture nor on the boundary"
+            )
         gap = abs(tgt - anchor)
         if gap <= max(eps):
             raise ArgumentError("target", "anchor too close to the probe target")
@@ -130,7 +136,6 @@ def completeness_probe(triple: MTriple, target, eps_levels: Sequence[float]) -> 
                     "target", "probe path passes another puncture; choose a different anchor"
                 )
         stops = [anchor] + [tgt - e * u for e in eps]
-        is_puncture = triple.domain.puncture_gap(tgt) < 1e-9
         label = f"{'puncture' if is_puncture else 'boundary'} {tgt}"
 
     lengths = []

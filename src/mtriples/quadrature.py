@@ -143,7 +143,12 @@ def simpson_segments(
 
 
 def _simpson(fvec, za: np.ndarray, zb: np.ndarray, rel_tol: float) -> np.ndarray:
-    """``simpson_segments`` on one block of raveled complex endpoints."""
+    """``simpson_segments`` on one block of raveled complex endpoints.
+
+    The live intervals can double with each pass; a pass that would sample
+    more than the point cap ``lengths.MAX_GRID_POINTS`` raises instead."""
+    from . import lengths  # it imports this module; the cap is read per call
+
     n = za.size
     dz = zb - za
 
@@ -177,6 +182,11 @@ def _simpson(fvec, za: np.ndarray, zb: np.ndarray, rel_tol: float) -> np.ndarray
             # accept the current estimates rather than loop forever
             np.add.at(totals, seg, s_whole)
             break
+        if 2 * seg.size > lengths.MAX_GRID_POINTS:
+            raise QuadratureError(
+                f"a refinement pass needs {2 * seg.size} samples, past the cap of "
+                f"{lengths.MAX_GRID_POINTS} points"
+            )
         m = 0.5 * (a + b)
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)

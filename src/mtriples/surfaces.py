@@ -301,7 +301,7 @@ def _integrate_tree(mesh: MeshedDomain, root: int, integrands: Sequence) -> np.n
             for s in levels:
                 acc[child[s]] = acc[parent[child[s]]] + seg[s]
     except QuadratureError as exc:
-        raise EvalError(f"integrand pole on a tree edge: {exc}") from exc
+        raise EvalError(f"integral along a tree edge failed: {exc}") from exc
     return out
 
 
@@ -588,7 +588,7 @@ def period_residuals(data: WeierstrassData, cycle: Sequence[complex], step: floa
             [simpson_polyline(_expr_vec(e), pts, rel_tol=1e-12).real for e in data.forms()]
         )
     except QuadratureError as exc:
-        raise EvalError(f"pole on the cycle: {exc}") from exc
+        raise EvalError(f"integral along the cycle failed: {exc}") from exc
     return PeriodResidual(kind=data.kind, values=vals, norm=float(np.linalg.norm(vals)))
 
 

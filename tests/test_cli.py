@@ -422,6 +422,7 @@ _DISK_COMPLETENESS = {"triple": {"domain": DISK, "f": "1", "g": "z", "m": 1},
 _ESTIMATE = {"triple": {"domain": DISK, "f": "1", "g": "z/2", "m": 2},
              "property": {"bounded": 1.0}, "resolution": 20}
 _SURFACE = {"class": "minimal", "f": "1", "g": "z", "domain": DISK, "resolution": 20}
+ANNULUS = {"kind": "annulus", "center": [0, 0], "r_inner": 0.5, "r_outer": 2.0}
 
 
 @pytest.mark.parametrize(
@@ -525,12 +526,21 @@ def _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer):
         ("zalcman", {"h": "z/(1" + "0" * 300 + ")", "searchgrid": 40}, "/h"),
         ("completeness", dict(_DISK_COMPLETENESS, targets=[[2, 0]]), "/targets/0"),
         ("completeness", dict(_DISK_COMPLETENESS, targets=[[1e308, 0]]), "/targets/0"),
+        ("completeness", dict(_DISK_COMPLETENESS, targets=[[1, 0], [0.5, 0]]), "/targets/1"),
+        # the inner rim at 1 is 0.05 from the anchor 1.05, past the largest eps
+        ("completeness", dict(_DISK_COMPLETENESS, triple=dict(
+            _DISK_COMPLETENESS["triple"], domain={"kind": "annulus", "center": [0, 0],
+                                                  "r_inner": 1.0, "r_outer": 1.1})),
+         "/targets/0"),
+        # the rim point -3 lies past the puncture -1, seen from the anchor 0
+        ("completeness", dict(_COMPLETENESS, target=None, targets=[[-3, 0]]), "/targets/0"),
         ("fujimoto", dict(_FUJIMOTO, radius=1e308), "/radius"),
         ("marty", dict(_MARTY, region={"radius": 1e308}), "/region/radius"),
     ],
     ids=["eta-above-bound", "eta-zero", "two-omits", "no-infinity", "eps-increasing",
          "eps-too-small", "one-eps-level", "anchor-at-target", "path-through-puncture", "constant-h",
          "maximum-on-rim", "constant-overflow", "target-outside", "target-huge",
+         "target-interior", "anchor-at-rim-target", "path-to-rim-through-puncture",
          "fujimoto-radius-huge", "marty-radius-huge"],
 )
 def test_probe_argument_the_library_rejects_is_schema_error(
@@ -644,10 +654,16 @@ _FLAT_FRONT = {"class": "flat_front", "omega": "1", "theta": "z/4", "domain": DI
         ("example", "optimal", {"m": 1, "alphas": [[1e308, 0], [0, 0]]}, "/alphas"),
         ("estimate", "verify", dict(_ESTIMATE, triple=dict(_ESTIMATE["triple"], m=10**7)),
          "/triple/m"),
-        # 2 * 10^10 RK4 samples at the library's step of 1e-3
-        ("surface", "periods", dict(_FLAT_FRONT, cycles=[[[0, 0], [1e7, 0]]], step=0.02),
-         "/cycles/0"),
+        # 1.8 * 10^7 RK4 samples at the library's step of 1e-3
+        ("surface", "periods", dict(_FLAT_FRONT, domain=dict(DISK, radius=1e4),
+                                    cycles=[[[0, 0], [9e3, 0]]], step=0.02), "/cycles/0"),
         ("surface", "synth", dict(_FLAT_FRONT, step=1e-9), "/step"),
+        # cycle points, and the chords between them, must lie in the domain
+        ("surface", "periods", dict(_SURFACE, cycles=[[[0, 0], [1e308, 0]]]), "/cycles/0/1"),
+        ("surface", "periods", dict(_SURFACE, cycles=[[[0.5, 0], [0, 0.5]], [[3, 0], [0, 3]]]),
+         "/cycles/1/0"),
+        ("surface", "periods", dict(_SURFACE, domain=ANNULUS, cycles=[[[1, 0], [-1, 0.01]]]),
+         "/cycles/0"),
         ("triple", "curvature", {"triple": _TRIPLE, "points": [[1e308, 0]]}, "/points/0"),
         ("triple", "curvature", {"triple": _TRIPLE, "points": [[0.1, 0], [3, 0]]}, "/points/1"),
         # the member 1e308 z cannot be sampled: |f|^2 overflows
@@ -667,7 +683,8 @@ _FLAT_FRONT = {"class": "flat_front", "omega": "1", "theta": "z/4", "domain": DI
          "/triple/g"),
         ("surface", "singular", dict(_SURFACE, **{"class": "maxface"}, g="z^1000"), "/g"),
     ],
-    ids=["alpha-1e308", "m-1e7", "cycle-1e7", "step-1e-9", "point-1e308", "point-outside",
+    ids=["alpha-1e308", "m-1e7", "cycle-1e7", "step-1e-9", "cycle-point-1e308",
+         "cycle-point-outside", "cycle-chord-through-hole", "point-1e308", "point-outside",
          "marty-index-1e308", "marty-divisor-1e308", "marty-exponent-1e308", "marty-gradient-inf",
          "marty-index-1e400", "check-order-undetermined", "estimate-order-undetermined",
          "singular-order-undetermined"],

@@ -1,12 +1,13 @@
 """The lowered expression program against the recursive tree walkers it
 replaced.
 
-The five walkers below are the recursive array evaluator, the pole-aware
-scalar evaluator, the polynomial normal form, the depth count and the
-rationality test as they were before expressions were lowered to one
-hash-consed program.  The program must give the same bits, the same
-exceptions and the same answers on every tree a derandomized hypothesis
-strategy draws, and on a derivative tower.
+The walkers below are the recursive array evaluator, the pole-aware scalar
+evaluator, the polynomial normal form, the depth count, the rationality
+test, the printer, substitution and differentiation as they were before
+expressions were lowered to one hash-consed program.  The program must give
+the same bits, the same exceptions, the same text and the same trees on
+every tree a derandomized hypothesis strategy draws, and on a derivative
+tower.
 """
 
 import cmath
@@ -41,11 +42,21 @@ from mtriples.expr import (
     is_rational,
     parse_mero,
     rational_form,
+    substitute,
     to_source,
     _INF,
     _Indeterminate,
     _MAX_DEPTH,
+    _ONE,
+    _ZERO,
+    _add,
+    _div,
+    _fmt_const,
     _lower,
+    _mul,
+    _neg,
+    _pow,
+    _sub,
 )
 
 from _helpers import outcome_bits, raises
@@ -219,6 +230,81 @@ def _ref_is_rational(e) -> bool:
     return _ref_is_rational(e.left) and _ref_is_rational(e.right)
 
 
+# Context levels: 1 additive, 2 multiplicative operand, 3 right factor,
+# 5 atom position (unary-minus operand, power base).
+def _ref_print(e, level: int) -> str:
+    if isinstance(e, Const):
+        text = _fmt_const(e.value)
+        need = level >= 2 and text.startswith("-")
+        return f"({text})" if need else text
+    if isinstance(e, Var):
+        return "z"
+    if isinstance(e, Exp):
+        return f"exp({_ref_print(e.arg, 0)})"
+    if isinstance(e, Neg):
+        # unary minus is itself an atom; its operand must print as an atom
+        return "-" + _ref_print(e.arg, 5)
+    if isinstance(e, Pow):
+        text = f"{_ref_print(e.base, 5)}^{e.exponent}"
+        return f"({text})" if level >= 5 else text
+    if isinstance(e, Add):
+        text = f"{_ref_print(e.left, 1)} + {_ref_print(e.right, 2)}"
+        return f"({text})" if level >= 2 else text
+    if isinstance(e, Sub):
+        text = f"{_ref_print(e.left, 1)} - {_ref_print(e.right, 2)}"
+        return f"({text})" if level >= 2 else text
+    if isinstance(e, Mul):
+        text = f"{_ref_print(e.left, 2)}*{_ref_print(e.right, 3)}"
+        return f"({text})" if level >= 3 else text
+    if isinstance(e, Div):
+        text = f"{_ref_print(e.left, 2)}/{_ref_print(e.right, 3)}"
+        return f"({text})" if level >= 3 else text
+    raise TypeError(f"not a MeroExpr: {e!r}")
+
+
+def _ref_substitute(e, replacement):
+    if isinstance(e, Var):
+        return replacement
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Neg):
+        return Neg(_ref_substitute(e.arg, replacement))
+    if isinstance(e, Exp):
+        return Exp(_ref_substitute(e.arg, replacement))
+    if isinstance(e, Pow):
+        return Pow(_ref_substitute(e.base, replacement), e.exponent)
+    left = _ref_substitute(e.left, replacement)
+    right = _ref_substitute(e.right, replacement)
+    return type(e)(left, right)
+
+
+def _ref_differentiate(e):
+    d = _ref_differentiate
+    if isinstance(e, Const):
+        return _ZERO
+    if isinstance(e, Var):
+        return _ONE
+    if isinstance(e, Add):
+        return _add(d(e.left), d(e.right))
+    if isinstance(e, Sub):
+        return _sub(d(e.left), d(e.right))
+    if isinstance(e, Neg):
+        return _neg(d(e.arg))
+    if isinstance(e, Mul):
+        return _add(_mul(d(e.left), e.right), _mul(e.left, d(e.right)))
+    if isinstance(e, Div):
+        num = _sub(_mul(d(e.left), e.right), _mul(e.left, d(e.right)))
+        return _div(num, _pow(e.right, 2))
+    if isinstance(e, Pow):
+        if e.exponent == 0:
+            return _ZERO
+        inner = _mul(Const(complex(e.exponent)), _pow(e.base, e.exponent - 1))
+        return _mul(inner, d(e.base))
+    if isinstance(e, Exp):
+        return _mul(e, d(e.arg))
+    raise TypeError(f"not a MeroExpr: {e!r}")
+
+
 # The entry points, as they were wired to the walkers above
 
 
@@ -326,6 +412,42 @@ def test_program_matches_recursive_walkers(tree):
         )
     assert is_rational(tree) == _ref_is_rational(tree)
     assert _lower(tree)[2] == _ref_depth(tree)
+
+
+# the replacement carries a signed zero, which the substituted trees must keep
+_INNER = Add(Mul(Const(0.5 - 1.5j), Z), Const(complex(-0.0, -0.0)))
+
+
+@_EXAMPLES
+@given(trees)
+@example(Sub(Const(complex(0.0, -0.0)), Mul(Const(-2 + 0j), Neg(Z))))
+@example(Pow(Exp(Div(Z, Const(complex(-0.0, 0.0)))), -3))
+def test_printer_substitution_and_derivative_match_recursive_walkers(tree):
+    # trees are compared by repr, which tells 0j from -0j
+    assert to_source(tree) == _ref_print(tree, 0)
+    assert repr(substitute(tree, _INNER)) == repr(_ref_substitute(tree, _INNER))
+    want = _ref_differentiate(tree)
+    first = derivative(tree)
+    assert repr(first) == repr(want)
+    assert to_source(first) == _ref_print(want, 0)
+    assert repr(derivative(first)) == repr(_ref_differentiate(want))
+
+
+def test_third_derivative_of_the_deepest_quotient_finishes():
+    # 119 factors: the chain is at the depth cap, and the third derivative of
+    # (z+1)^-117 is far deeper than a recursive walk can go
+    tree = parse_mero("/".join(["(z+1)"] * 119))
+    tower = [tree]
+    for _ in range(3):
+        tower.append(derivative(tower[-1]))
+    # the quotient rule squares each of the 118 divisors
+    text = to_source(tower[1])
+    assert text.startswith("(" * 118 + "z + 1 - (z + 1))/(z + 1)^2*(z + 1)")
+    assert text.count("/(z + 1)^2") == 118
+    z = 0.3 + 0.2j
+    got = eval_array(tower[3], np.array([z]))[0]
+    want = -117 * 118 * 119 * (z + 1) ** -120
+    assert abs(got - want) <= 1e-9 * abs(want)
 
 
 def _as_array(evaluate, e, zs):

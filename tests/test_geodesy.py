@@ -297,6 +297,16 @@ class TestCompletenessProbe:
                 completeness_probe(t, far, self.EPS)
             assert refused.value.name == "target"
 
+    def test_interior_target_is_refused(self, optimal_triple):
+        # neither a puncture nor on the rim: no length diverges toward it
+        t = make_triple(Disk(0, 1.0), "1", "z", 1)
+        for target in (0.5, 1 - 1e-6):
+            with pytest.raises(ArgumentError, match="interior") as refused:
+                completeness_probe(t, target, self.EPS)
+            assert refused.value.name == "target"
+        with pytest.raises(ArgumentError, match="interior"):
+            completeness_probe(optimal_triple, 1 + 1e-6, self.EPS)
+
     def test_report_serializes(self, optimal_triple):
         rep = completeness_probe(optimal_triple, 1 + 0j, self.EPS)
         d = encode_report(rep)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from mtriples import geodesy, quadrature
+from mtriples import geodesy, lengths, quadrature
 from mtriples.estimates import optimal_example
 from mtriples.quadrature import (
     _GL4_T,
@@ -280,3 +280,20 @@ def test_first_integrand_call_gets_one_block(rule, per_segment):
     rule(_counted(_smooth, calls), za, zb)
     assert calls[0] == per_segment * B <= 4 * B
     assert sum(calls) >= per_segment * (3 * B + 5)
+
+
+def test_simpson_refuses_a_pass_past_the_point_cap(monkeypatch):
+    # noise never converges, so the live intervals double with each pass: 2^d
+    # intervals sample 2^(d+1) points at depth d, and 2^10 > 1000 at d = 9;
+    # the cap is read at call time
+    monkeypatch.setattr(lengths, "MAX_GRID_POINTS", 1000)
+    calls, rng = [], np.random.default_rng(0)
+
+    def noise(zs):
+        calls.append(zs.size)
+        assert zs.size <= 500, "a pass sampled past the cap"
+        return rng.standard_normal(zs.size)
+
+    with pytest.raises(QuadratureError, match="1024 samples, past the cap of 1000"):
+        simpson_segments(noise, np.array([0j]), np.array([1 + 0j]))
+    assert calls == [1, 1, 1] + [2**d for d in range(9) for _ in range(2)]

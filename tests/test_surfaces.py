@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from mtriples import surfaces
+from mtriples import lengths, surfaces
 from mtriples.expr import Add, ArgumentError, Const, EvalError, Mul, Pow, Sub, Z
 from mtriples.geodesy import build_mesh
 from mtriples.mtriple import Annulus, Disk, Rectangle, TruncatedPlane
@@ -162,6 +162,17 @@ class TestPeriods:
         res = period_residuals(data, self.CIRCLE)
         assert res.kind == "improper_affine"
         assert res.norm <= 1e-10
+
+    def test_integrals_past_the_point_cap_name_it(self, monkeypatch):
+        # the first pass over 64 chords samples 128 points, over 64 tree edges
+        # at least as many
+        data = MinimalData("1", "z", Annulus(0, 0.5, 2.0), 1.0)
+        mesh = build_mesh(data.domain, ONES, 20)
+        monkeypatch.setattr(lengths, "MAX_GRID_POINTS", 64)
+        with pytest.raises(EvalError, match="cycle failed: .* past the cap of 64"):
+            period_residuals(data, self.CIRCLE)
+        with pytest.raises(EvalError, match="tree edge failed: .* past the cap of 64"):
+            synth_minimal(data, mesh)
 
     def test_flatfront_monodromy_identity(self):
         dom = Disk(0, 2.0)
