@@ -268,7 +268,8 @@ def _handle_triple(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     pts = _points_in(domain, _need(cfg, "points", ""), "/points")
     h = _as_positive(cfg.get("fd_step", 1e-3), "/fd_step")
     out["points"] = [
-        {"point": p, "curvature": curvature(t, p), "curvature_fd": curvature_fd(t, p, h)}
+        {"point": p, "curvature": curvature(t, p),
+         "curvature_fd": _probe(curvature_fd, {"h": "/fd_step"}, t, p, h)}
         for p in pts
     ]
     out["fd_step"] = h

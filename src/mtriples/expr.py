@@ -18,11 +18,13 @@ unsigned decimal integer.  Note that unary minus binds at the atom level,
 so ``-z^2`` parses as ``(-z)^2``.
 
 Every pass over a tree first lowers it, without recursion, to a program:
-its post-order with equal subtrees merged into one op.  The pole-aware point
-evaluator, the polynomial normal form, the printer, substitution and
-differentiation are op tables run over that program, the array evaluator
-runs it with one numpy operation per op, and the depth and rationality of a
-tree are read from it.
+its post-order with equal subtrees merged into one op that carries the first
+node lowered into it.  The pole-aware point evaluator, the polynomial normal
+form, the printer, substitution and differentiation are op tables run over
+that program (a rule reads a constant, an exponent and operand subtrees from
+the op's node, so a derivative shares the subtrees of its tree), the array
+evaluator runs it with one numpy operation per op, and the depth and
+rationality of a tree are read from it.
 
 The array evaluator gives the bits of a recursive numpy tree walk.  Constant
 subtrees, such as the ``(a+b*i)`` coefficients configs write, are evaluated
@@ -41,8 +43,9 @@ Expressions are immutable and every function is pure, so concurrent
 evaluation of shared expressions is safe.  A node memoizes in three slots of
 its own: the program it was lowered to, its reciprocal tree and its
 derivative, so a tree evaluated, inverted or differentiated again does that
-work once.  A memo lives and dies with its node; no module-level cache keeps
-trees alive or hashes them.  Two threads that fill the same memo at once
+work once.  A memo lives and dies with its node (a program refers back to its
+root, so the cyclic garbage collector frees the pair); no module-level cache
+keeps trees alive or hashes them.  Two threads that fill the same memo at once
 store equal values.
 """
 
@@ -484,8 +487,8 @@ def _wrap(operand: tuple, level: int) -> str:
     return f"({text})" if level >= need else text
 
 
-def _print_const(_, c: complex):
-    text = _fmt_const(c)
+def _print_const(_, t: Const):
+    text = _fmt_const(t.value)
     return text, 2 if text.startswith("-") else _ATOM
 
 
@@ -495,7 +498,7 @@ _PRINT_RULES = {
     Exp: lambda _, __, a: (f"exp({a[0]})", _ATOM),
     # unary minus is itself an atom; its operand must print as an atom
     Neg: lambda _, __, a: ("-" + _wrap(a, 5), _ATOM),
-    Pow: lambda _, n, b: (f"{_wrap(b, 5)}^{n}", 5),
+    Pow: lambda _, t, b: (f"{_wrap(b, 5)}^{t.exponent}", 5),
     Add: lambda _, __, a, b: (f"{_wrap(a, 1)} + {_wrap(b, 2)}", 2),
     Sub: lambda _, __, a, b: (f"{_wrap(a, 1)} - {_wrap(b, 2)}", 2),
     Mul: lambda _, __, a, b: (f"{_wrap(a, 2)}*{_wrap(b, 3)}", 3),
@@ -519,9 +522,10 @@ _OPERANDS.update(dict.fromkeys((Add, Sub, Mul, Div), ("left", "right")))
 
 def _lower(e: MeroExpr) -> tuple[list, dict, int]:
     """Lower a tree without recursion to ``(ops, last, depth)``: its post-order
-    with equal subtrees merged into one op ``(node type, payload, operand
-    slots)``, keyed by operand slots (no deep ``__hash__``) and a constant's bit
-    pattern (``0j`` and ``-0j`` stay apart); op ``last[k]`` reads slot k last."""
+    with equal subtrees merged into one op ``(node type, node, operand slots)``,
+    the node the first lowered into that slot, keyed by operand slots (no deep
+    ``__hash__``) and a constant's bit pattern (``0j`` and ``-0j`` stay apart)
+    or an exponent; op ``last[k]`` reads slot k last."""
     program = getattr(e, "_program", None)  # point evaluators lower the same tree again and again
     if program is not None:
         return program
@@ -536,11 +540,11 @@ def _lower(e: MeroExpr) -> tuple[list, dict, int]:
             continue
         stack.pop()
         args = tuple(lowered[id(c)] for c in kids)
-        payload = node.value if kind is Const else node.exponent if kind is Pow else None
-        bits = np.complex128(payload).tobytes() if kind is Const else payload
+        exponent = getattr(node, "exponent", None)
+        bits = np.complex128(node.value).tobytes() if kind is Const else exponent
         lowered[id(node)] = slot = slot_of.setdefault((kind, bits, args), len(ops))
         if slot == len(ops):
-            ops.append((kind, payload, args))
+            ops.append((kind, node, args))
             depth.append(1 + max((depth[a] for a in args), default=0))
     program = ops, {a: k for k, (_, _, args) in enumerate(ops) for a in args}, depth[-1]
     object.__setattr__(e, "_program", program)
@@ -548,10 +552,10 @@ def _lower(e: MeroExpr) -> tuple[list, dict, int]:
 
 
 def _run(program, rules: dict, z):
-    """Apply ``rules[type](z, payload, *operands)`` op by op."""
+    """Apply ``rules[type](z, node, *operands)`` op by op."""
     vals = []
-    for kind, payload, args in program[0]:
-        vals.append(rules[kind](z, payload, *map(vals.__getitem__, args)))
+    for kind, node, args in program[0]:
+        vals.append(rules[kind](z, node, *map(vals.__getitem__, args)))
     return vals[-1]
 
 
@@ -569,7 +573,7 @@ _SUBSTITUTE_RULES = {
     kind: lambda _, __, *xs, kind=kind: kind(*xs) for kind in (Neg, Exp, Add, Sub, Mul, Div)
 }
 _SUBSTITUTE_RULES.update(
-    {Const: lambda _, c: Const(c), Var: lambda r, _: r, Pow: lambda _, n, b: Pow(b, n)}
+    {Const: lambda _, t: t, Var: lambda r, _: r, Pow: lambda _, t, b: Pow(b, t.exponent)}
 )
 
 
@@ -590,7 +594,8 @@ def rational_form(e: MeroExpr) -> tuple[np.ndarray, np.ndarray]:
     return np.trim_zeros(num, "f"), np.trim_zeros(den, "f")
 
 
-def _poly_pow(_, n: int, pair):
+def _poly_pow(_, t: Pow, pair):
+    n = t.exponent
     num = den = np.array([1.0 + 0j])
     for _ in range(abs(n)):
         num, den = np.polymul(num, pair[0]), np.polymul(den, pair[1])
@@ -599,7 +604,7 @@ def _poly_pow(_, n: int, pair):
 
 # (numerator, denominator) coefficient pairs, highest degree first
 _POLY_RULES = {
-    Const: lambda _, c: (np.array([c]), np.array([1.0 + 0j])),
+    Const: lambda _, t: (np.array([t.value]), np.array([1.0 + 0j])),
     Var: lambda *_: (np.array([1.0 + 0j, 0j]), np.array([1.0 + 0j])),
     Neg: lambda _, __, a: (-a[0], a[1]),
     Add: lambda _, __, a, b: (
@@ -628,7 +633,7 @@ _DEGREE_RULES = {
     Sub: _sum_degree,
     Mul: lambda _, __, a, b: (a[0] + b[0], a[1] + b[1]),
     Div: lambda _, __, a, b: (a[0] + b[1], a[1] + b[0]),
-    Pow: lambda _, n, a: (a[0] * n, a[1] * n) if n >= 0 else (-a[1] * n, -a[0] * n),
+    Pow: lambda _, t, a: (a[0] * n, a[1] * n) if (n := t.exponent) >= 0 else (-a[1] * n, -a[0] * n),
 }
 
 
@@ -642,39 +647,25 @@ def derivative(e: MeroExpr) -> MeroExpr:
     on the node for the next call."""
     d = getattr(e, "_derivative", None)
     if d is None:
-        d = _run(_lower(e), _DERIVATIVE_RULES, Z)[1]
+        d = _run(_lower(e), _DERIVATIVE_RULES, None)
         object.__setattr__(e, "_derivative", d)
     return d
 
 
-def _with_tree(kind, rule):
-    """``(tree, rule(tree, payload, *operand pairs))``, the tree rebuilt."""
-    rebuild = _SUBSTITUTE_RULES[kind]
-
-    def pair(z, payload, *operands):
-        tree = rebuild(z, payload, *(t for t, _ in operands))
-        return tree, rule(tree, payload, *operands)
-
-    return pair
-
-
-# operand pairs (tree, derivative), folded in the order written: complex
-# multiply is not bitwise commutative
+# operand derivatives, and operand subtrees read from the node, folded in the
+# order written: complex multiply is not bitwise commutative
 _DERIVATIVE_RULES = {
-    kind: _with_tree(kind, rule)
-    for kind, rule in {
-        Const: lambda *_: _ZERO,
-        Var: lambda *_: _ONE,
-        Neg: lambda _, __, a: _neg(a[1]),
-        Add: lambda _, __, a, b: _add(a[1], b[1]),
-        Sub: lambda _, __, a, b: _sub(a[1], b[1]),
-        Mul: lambda _, __, a, b: _add(_mul(a[1], b[0]), _mul(a[0], b[1])),
-        Div: lambda _, __, a, b: _div(_sub(_mul(a[1], b[0]), _mul(a[0], b[1])), _pow(b[0], 2)),
-        Pow: lambda _, n, b: (
-            _mul(_mul(Const(complex(n)), _pow(b[0], n - 1)), b[1]) if n else _ZERO
-        ),
-        Exp: lambda tree, _, a: _mul(tree, a[1]),
-    }.items()
+    Const: lambda *_: _ZERO,
+    Var: lambda *_: _ONE,
+    Neg: lambda _, __, da: _neg(da),
+    Add: lambda _, __, da, db: _add(da, db),
+    Sub: lambda _, __, da, db: _sub(da, db),
+    Mul: lambda _, t, da, db: _add(_mul(da, t.right), _mul(t.left, db)),
+    Div: lambda _, t, da, db: _div(_sub(_mul(da, t.right), _mul(t.left, db)), _pow(t.right, 2)),
+    Pow: lambda _, t, db: (
+        _mul(_mul(Const(complex(n)), _pow(t.base, n - 1)), db) if (n := t.exponent) else _ZERO
+    ),
+    Exp: lambda _, t, da: _mul(t, da),
 }
 
 
@@ -733,7 +724,8 @@ def _raw_div(z, _, a, b):
     return 0j if b is _INF else _check_overflow(a / b)
 
 
-def _raw_pow(z, n, b):
+def _raw_pow(z, t: Pow, b):
+    n = t.exponent
     if n == 0:
         return 1 + 0j
     if b is _INF or (b == 0 and n < 0):
@@ -755,7 +747,7 @@ def _raw_exp(z, _, a):
 
 # Pole-aware scalar arithmetic: complex or _INF, or raise _Indeterminate
 _RAW_RULES = {
-    Const: lambda z, c: c,
+    Const: lambda z, t: t.value,
     Var: lambda z, _: z,
     Neg: lambda z, _, a: _INF if a is _INF else -a,
     Add: lambda z, _, a, b: _inf_sum(a, b) or _check_overflow(a + b),
@@ -795,9 +787,11 @@ def _samples_on_circle(e: MeroExpr, z0: complex, r: float, angles: int, rot: flo
 
 
 def _resolve_by_order(e: MeroExpr, z0: complex) -> ExtComplex:
-    num, _ = rational_form(e)
+    num, den = rational_form(e)
     if num.size == 0:
         return ExtComplex(0j)  # exact cancellation: the zero function
+    if den.size == 0:
+        return INFINITY  # a denominator that cancels exactly: identically infinite
     order = local_order(e, z0)
     if order > 0:
         return ExtComplex(0j)
@@ -886,7 +880,7 @@ def eval_array(e: MeroExpr, zs: np.ndarray) -> np.ndarray:
     ops, last, _ = _lower(e)
     vals, fixed = [], []  # fixed[k]: op k does not read z
     with np.errstate(all="ignore"):
-        for k, (kind, payload, args) in enumerate(ops):
+        for k, (kind, node, args) in enumerate(ops):
             xs = [vals[a] for a in args]
             for a in args:
                 if last[a] == k:
@@ -895,9 +889,9 @@ def eval_array(e: MeroExpr, zs: np.ndarray) -> np.ndarray:
             if kind is Var:
                 vals.append(zs)
             elif kind is Const:
-                vals.append(np.full((1,) * zs.ndim, payload, dtype=complex))
+                vals.append(np.full((1,) * zs.ndim, node.value, dtype=complex))
             elif kind is Pow:
-                vals.append(xs[0] ** payload)
+                vals.append(xs[0] ** node.exponent)
             else:
                 fresh, ufunc = _OPS[kind]
                 dies = vals[args[0]] is None and xs[0] is not zs

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -187,10 +188,13 @@ def _rows(row: str, values: list) -> str:
 
 def _write_csv(path, header: list, columns: list) -> None:
     """One row per entry of the equal-length ``columns``, as ``csv.writer``
-    writes numbers: each its Python ``repr``, every row ended by CRLF."""
+    writes numbers: each its Python ``repr``, every row ended by CRLF; the
+    directory is made if missing."""
     ncols = len(columns)
     values = [None] * (ncols * len(columns[0]))
     for k, col in enumerate(columns):
         values[k::ncols] = np.asarray(col).tolist()
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n" + _rows(",".join(["%r"] * ncols) + "\r\n", values))

@@ -359,12 +359,16 @@ def check_regularity(domain: DomainSpec, f: MeroExpr, g: MeroExpr, m: int) -> Re
     Candidates are the clustered roots of the numerator/denominator
     polynomials of both expressions that lie strictly inside the domain
     (punctures excluded).  Non-rational data yields an unchecked report.  An
-    order the sampler cannot determine is an ``ArgumentError`` on ``f`` or ``g``.
+    order the sampler cannot determine, or an expression whose denominator is
+    identically zero, is an ``ArgumentError`` on ``f`` or ``g``.
     """
     if not (is_rational(f) and is_rational(g)):
         return RegularityReport(entries=(), overall=True, checked=False)
     num_f, den_f = rational_form(f)
     num_g, den_g = rational_form(g)
+    for name, den in (("f", den_f), ("g", den_g)):
+        if den.size == 0:
+            raise ArgumentError(name, f"{name} is identically infinite")
     raw = np.concatenate(
         [_poly_roots(num_f), _poly_roots(den_f), _poly_roots(num_g), _poly_roots(den_g)]
     )
@@ -516,10 +520,14 @@ def curvature_fd(t: MTriple, z: complex, h: float = 1e-3, richardson: bool = Fal
 
     Independent of the closed form: only the density enters.  Five-point
     stencil, O(h^2); with ``richardson`` the (h, h/2) extrapolation is O(h^4).
+    A step whose square underflows to 0, or that leaves a stencil point on its
+    centre, is an ``ArgumentError`` on ``h``.
     """
 
     def one(hh: float) -> float:
         pts = [z, z + hh, z - hh, z + 1j * hh, z - 1j * hh]
+        if hh * hh == 0 or z in pts[1:]:
+            raise ArgumentError("h", f"step {hh!r} is below the resolution of the stencil at {z}")
         for p in pts:
             if not t.domain.contains(p):
                 raise EvalError(f"FD stencil leaves the domain at {p}")

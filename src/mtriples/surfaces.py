@@ -158,7 +158,7 @@ class MaxfaceData(_VectorData):
     def __post_init__(self):
         super().__post_init__()
         if isinstance(self.g, Const) and abs(abs(self.g.value) - 1.0) < 1e-15:
-            raise ValueError("|g| identically 1: the data is singular everywhere")
+            raise ArgumentError("g", "|g| identically 1: the data is singular everywhere")
 
     def forms(self) -> tuple:
         """(-2g, 1 + g^2, i(1 - g^2)) f"""
@@ -179,7 +179,8 @@ class MaxfaceData(_VectorData):
 
 @dataclass(frozen=True)
 class _PoleFreeData(_SurfaceData):
-    """Data whose two expressions may have no pole inside the domain."""
+    """Data whose two expressions may have no pole inside the domain; a pole, or
+    a denominator that is identically zero, is an ``ArgumentError`` on its field."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -187,9 +188,12 @@ class _PoleFreeData(_SurfaceData):
             e = getattr(self, f.name)
             if not is_rational(e):
                 continue  # checked at runtime by quadrature failures
-            for r in map(complex, np.roots(rational_form(e)[1])):
+            den = rational_form(e)[1]
+            if den.size == 0:
+                raise ArgumentError(f.name, f"{f.name} is identically infinite")
+            for r in map(complex, np.roots(den)):
                 if self.domain.contains(r, margin=1e-12) and self.domain.puncture_gap(r) > 1e-9:
-                    raise ValueError(f"{f.name} has a pole at {r} inside the domain")
+                    raise ArgumentError(f.name, f"{f.name} has a pole at {r} inside the domain")
 
 
 @dataclass(frozen=True)

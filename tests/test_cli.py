@@ -165,6 +165,15 @@ class TestSurfaceCommand:
         assert inv["laplacian"] <= 1e-3
         assert report["gauss_normal"]["max_angle"] <= 1e-2
 
+    def test_synth_without_exports_makes_its_run_directory(self, tmp_path):
+        # only the mesh tables and the report are written, into a directory
+        # that does not exist yet
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(_SURFACE, exports=[])))
+        out = tmp_path / "fresh"
+        assert main(["surface", "synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["edges.csv", "nodes.csv", "report.json"]
+
     def test_singular_locus_subcommand(self, tmp_path):
         cfg = {
             "class": "maxface",
@@ -682,17 +691,49 @@ _FLAT_FRONT = {"class": "flat_front", "omega": "1", "theta": "z/4", "domain": DI
         ("estimate", "verify", dict(_ESTIMATE, triple=dict(_ESTIMATE["triple"], g="z^1000")),
          "/triple/g"),
         ("surface", "singular", dict(_SURFACE, **{"class": "maxface"}, g="z^1000"), "/g"),
+        # a denominator that is identically zero: the expression is infinite everywhere
+        ("surface", "periods", dict(_SURFACE, f="1/0", domain=ANNULUS, base_point=[1, 0],
+                                    cycles=[[[1, 0], [0, 1], [-1, 0], [0, -1]]]), "/f"),
+        ("surface", "synth", dict(_SURFACE, g="z/(z-z)"), "/g"),
+        ("surface", "synth", dict(_FLAT_FRONT, omega="1/0"), "/omega"),
+        ("probe", "zalcman", {"h": "z/0", "searchgrid": 60}, "/h"),
+        ("triple", "check", {"triple": dict(_TRIPLE, f="1/(z-z)")}, "/triple/f"),
+        ("triple", "curvature", {"triple": dict(_TRIPLE, g="1/0"), "points": [[0, 0]]},
+         "/triple/g"),
+        # the step squared underflows to 0, or a stencil point rounds onto its centre
+        ("triple", "curvature", {"triple": _TRIPLE, "points": [[0, 0]], "fd_step": 1e-320},
+         "/fd_step"),
+        ("triple", "curvature", {"triple": _TRIPLE, "points": [[0, 0]], "fd_step": 1e-170},
+         "/fd_step"),
+        ("triple", "curvature", {"triple": _TRIPLE, "points": [[0, 0], [0.5, 0]],
+                                 "fd_step": 1e-17}, "/fd_step"),
     ],
     ids=["alpha-1e308", "m-1e7", "cycle-1e7", "step-1e-9", "cycle-point-1e308",
          "cycle-point-outside", "cycle-chord-through-hole", "point-1e308", "point-outside",
          "marty-index-1e308", "marty-divisor-1e308", "marty-exponent-1e308", "marty-gradient-inf",
          "marty-index-1e400", "check-order-undetermined", "estimate-order-undetermined",
-         "singular-order-undetermined"],
+         "singular-order-undetermined", "periods-f-infinite", "synth-g-infinite",
+         "flat-front-omega-infinite", "zalcman-h-infinite", "check-f-infinite",
+         "curvature-g-infinite", "fd-step-1e-320", "fd-step-1e-170", "fd-step-below-ulp"],
 )
 def test_magnitude_the_numerics_cannot_hold_is_schema_error(
     tmp_path, capsys, group, action, cfg, pointer
 ):
     _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer)
+
+
+@pytest.mark.parametrize(
+    "cfg, pointer",
+    [
+        (dict(_FLAT_FRONT, theta="1/(z-0.5)"), "/theta"),
+        ({"class": "improper_affine", "F": "z", "G": "1/(z-0.5)", "domain": DISK,
+          "resolution": 20}, "/G"),
+        (dict(_SURFACE, **{"class": "maxface"}, g="1"), "/g"),
+    ],
+    ids=["flat-front-theta-pole", "improper-affine-G-pole", "maxface-g-unimodular"],
+)
+def test_surface_data_error_is_reported_at_its_field(tmp_path, capsys, cfg, pointer):
+    _assert_schema_error(tmp_path, capsys, "surface", "synth", cfg, pointer)
 
 
 def test_refined_estimate_leaves_scipy_spatial_unimported(tmp_path):

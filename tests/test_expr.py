@@ -206,6 +206,11 @@ class TestEval:
         with pytest.raises(EvalError):
             eval_ext(parse_mero("exp(z)/(1/z - 1/z)"), 0)
 
+    @pytest.mark.parametrize("src", ["z/0", "z/(z-z)"])
+    def test_identically_zero_denominator_is_infinite(self, src):
+        # 0/0 at the origin: no local order exists, and every value is infinite
+        assert eval_ext(parse_mero(src), 0).is_inf
+
     def test_pow_at_inf(self):
         assert eval_ext(parse_mero("(1/z)^3"), 0).is_inf
         assert abs(eval_ext(parse_mero("(1/z)^0"), 0).value - 1) < 1e-15
@@ -271,6 +276,16 @@ class TestDerivative:
     def test_kept_on_the_node(self):
         e = parse_mero("(z^2 + 1)/(z - 3)")
         assert derivative(e) is derivative(e)
+
+    def test_zeroth_power_has_the_zero_constant(self):
+        # folding 0 * (-1) would give the constant -0j, not 0j
+        assert repr(derivative(parse_mero("(-z)^0"))) == "Const(value=0j)"
+
+    def test_shares_the_subtrees_of_its_tree(self):
+        # (z*exp(z))' = exp(z) + z*exp(z): both terms reuse the original node
+        e = parse_mero("z*exp(z)")
+        d = derivative(e)
+        assert d.left is e.right and d.right.right is e.right
 
     def test_memory_flat_once_trees_are_dropped(self):
         def churn(n):

@@ -184,6 +184,14 @@ class TestRegularity:
             check_regularity(Disk(0, 1.0), parse_mero(f), parse_mero(g), 1)
         assert info.value.name == name
 
+    @pytest.mark.parametrize(
+        "f, g, name", [("1/0", "z", "f"), ("1", "z/(z-z)", "g"), ("1/(z-z)", "1/0", "f")]
+    )
+    def test_identically_infinite_data_names_its_expression(self, f, g, name):
+        with pytest.raises(ArgumentError, match="identically infinite") as info:
+            check_regularity(Disk(0, 1.0), parse_mero(f), parse_mero(g), 1)
+        assert info.value.name == name
+
     def test_m_must_be_positive_integer(self):
         with pytest.raises(ValueError):
             make_triple(Disk(0, 1.0), "1", "z", 0)
@@ -293,6 +301,20 @@ class TestCurvatureFD:
         kc = curvature(t, z)
         kf = curvature_fd(t, z, 1e-3)
         assert abs(kc - kf) / abs(kc) < 1e-4
+
+    @pytest.mark.parametrize(
+        "z, h, richardson",
+        [(0, 1e-320, False), (0, 1e-170, False), (0.5, 1e-17, False), (0.5j, 1e-17, False),
+         (0.5, 1e-16, True)],
+        ids=["square-underflows", "square-underflows-normal-h", "point-on-centre",
+             "imaginary-point-on-centre", "half-step-on-centre"],
+    )
+    def test_step_below_the_stencil_resolution_is_refused(self, z, h, richardson):
+        # 0.5 + 1e-16 rounds away from 0.5, but 0.5 + 5e-17 rounds back onto it
+        t = make_triple(Disk(0, 1.0), "1", "z", 2)
+        with pytest.raises(ArgumentError) as info:
+            curvature_fd(t, z, h, richardson)
+        assert info.value.name == "h"
 
     def test_stencil_must_stay_inside(self):
         t = make_triple(Disk(0, 1.0), "1", "z", 2)

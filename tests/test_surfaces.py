@@ -263,6 +263,22 @@ class TestImproperAffine:
             ImproperAffineData("1/z", "z", Disk(0, 1.0), 0.5)
 
 
+@pytest.mark.parametrize(
+    "cls, exprs, name, message",
+    [
+        (ImproperAffineData, ("z", "1/(z-0.5)"), "G", "has a pole"),
+        (ImproperAffineData, ("1/0", "z"), "F", "identically infinite"),
+        (FlatFrontData, ("1", "1/(z-0.5)"), "theta", "has a pole"),
+        (FlatFrontData, ("z/(z-z)", "z"), "omega", "identically infinite"),
+        (MaxfaceData, ("1", "i"), "g", "identically 1"),
+    ],
+)
+def test_invalid_expression_is_named_by_its_field(cls, exprs, name, message):
+    with pytest.raises(ArgumentError, match=message) as info:
+        cls(*exprs, Disk(0, 1.0), 0j)
+    assert info.value.name == name
+
+
 class TestFlatFront:
     def test_horosphere_closed_form(self):
         dom = Disk(0, 1.0)
