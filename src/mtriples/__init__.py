@@ -26,11 +26,11 @@ _EXPORTS = {
         "Annulus", "Disk", "DomainSpec", "MTriple", "Rectangle", "TruncatedPlane",
         "check_regularity", "curvature", "curvature_fd", "make_triple", "metric_density",
     ),
-    "lengths": ("CompletenessReport", "completeness_probe"),
     "geodesy": ("MeshedDomain", "boundary_distance_field", "build_mesh"),
     "estimates": (
-        "Bounded", "EstimateReport", "Omits", "curvature_constant", "fujimoto_ratio", "marty_sup",
-        "optimal_example", "property_check", "verify_estimate", "zalcman_rescale",
+        "Bounded", "CompletenessReport", "EstimateReport", "Omits", "completeness_probe",
+        "curvature_constant", "fujimoto_ratio", "marty_sup", "optimal_example", "property_check",
+        "verify_estimate", "zalcman_rescale",
     ),
     "surfaces": (
         "FlatFrontData", "ImproperAffineData", "MaxfaceData", "MinimalData", "SurfaceMesh",

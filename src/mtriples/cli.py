@@ -33,6 +33,7 @@ from .estimates import (
     Bounded,
     Omits,
     PropertyViolation,
+    completeness_probe,
     curvature_constant,
     fujimoto_ratio,
     marty_sup,
@@ -42,7 +43,6 @@ from .estimates import (
     zalcman_rescale,
 )
 from .expr import ArgumentError, ExtComplex, INFINITY, parse_mero, to_source
-from .lengths import completeness_probe
 from .mtriple import (
     Annulus,
     Disk,

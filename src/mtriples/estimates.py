@@ -7,6 +7,9 @@ verifier compares sup |K| d^2 against its square with a 5% tolerance for
 the one-sided Dijkstra overestimate of d.  For omission properties only an
 empirical supremum is reported; no explicit constant is available, and the
 verifier never fabricates one.
+
+The four probes (Marty, Zalcman, Fujimoto and completeness) live here too.
+Only ``verify_estimate`` imports ``geodesy``, and with it scipy, inside it.
 """
 
 from __future__ import annotations
@@ -33,14 +36,18 @@ from .expr import (
     chordal_array,
     derivative,
     eval_array,
+    is_rational,
+    rational_form,
     spherical_gradient,
     spherical_gradient_array,
     substitute,
     _div,
+    _is_const,
     _mul,
 )
-from .lengths import MeshError, _require_grid_points
-from .mtriple import Disk, MTriple, TruncatedPlane, curvature_array, make_triple
+from .mtriple import (Disk, DomainSpec, MTriple, TruncatedPlane, curvature_array, make_triple,
+                      segment_point_dist)
+from .quadrature import MeshError, QuadratureError, _require_grid_points, simpson_segments
 
 if TYPE_CHECKING:  # geodesy imports scipy; the probes here build no mesh
     from .geodesy import MeshedDomain
@@ -62,6 +69,8 @@ __all__ = [
     "fujimoto_ratio",
     "marty_sup",
     "zalcman_rescale",
+    "CompletenessReport",
+    "completeness_probe",
 ]
 
 MESH_TOLERANCE = 0.05
@@ -135,32 +144,27 @@ def property_check(
     zs = zs[keep]
     vals = eval_array(g, zs)
     if isinstance(prop, Bounded):
-        mags = np.abs(vals)
-        mags = np.where(np.isfinite(mags), mags, np.inf)
-        k = int(np.argmax(mags))
-        ext = float(mags[k])
-        near = zs[mags >= 0.95 * prop.limit][:32]
-        return PropertyReport(
-            kind="bounded",
-            extremum=ext,
-            threshold=prop.limit,
-            verdict=bool(ext < prop.limit),
-            witness=complex(zs[k]),
-            near_points=tuple(complex(p) for p in near),
-        )
-    dists = np.full(len(zs), np.inf)
-    for alpha in prop.values:
-        dists = np.minimum(dists, chordal_array(vals, alpha))
-    k = int(np.argmin(dists))
-    ext = float(dists[k])
-    near = zs[dists <= 2.0 * delta][:32]
+        kind, threshold = "bounded", prop.limit
+        score = np.abs(vals)
+        score = np.where(np.isfinite(score), score, np.inf)
+        k = int(np.argmax(score))
+        verdict = score[k] < threshold
+        near = score >= 0.95 * threshold
+    else:
+        kind, threshold = "omits", delta
+        score = np.full(len(zs), np.inf)
+        for alpha in prop.values:
+            score = np.minimum(score, chordal_array(vals, alpha))
+        k = int(np.argmin(score))
+        verdict = score[k] > threshold
+        near = score <= 2.0 * threshold
     return PropertyReport(
-        kind="omits",
-        extremum=ext,
-        threshold=delta,
-        verdict=bool(ext > delta),
+        kind=kind,
+        extremum=float(score[k]),
+        threshold=threshold,
+        verdict=bool(verdict),
         witness=complex(zs[k]),
-        near_points=tuple(complex(p) for p in near),
+        near_points=tuple(complex(p) for p in zs[near][:32]),
     )
 
 
@@ -401,6 +405,26 @@ def _conformal_gradient_grid(h: MeroExpr, pts: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 - np.abs(pts) ** 2) * spherical_gradient_array(h, pts)
 
 
+def _is_constant(h: MeroExpr) -> bool:
+    """Whether ``h`` is constant as a map to the sphere: its derivative folds
+    to 0, or ``h`` = p/q is rational and p'q - pq' is identically 0 (h's own
+    normal form keeps the degree cap; that of h' grows with each nested
+    quotient).  An overflowing derivative is left to the sampler to name."""
+    try:
+        if _is_const(derivative(h), 0j):
+            return True
+    except ArithmeticError:
+        return False
+    if not is_rational(h):
+        return False
+    p, q = rational_form(h)
+    if p.size == 0 or q.size == 0:
+        return True
+    with np.errstate(all="ignore"):
+        w = np.polysub(np.polymul(np.polyder(p), q), np.polymul(p, np.polyder(q)))
+    return not w.any()
+
+
 def zalcman_rescale(h: MeroExpr, searchgrid: int = 300) -> ZalcmanResult:
     """Normalize a non-normal candidate: recenter the hyperbolic-gradient
     maximum to the origin and rescale so the Euclidean spherical gradient
@@ -409,7 +433,7 @@ def zalcman_rescale(h: MeroExpr, searchgrid: int = 300) -> ZalcmanResult:
     The returned map satisfies |grad|(0) = 1 and inherits the envelope bound
     |grad|(z) <= 1/(1 - (|z|/R)^2) on |z| < R from maximality at the center.
     """
-    if isinstance(h, Const):
+    if _is_constant(h):
         raise ArgumentError("h", "h must be nonconstant")
     lattice = _square_lattice(searchgrid, "searchgrid")
     s = 2.0 / searchgrid
@@ -425,10 +449,9 @@ def zalcman_rescale(h: MeroExpr, searchgrid: int = 300) -> ZalcmanResult:
 
     # local refinement so maximality at the center holds to high accuracy
     width = s
+    around = _square_lattice(20, "searchgrid")
     for _ in range(4):
-        kk = np.arange(-10, 11)
-        li, lj = np.meshgrid(kk, kk, indexing="ij")
-        local = (z0 + (li + 1j * lj) * (width / 10.0)).ravel()
+        local = (z0 + around * (width / 10.0)).ravel()
         local = local[np.abs(local) < 1.0 - 1e-9]
         lv = _conformal_gradient_grid(h, local)
         z0 = complex(local[int(np.argmax(lv))])
@@ -458,4 +481,124 @@ def zalcman_rescale(h: MeroExpr, searchgrid: int = 300) -> ZalcmanResult:
         gradient_at_zero=grad0,
         envelope_max_violation=violation,
         grid=searchgrid,
+    )
+
+
+@dataclass(frozen=True)
+class CompletenessReport:
+    target: str
+    eps_levels: tuple
+    lengths: tuple
+    model: str  # "log" or "power"
+    slope: float
+    intercept: float
+    residual: float
+    stable: bool
+    divergence_evidence: bool
+
+
+def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    A = np.vstack([xs, np.ones_like(xs)]).T
+    sol, *_ = np.linalg.lstsq(A, ys, rcond=None)
+    resid = float(np.sqrt(np.mean((A @ sol - ys) ** 2)))
+    return float(sol[0]), float(sol[1]), resid
+
+
+def _infinity_direction(domain: DomainSpec, anchor: complex) -> complex:
+    """Outward ray direction staying as far as possible from punctures."""
+    best, best_gap = 1.0 + 0j, -1.0
+    for k in range(64):
+        u = np.exp(1j * (2 * math.pi * k / 64 + 0.02))
+        gap = math.inf
+        for p in domain.punctures:
+            t = max(((p - anchor) * np.conj(u)).real, 0.0)
+            gap = min(gap, abs(anchor + t * u - p))
+        if gap > best_gap:
+            best_gap, best = gap, u
+    return complex(best)
+
+
+def completeness_probe(triple: MTriple, target, eps_levels: Sequence[float]) -> CompletenessReport:
+    """Truncated radial length integrals toward a puncture, boundary point,
+    or infinity, with a log-divergence fit.  Any other finite target, inside
+    the domain or outside its closure, is refused.
+
+    The verdict is evidence, not proof: it requires a positive fitted slope,
+    agreement within 10% between the fits with and without the last level,
+    and a final-decade increment consistent with the fitted slope.
+    """
+    eps = [float(e) for e in eps_levels]
+    if len(eps) < 2:
+        raise ArgumentError("eps_levels", "need at least two eps levels for the fit")
+    if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
+        raise ArgumentError("eps_levels", "eps_levels must be strictly decreasing")
+    if eps[-1] < 1e-8:
+        raise ArgumentError("eps_levels", "smallest eps must be >= 1e-8")
+    anchor = triple.domain.anchor()
+
+    dens = lambda zs: triple.density(zs).astype(complex)
+
+    if isinstance(target, str) and target in ("inf", "infinity"):
+        u = _infinity_direction(triple.domain, anchor)
+        stops = [anchor] + [anchor + u / e for e in eps]
+        label = "infinity"
+    else:
+        tgt = complex(target)
+        is_puncture = triple.domain.puncture_gap(tgt) < 1e-9
+        # punctures lie inside; a boundary point off by rounding still counts
+        rounding = 1e-9 * triple.domain.scale()
+        if not triple.domain.contains(tgt, margin=-rounding):
+            raise ArgumentError("target", f"{tgt} is not a point of the closed domain")
+        if not is_puncture and triple.domain.contains(tgt, margin=rounding):
+            raise ArgumentError(
+                "target", f"{tgt} is interior: neither a puncture nor on the boundary"
+            )
+        gap = abs(tgt - anchor)
+        if gap <= max(eps):
+            raise ArgumentError("target", "anchor too close to the probe target")
+        u = (tgt - anchor) / gap
+        for p in triple.domain.punctures:
+            if abs(p - tgt) > 1e-9 and segment_point_dist(
+                np.array([anchor]), np.array([tgt]), p
+            )[0] < 1e-3:
+                raise ArgumentError(
+                    "target", "probe path passes another puncture; choose a different anchor"
+                )
+        stops = [anchor] + [tgt - e * u for e in eps]
+        label = f"{'puncture' if is_puncture else 'boundary'} {tgt}"
+
+    lengths = []
+    total = 0.0
+    for a, b in zip(stops, stops[1:]):
+        seg = simpson_segments(dens, np.array([a]), np.array([b]), rel_tol=1e-9)
+        piece = float(abs(seg[0]))
+        if not math.isfinite(piece):
+            raise QuadratureError("length integrand overflowed before truncation")
+        total += piece
+        lengths.append(total)
+
+    xs = np.log(1.0 / np.asarray(eps))
+    ys = np.asarray(lengths)
+    slope, intercept, resid = _fit_line(xs, ys)
+    slope_prev, _, _ = _fit_line(xs[:-1], ys[:-1])
+    stable = abs(slope - slope_prev) <= 0.1 * max(abs(slope), 1e-12)
+    last_inc = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    evidence = bool(slope > 0 and stable and last_inc >= 0.5 * slope)
+
+    model = "log"
+    if ys.min() > 0:
+        p_slope, p_int, p_resid = _fit_line(xs, np.log(ys))
+        # strongly super-logarithmic growth is better described as a power law
+        if p_slope > 0.5 and p_resid * abs(np.log(ys).mean() or 1.0) < resid / max(ys.mean(), 1e-30):
+            model = "power"
+    return CompletenessReport(
+        target=label,
+        eps_levels=tuple(eps),
+        lengths=tuple(float(v) for v in lengths),
+        model=model,
+        slope=slope,
+        intercept=intercept,
+        residual=resid,
+        stable=stable,
+        divergence_evidence=evidence,
     )

@@ -108,7 +108,7 @@ _BIG = 1e6  # array entries past this magnitude are repaired point by point
 _MAX_NESTING = 100
 _MAX_DEPTH = 120
 # Degree cap on rational expressions: root finding (np.roots) builds a d x d
-# companion matrix, and the grid cap of 10^6 points (lengths.MAX_GRID_POINTS)
+# companion matrix, and the grid cap of 10^6 points (quadrature.MAX_GRID_POINTS)
 # bounds that at d = 1000.  Past it, the polynomial normal form alone would
 # take one polymul per unit of a huge exponent.
 _MAX_DEGREE = 1000

@@ -14,9 +14,7 @@ it: on the flat unit disk the interior ratio stays near 1.02 from resolution
 50 to 400.
 
 This is the one module that imports scipy (its sparse graph routines), and
-it does so at the top, so importing it pays that cost at once.  Completeness
-probes, ``MeshError`` and the grid cap live in ``lengths``, which needs no
-scipy; they are re-exported here.
+it does so at the top, so importing it pays that cost at once.
 """
 
 from __future__ import annotations
@@ -29,27 +27,18 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 
+from .estimates import completeness_probe  # perfbench/expr_probe.py imports it from here
 from .expr import ArgumentError
-from .lengths import (
-    MAX_GRID_POINTS,
-    CompletenessReport,
-    MeshError,
-    _require_grid_points,
-    _write_csv,
-    completeness_probe,
-)
 from .mtriple import DomainSpec, segment_point_dist
-from .quadrature import QuadratureError, gauss4_segments
+from .quadrature import MeshError, QuadratureError, _require_grid_points, gauss4_segments
+from .reporting import _write_csv
 
 __all__ = [
     "MeshedDomain",
     "MeshError",
-    "MAX_GRID_POINTS",
-    "CompletenessReport",
     "build_mesh",
     "boundary_distance_field",
     "dijkstra_distances",
-    "completeness_probe",
     "write_nodes_csv",
     "write_edges_csv",
 ]

@@ -126,8 +126,28 @@ def segment_point_dist(za: np.ndarray, zb: np.ndarray, p: complex) -> np.ndarray
     return np.abs(za + t * d - p)
 
 
+class _RoundDomain(_DomainBase):
+    """The open disk of ``radius`` about ``center``, less the punctures."""
+
+    center: complex
+    radius: float
+
+    def contains(self, z, margin: float = 0.0):
+        return abs(z - self.center) < self.radius - margin
+
+    def bbox(self):
+        c, r = self.center, self.radius
+        return (c.real - r, c.real + r, c.imag - r, c.imag + r)
+
+    def anchor(self) -> complex:
+        return self.center
+
+    def scale(self) -> float:
+        return self.radius
+
+
 @dataclass(frozen=True)
-class Disk(_DomainBase):
+class Disk(_RoundDomain):
     kind: ClassVar[str] = "disk"
     center: complex
     radius: float
@@ -139,21 +159,8 @@ class Disk(_DomainBase):
         object.__setattr__(self, "center", complex(self.center))
         self._validate()
 
-    def contains(self, z, margin: float = 0.0):
-        return abs(z - self.center) < self.radius - margin
-
     def rim(self, inset: float, step: float) -> np.ndarray:
         return _circle(self.center, self.radius - inset * self.scale(), step)
-
-    def bbox(self):
-        c, r = self.center, self.radius
-        return (c.real - r, c.real + r, c.imag - r, c.imag + r)
-
-    def anchor(self) -> complex:
-        return self.center
-
-    def scale(self) -> float:
-        return self.radius
 
 
 @dataclass(frozen=True)
@@ -251,7 +258,7 @@ class Rectangle(_DomainBase):
 
 
 @dataclass(frozen=True)
-class TruncatedPlane(_DomainBase):
+class TruncatedPlane(_RoundDomain):
     """The plane, truncated for numerics at a finite radius.
 
     The rim stands in for the ideal boundary at infinity: it is meshed as a
@@ -259,6 +266,7 @@ class TruncatedPlane(_DomainBase):
     """
 
     kind: ClassVar[str] = "truncated_plane"
+    center: ClassVar[complex] = 0j
     radius: float
     punctures: tuple = ()
 
@@ -267,21 +275,9 @@ class TruncatedPlane(_DomainBase):
             raise ValueError("truncation radius must be positive")
         self._validate()
 
-    def contains(self, z, margin: float = 0.0):
-        return abs(z) < self.radius - margin
-
     def rim(self, inset: float, step: float) -> np.ndarray:
+        # not the disk's R - inset*R, which rounds differently
         return _circle(0j, self.radius * (1.0 - inset), step)
-
-    def bbox(self):
-        r = self.radius
-        return (-r, r, -r, r)
-
-    def anchor(self) -> complex:
-        return 0j
-
-    def scale(self) -> float:
-        return self.radius
 
 
 DomainSpec = Union[Disk, Annulus, Rectangle, TruncatedPlane]

@@ -15,15 +15,29 @@ meshes and within 5% of the fastest at res 200.  Every step of both
 rules (the first panel, the smoothness test, the tolerance, bisection,
 the depth caps and the summation into each segment's total) acts on one
 segment at a time, so blocking leaves every result bit unchanged.
+
+This module also owns the point cap ``MAX_GRID_POINTS`` that every mesh
+lattice, probe grid, RK4 batch and Simpson pass obeys, and ``MeshError``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["QuadratureError", "gauss4_segments", "simpson_segments", "simpson_polyline"]
+from .expr import ArgumentError
+
+__all__ = ["MeshError", "MAX_GRID_POINTS", "QuadratureError", "gauss4_segments",
+           "simpson_segments", "simpson_polyline"]
+
+# The most points a mesh lattice, a probe grid, one batch of RK4 samples or
+# one adaptive Simpson pass may have, refused before anything is allocated:
+# resolution 400, the largest in use, puts 403^2 = 162,409 points on a square
+# bounding box, and resolution 2*10^4 would ask numpy for 4*10^8.  It is read
+# at each call.
+MAX_GRID_POINTS = 1_000_000
 
 # 4-point Gauss-Legendre nodes/weights on [0, 1]
 _GL4_T = np.array(
@@ -53,6 +67,21 @@ _BLOCK = 8192  # segments per block, see the module docstring
 
 class QuadratureError(ValueError):
     """Non-finite integrand sample or failure to converge."""
+
+
+class MeshError(ValueError):
+    pass
+
+
+def _require_grid_points(n: float, name: str) -> None:
+    """Refuse a lattice of at least ``n`` points past ``MAX_GRID_POINTS``;
+    ``name`` is the parameter that sets its size."""
+    if n > MAX_GRID_POINTS:
+        # an int too large for a float, or for str(), is written as a power of ten
+        count = n if n < 1e15 else f"10^{math.log10(n):.1f}"
+        raise ArgumentError(
+            name, f"at least {count} grid points, past the cap of {MAX_GRID_POINTS}"
+        )
 
 
 def _blocks(kernel, fvec, za, zb, dtype, *args) -> np.ndarray:
@@ -146,9 +175,7 @@ def _simpson(fvec, za: np.ndarray, zb: np.ndarray, rel_tol: float) -> np.ndarray
     """``simpson_segments`` on one block of raveled complex endpoints.
 
     The live intervals can double with each pass; a pass that would sample
-    more than the point cap ``lengths.MAX_GRID_POINTS`` raises instead."""
-    from . import lengths  # it imports this module; the cap is read per call
-
+    more than the point cap ``MAX_GRID_POINTS`` raises instead."""
     n = za.size
     dz = zb - za
 
@@ -182,10 +209,10 @@ def _simpson(fvec, za: np.ndarray, zb: np.ndarray, rel_tol: float) -> np.ndarray
             # accept the current estimates rather than loop forever
             np.add.at(totals, seg, s_whole)
             break
-        if 2 * seg.size > lengths.MAX_GRID_POINTS:
+        if 2 * seg.size > MAX_GRID_POINTS:
             raise QuadratureError(
                 f"a refinement pass needs {2 * seg.size} samples, past the cap of "
-                f"{lengths.MAX_GRID_POINTS} points"
+                f"{MAX_GRID_POINTS} points"
             )
         m = 0.5 * (a + b)
         lm = 0.5 * (a + m)

@@ -5,7 +5,8 @@ so floats are rendered with a fixed 17-significant-digit format and any
 non-finite number aborts serialization instead of leaking into a report.
 ``encode_report`` turns the result objects of the library (dataclasses,
 complex numbers, arrays, expressions) into the plain values that
-``canonical_json`` renders.
+``canonical_json`` renders.  The table exports (OBJ, PLY and CSV) share
+one row writer here, ``_rows``.
 """
 
 from __future__ import annotations
@@ -105,3 +106,22 @@ def emit_report(obj, path) -> Path:
 
 def config_hash(config) -> str:
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
+
+
+def _rows(row: str, values: list) -> str:
+    """``row``, one ``%`` field per column, once per row of the row-major ``values``."""
+    return (row * (len(values) // row.count("%"))) % tuple(values)
+
+
+def _write_csv(path, header: list, columns: list) -> None:
+    """One row per entry of the equal-length ``columns``, as ``csv.writer``
+    writes numbers: each its Python ``repr``, every row ended by CRLF; the
+    directory is made if missing."""
+    ncols = len(columns)
+    values = [None] * (ncols * len(columns[0]))
+    for k, col in enumerate(columns):
+        values[k::ncols] = np.asarray(col).tolist()
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + _rows(",".join(["%r"] * ncols) + "\r\n", values))

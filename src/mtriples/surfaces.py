@@ -45,7 +45,6 @@ from .expr import (
     is_rational,
     rational_form,
 )
-from .lengths import MeshError, _require_grid_points, _rows, _write_csv
 from .mtriple import (
     DomainSpec,
     MTriple,
@@ -54,7 +53,9 @@ from .mtriple import (
     make_triple,
     metric_density_array,
 )
-from .quadrature import QuadratureError, simpson_polyline, simpson_segments
+from .quadrature import (MeshError, QuadratureError, _require_grid_points, simpson_polyline,
+                         simpson_segments)
+from .reporting import _rows, _write_csv
 
 if TYPE_CHECKING:  # geodesy imports scipy; period residuals need no mesh
     from .geodesy import MeshedDomain

@@ -514,6 +514,7 @@ def _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer):
     err = json.loads(capsys.readouterr().err.splitlines()[0])
     assert err["error"]["kind"] == "schema"
     assert err["error"]["pointer"] == pointer
+    return err["error"]
 
 
 @pytest.mark.parametrize(
@@ -556,6 +557,14 @@ def test_probe_argument_the_library_rejects_is_schema_error(
     tmp_path, capsys, action, cfg, pointer
 ):
     _assert_schema_error(tmp_path, capsys, "probe", action, cfg, pointer)
+
+
+# constant as maps to the sphere, though none is a constant node
+@pytest.mark.parametrize("h", ["z-z", "0*z", "exp(z-z)", "z/0", "(z+1)/(z+1)"])
+def test_zalcman_names_a_constant_h(tmp_path, capsys, h):
+    cfg = {"h": h, "searchgrid": 40}
+    err = _assert_schema_error(tmp_path, capsys, "probe", "zalcman", cfg, "/h")
+    assert err["message"] == "h must be nonconstant"
 
 
 _HUGE = 10**7  # 10^14 grid points, far past the cap

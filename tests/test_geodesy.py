@@ -9,7 +9,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
-from mtriples import geodesy, lengths, quadrature
+from mtriples import geodesy, quadrature, reporting
 from mtriples.estimates import optimal_example
 from mtriples.expr import ArgumentError
 from mtriples.geodesy import (
@@ -88,12 +88,12 @@ class TestBuildMesh:
         assert refused.value.name == "resolution"
         # the lattice is counted from the bounding box before it is built:
         # 23^2 points at resolution 20 and 25^2 at 21 on the unit disk, 23 x 9
-        # and 25 x 9 on a 4:1 rectangle; the cap is read in lengths, where it lives
-        monkeypatch.setattr(lengths, "MAX_GRID_POINTS", 23 * 23)
+        # and 25 x 9 on a 4:1 rectangle; the cap is read in quadrature, where it lives
+        monkeypatch.setattr(quadrature, "MAX_GRID_POINTS", 23 * 23)
         assert build_mesh(Disk(0, 1.0), ONES, 20).n_nodes > 0
         with pytest.raises(ArgumentError, match="625 grid points"):
             build_mesh(Disk(0, 1.0), ONES, 21)
-        monkeypatch.setattr(lengths, "MAX_GRID_POINTS", 23 * 9)
+        monkeypatch.setattr(quadrature, "MAX_GRID_POINTS", 23 * 9)
         assert build_mesh(Rectangle(-2 - 0.5j, 2 + 0.5j), ONES, 20).n_nodes > 0
         with pytest.raises(ArgumentError, match="225 grid points"):
             build_mesh(Rectangle(-2 - 0.5j, 2 + 0.5j), ONES, 21)
@@ -138,7 +138,7 @@ class TestBuildMesh:
         header = ["id", "big", "x", "neg", "flag"]
         columns = [np.arange(n), np.array(ints[:n], dtype=np.int64), np.array(floats[:n]),
                    -np.array(floats[:n]), (np.arange(n) % 2 == 0).astype(int)]
-        lengths._write_csv(tmp_path / "got.csv", header, columns)
+        reporting._write_csv(tmp_path / "got.csv", header, columns)
         # the former writer: csv.writer over one Python row per entry
         with open(tmp_path / "want.csv", "w", newline="") as fh:
             w = csv.writer(fh)

@@ -5,9 +5,11 @@ Each check runs in a fresh interpreter, since the test process has long
 imported everything.
 """
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,10 @@ PUBLIC_NAMES = [
     "singular_locus", "spherical_gradient", "surfaces", "synth_flatfront", "synth_improper_affine",
     "synth_maxface", "synth_minimal", "to_source", "verify_estimate", "zalcman_rescale",
 ]
+
+_ROOT = Path(__file__).resolve().parents[1]
+_PACKAGE = _ROOT / "src" / "mtriples"
+_MODULES = sorted(p.stem for p in _PACKAGE.glob("*.py") if p.stem != "__init__")
 
 _HAS_SCIPY = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
 
@@ -117,3 +123,30 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         mtriples.no_such_name
     assert not hasattr(mtriples, "no_such_name")
+
+
+def test_benchmark_traces_every_module():
+    # perfbench/spans.py proxies the public functions of the modules it lists
+    tree = ast.parse((_ROOT / "perfbench" / "spans.py").read_text())
+    listed = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign) and node.targets[0].id == "MODULES")
+    assert [m for m in _MODULES if m not in listed] == []
+
+
+def _function_imports(module: str) -> set:
+    """The sibling modules that ``module`` imports inside a function (the
+    package imports its siblings relatively)."""
+    found = set()
+    for func in ast.walk(ast.parse((_PACKAGE / f"{module}.py").read_text())):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+@pytest.mark.parametrize("module", _MODULES)
+def test_siblings_are_imported_at_the_top(module):
+    # the one exception: geodesy loads scipy, and surfaces is costly to import
+    allowed = {"geodesy", "surfaces"} if module in ("cli", "estimates") else set()
+    assert _function_imports(module) - allowed == set()

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from mtriples import geodesy, lengths, quadrature
+from mtriples import geodesy, quadrature
 from mtriples.estimates import optimal_example
 from mtriples.quadrature import (
     _GL4_T,
@@ -286,7 +286,7 @@ def test_simpson_refuses_a_pass_past_the_point_cap(monkeypatch):
     # noise never converges, so the live intervals double with each pass: 2^d
     # intervals sample 2^(d+1) points at depth d, and 2^10 > 1000 at d = 9;
     # the cap is read at call time
-    monkeypatch.setattr(lengths, "MAX_GRID_POINTS", 1000)
+    monkeypatch.setattr(quadrature, "MAX_GRID_POINTS", 1000)
     calls, rng = [], np.random.default_rng(0)
 
     def noise(zs):

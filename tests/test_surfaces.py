@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from mtriples import lengths, surfaces
+from mtriples import quadrature, surfaces
 from mtriples.expr import Add, ArgumentError, Const, EvalError, Mul, Pow, Sub, Z
 from mtriples.geodesy import build_mesh
 from mtriples.mtriple import Annulus, Disk, Rectangle, TruncatedPlane
@@ -168,7 +168,7 @@ class TestPeriods:
         # at least as many
         data = MinimalData("1", "z", Annulus(0, 0.5, 2.0), 1.0)
         mesh = build_mesh(data.domain, ONES, 20)
-        monkeypatch.setattr(lengths, "MAX_GRID_POINTS", 64)
+        monkeypatch.setattr(quadrature, "MAX_GRID_POINTS", 64)
         with pytest.raises(EvalError, match="cycle failed: .* past the cap of 64"):
             period_residuals(data, self.CIRCLE)
         with pytest.raises(EvalError, match="tree edge failed: .* past the cap of 64"):
