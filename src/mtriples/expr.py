@@ -26,6 +26,14 @@ the op's node, so a derivative shares the subtrees of its tree), the array
 evaluator runs it with one numpy operation per op, and the depth and
 rationality of a tree are read from it.
 
+The pole-aware point evaluator runs the same program at many points, so the
+first point compiles it into straight-line Python, one call of the op's rule
+per op, in functions of at most ``_CHUNK_OPS`` ops; later points skip the
+interpreter's per-op dispatch.  The structural walks (printer, substitution,
+differentiation, the degree count and the rational form) stay on the
+interpreter, ``_run``: each runs a program once, and compiling an op costs
+about as much as interpreting it thirty times.
+
 The array evaluator gives the bits of a recursive numpy tree walk.  Constant
 subtrees, such as the ``(a+b*i)`` coefficients configs write, are evaluated
 once on one-element arrays and broadcast, never spread over the input's
@@ -40,11 +48,12 @@ Python operator, as in a tree walk, so numpy scalars (0-d results) take
 numpy's scalar arithmetic rather than the ufunc.
 
 Expressions are immutable and every function is pure, so concurrent
-evaluation of shared expressions is safe.  A node memoizes in three slots of
-its own: the program it was lowered to, its reciprocal tree and its
-derivative, so a tree evaluated, inverted or differentiated again does that
-work once.  A memo lives and dies with its node (a program refers back to its
-root, so the cyclic garbage collector frees the pair); no module-level cache
+evaluation of shared expressions is safe.  A node memoizes in four slots of
+its own: the program it was lowered to, that program's compiled point
+evaluator, its reciprocal tree and its derivative, so a tree evaluated,
+inverted or differentiated again does that work once.  A memo lives and dies
+with its node (a program and its compiled evaluator refer back to their root,
+so the cyclic garbage collector frees them together); no module-level cache
 keeps trees alive or hashes them.  Two threads that fill the same memo at once
 store equal values.
 """
@@ -112,6 +121,9 @@ _MAX_DEPTH = 120
 # bounds that at d = 1000.  Past it, the polynomial normal form alone would
 # take one polymul per unit of a huge exponent.
 _MAX_DEGREE = 1000
+# Ops per function of a compiled point evaluator (see _compile): it bounds the
+# compiler's transient memory whatever the length of the program.
+_CHUNK_OPS = 2048
 
 
 class ParseError(ValueError):
@@ -186,9 +198,9 @@ INFINITY = ExtComplex(None)
 
 
 class _Node:
-    # the program a node was lowered to, its reciprocal tree and its derivative,
-    # kept for the next evaluation
-    __slots__ = ("_program", "_reciprocal", "_derivative")
+    # the program a node was lowered to, its compiled point evaluator, its
+    # reciprocal tree and its derivative, kept for the next evaluation
+    __slots__ = ("_program", "_point", "_reciprocal", "_derivative")
 
 
 @dataclass(frozen=True, slots=True)
@@ -559,6 +571,57 @@ def _run(program, rules: dict, z):
     return vals[-1]
 
 
+def _compile(program):
+    """``lambda z: _run(program, _RAW_RULES, z)`` as straight-line Python.
+
+    Each op is one assignment ``v3 = r3(z, n3, v1, v2)``; its rule ``r3`` and
+    node ``n3`` are bound through the function's namespace and never formatted
+    into the source, so every constant keeps its bits.  The compiler holds
+    several KB per statement while it compiles a function, so the ops go into
+    functions of ``_CHUNK_OPS`` ops each, compiled one after the other; a
+    value that a later function reads passes through one list."""
+    ops, last, _ = program
+    # the list slot of each value read past the chunk that computes it
+    ahead = [k for k in range(len(ops)) if last.get(k, 0) // _CHUNK_OPS > k // _CHUNK_OPS]
+    crossing = {k: j for j, k in enumerate(ahead)}
+    chunks = []
+    for lo in range(0, len(ops), _CHUNK_OPS):
+        hi = min(lo + _CHUNK_OPS, len(ops))
+        namespace = {}
+        lines = ["def chunk(z, vals=None):"]
+        behind = sorted({a for _, _, args in ops[lo:hi] for a in args if a < lo})
+        lines += [f" v{a} = vals[{crossing[a]}]" for a in behind]
+        for k in range(lo, hi):
+            kind, namespace[f"n{k}"], args = ops[k]
+            namespace[f"r{k}"] = _RAW_RULES[kind]
+            lines.append(f" v{k} = r{k}(z, n{k}{''.join(f', v{a}' for a in args)})")
+        lines += [f" vals[{crossing[k]}] = v{k}" for k in range(lo, hi) if k in crossing]
+        lines.append(f" return v{hi - 1}")
+        exec(compile("\n".join(lines), "<expr program>", "exec"), namespace)
+        chunks.append(namespace["chunk"])
+    if len(chunks) == 1:
+        return chunks[0]
+    width = len(crossing)
+
+    def run(z):
+        vals = [None] * width
+        for chunk in chunks:
+            v = chunk(z, vals)
+        return v
+
+    return run
+
+
+def _point_evaluator(e: MeroExpr):
+    """``e``'s pole-aware point evaluator, compiled at the first point and kept
+    on the node for the next."""
+    point = getattr(e, "_point", None)
+    if point is None:
+        point = _compile(_lower(e))
+        object.__setattr__(e, "_point", point)
+    return point
+
+
 def is_rational(e: MeroExpr) -> bool:
     return all(kind is not Exp for kind, _, _ in _lower(e)[0])
 
@@ -767,7 +830,7 @@ def eval_ext(e: MeroExpr, z: complex) -> ExtComplex:
     otherwise an EvalError is raised explicitly, never a NaN.
     """
     try:
-        v = _run(_lower(e), _RAW_RULES, complex(z))
+        v = _point_evaluator(e)(complex(z))
     except _Indeterminate:
         if is_rational(e):
             return _resolve_by_order(e, complex(z))
@@ -776,10 +839,10 @@ def eval_ext(e: MeroExpr, z: complex) -> ExtComplex:
 
 
 def _samples_on_circle(e: MeroExpr, z0: complex, r: float, angles: int, rot: float):
-    out = []
+    out, point = [], _point_evaluator(e)
     for k in range(angles):
         w = z0 + r * cmath.exp(1j * (2 * math.pi * k / angles + rot))
-        v = _run(_lower(e), _RAW_RULES, w)  # may raise _Indeterminate at unlucky sample points
+        v = point(w)  # may raise _Indeterminate at unlucky sample points
         if v is _INF:
             raise _Indeterminate
         out.append(v)

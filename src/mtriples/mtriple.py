@@ -516,13 +516,15 @@ def curvature_fd(t: MTriple, z: complex, h: float = 1e-3, richardson: bool = Fal
 
     Independent of the closed form: only the density enters.  Five-point
     stencil, O(h^2); with ``richardson`` the (h, h/2) extrapolation is O(h^4).
-    A step whose square underflows to 0, or that leaves a stencil point on its
-    centre, is an ``ArgumentError`` on ``h``.
+    A step whose square is below 2**-52, or that leaves a stencil point on its
+    centre, is an ``ArgumentError`` on ``h``: one rounding of a unit-size
+    log-density, 2**-52, divided by such a square moves the Laplacian by more
+    than 1.
     """
 
     def one(hh: float) -> float:
         pts = [z, z + hh, z - hh, z + 1j * hh, z - 1j * hh]
-        if hh * hh == 0 or z in pts[1:]:
+        if hh * hh < 2**-52 or z in pts[1:]:
             raise ArgumentError("h", f"step {hh!r} is below the resolution of the stencil at {z}")
         for p in pts:
             if not t.domain.contains(p):

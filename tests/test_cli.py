@@ -716,6 +716,10 @@ _FLAT_FRONT = {"class": "flat_front", "omega": "1", "theta": "z/4", "domain": DI
          "/fd_step"),
         ("triple", "curvature", {"triple": _TRIPLE, "points": [[0, 0], [0.5, 0]],
                                  "fd_step": 1e-17}, "/fd_step"),
+        # one rounding of the log-density over 1e-34 swamps the Laplacian:
+        # curvature_fd read -0 where the closed form gives -0.5
+        ("triple", "curvature", {"triple": dict(_TRIPLE, g="0.5*z + 0.2*z^2", m=1),
+                                 "points": [[0, 0]], "fd_step": 1e-17}, "/fd_step"),
     ],
     ids=["alpha-1e308", "m-1e7", "cycle-1e7", "step-1e-9", "cycle-point-1e308",
          "cycle-point-outside", "cycle-chord-through-hole", "point-1e308", "point-outside",
@@ -723,7 +727,8 @@ _FLAT_FRONT = {"class": "flat_front", "omega": "1", "theta": "z/4", "domain": DI
          "marty-index-1e400", "check-order-undetermined", "estimate-order-undetermined",
          "singular-order-undetermined", "periods-f-infinite", "synth-g-infinite",
          "flat-front-omega-infinite", "zalcman-h-infinite", "check-f-infinite",
-         "curvature-g-infinite", "fd-step-1e-320", "fd-step-1e-170", "fd-step-below-ulp"],
+         "curvature-g-infinite", "fd-step-1e-320", "fd-step-1e-170", "fd-step-below-ulp",
+         "fd-step-laplacian-swamped"],
 )
 def test_magnitude_the_numerics_cannot_hold_is_schema_error(
     tmp_path, capsys, group, action, cfg, pointer

@@ -305,16 +305,24 @@ class TestCurvatureFD:
     @pytest.mark.parametrize(
         "z, h, richardson",
         [(0, 1e-320, False), (0, 1e-170, False), (0.5, 1e-17, False), (0.5j, 1e-17, False),
-         (0.5, 1e-16, True)],
+         (0.5, 1e-16, True), (0, math.nextafter(2**-26, 0), False), (1e9, 2e-8, False)],
         ids=["square-underflows", "square-underflows-normal-h", "point-on-centre",
-             "imaginary-point-on-centre", "half-step-on-centre"],
+             "imaginary-point-on-centre", "half-step-on-centre", "square-below-unit-ulp",
+             "far-point-on-centre"],
     )
     def test_step_below_the_stencil_resolution_is_refused(self, z, h, richardson):
-        # 0.5 + 1e-16 rounds away from 0.5, but 0.5 + 5e-17 rounds back onto it
-        t = make_triple(Disk(0, 1.0), "1", "z", 2)
+        # below 2**-26 the square is below 2**-52, the ulp at 1, and one rounding
+        # of a unit-size log-density moves the Laplacian by more than 1;
+        # 0.5 + 1e-17 and 0.5 + 5e-17 also round back onto 0.5, and 1e9 + 2e-8
+        # onto 1e9, though 2e-8 squared is above 2**-52
+        t = make_triple(Disk(0, 2e9), "1", "z", 2)
         with pytest.raises(ArgumentError) as info:
             curvature_fd(t, z, h, richardson)
         assert info.value.name == "h"
+
+    def test_smallest_step_accepted_squares_to_the_unit_ulp(self):
+        t = make_triple(Disk(0, 1.0), "1", "z", 2)
+        assert math.isfinite(curvature_fd(t, 0, 2**-26))
 
     def test_stencil_must_stay_inside(self):
         t = make_triple(Disk(0, 1.0), "1", "z", 2)

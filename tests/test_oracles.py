@@ -1,17 +1,38 @@
 """Exact sympy oracles for the closed forms, on seeded random rational data.
 
-The oracle works from the paper's definitions in the real coordinates x and
-y, without the package's algebra: no ``expr.derivative`` and no closed-form
-curvature.  Coefficients and sample points are dyadic rationals, so the
-floats the package reads are the exact values sympy works with.
+The curvature oracle works from the paper's definitions in the real
+coordinates x and y, without the package's algebra: no ``expr.derivative``
+and no closed-form curvature.  The expression oracles hold the rational
+normal form to ``sp.fraction(sp.together(...))``, the symbolic derivative to
+``sp.diff`` and the sampled vanishing order to the multiplicities of sympy's
+cancelled numerator and denominator.  Coefficients and sample points are
+dyadic rationals, so the floats the package reads are the exact values sympy
+works with.
 """
 
+import operator
 import random
 
 import numpy as np
 import pytest
 import sympy as sp
 
+from mtriples.expr import (
+    Add,
+    Const,
+    Div,
+    Exp,
+    Mul,
+    Neg,
+    Pow,
+    Sub,
+    Var,
+    Z,
+    derivative,
+    local_order,
+    parse_mero,
+    rational_form,
+)
 from mtriples.mtriple import Disk, curvature, curvature_array, make_triple
 
 x, y = sp.symbols("x y", real=True)
@@ -106,3 +127,113 @@ def test_curvature_matches_the_definition_exactly(seed):
     zs = np.array([complex(p) for p in points])
     np.testing.assert_allclose([curvature(triple, z) for z in zs], exact, rtol=1e-12, atol=0)
     np.testing.assert_allclose(curvature_array(triple, zs), exact, rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# The expression algebra: rational form, derivative and local order
+# ---------------------------------------------------------------------------
+
+# Gaussian dyadics whose squares have a zero part: the quotient rule folds
+# c/c^2 for a constant divisor c, and CPython divides by such a square
+# exactly, so every constant the package folds is the value sympy holds
+_EXACT = [Const(scale * unit) for scale in (0.5, 1.0, 2.0)
+          for unit in (1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j)]
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def _random_tree(rng: random.Random, depth: int, allow_exp: bool):
+    if depth == 0 or rng.random() < 0.2:
+        return Z if rng.random() < 0.5 else rng.choice(_EXACT)
+    kind = rng.choice([Add, Sub, Mul, Div, Pow, Neg] + [Exp] * allow_exp)
+    a = _random_tree(rng, depth - 1, allow_exp)
+    if kind is Pow:
+        return Pow(a, rng.randint(-2, 3))
+    if kind in (Neg, Exp):
+        return kind(a)
+    return kind(a, _random_tree(rng, depth - 1, allow_exp))
+
+
+def _sympy_of(e) -> sp.Expr:
+    """The tree as a sympy expression in ``w``, its constants as exact rationals."""
+    if isinstance(e, Const):
+        return sp.Rational(e.value.real) + sp.I * sp.Rational(e.value.imag)
+    if isinstance(e, Var):
+        return w
+    if isinstance(e, Pow):
+        return _sympy_of(e.base) ** e.exponent
+    if isinstance(e, Exp):
+        return sp.exp(_sympy_of(e.arg))
+    if isinstance(e, Neg):
+        return -_sympy_of(e.arg)
+    return _BINARY[type(e)](_sympy_of(e.left), _sympy_of(e.right))
+
+
+def _draw(rng: random.Random, allow_exp: bool):
+    """A random tree and its sympy expression, redrawn until sympy finds the
+    function defined (no identically zero divisor) and not a mere constant
+    or a one-step function of z."""
+    while True:
+        tree = _random_tree(rng, 4, allow_exp)
+        expr = _sympy_of(tree)
+        if not expr.has(sp.zoo, sp.nan, sp.oo) and expr.has(w) and sp.count_ops(expr) >= 4:
+            return tree, expr
+
+
+def _polynomial(coeffs: np.ndarray) -> sp.Expr:
+    """Coefficients, highest degree first, as an exact polynomial in ``w``."""
+    top = len(coeffs) - 1
+    return sum((sp.Rational(c.real) + sp.I * sp.Rational(c.imag)) * w ** (top - k)
+               for k, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_rational_form_matches_sympy_fraction(seed):
+    tree, expr = _draw(random.Random(seed), allow_exp=False)
+    num, den = rational_form(tree)
+    want_num, want_den = sp.fraction(sp.together(expr))
+    # no gcd is cancelled, so the pairs agree up to a common factor
+    assert sp.expand(_polynomial(num) * want_den - _polynomial(den) * want_num) == 0
+    assert den.size > 0
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_derivative_matches_sympy_diff(seed):
+    tree, expr = _draw(random.Random(seed), allow_exp=seed % 2 == 1)
+    assert sp.simplify(_sympy_of(derivative(tree)) - sp.diff(expr, w)) == 0
+
+
+def _multiplicity(p: sp.Expr, a: sp.Expr) -> int:
+    poly, k = sp.Poly(p, w), 0
+    while poly.eval(a) == 0:
+        poly, k = sp.quo(poly, sp.Poly(w - a, w)), k + 1
+    return k
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_local_order_matches_sympy_at_zeros_poles_and_regular_points(seed):
+    rng = random.Random(seed)
+    sites = []
+    while len(sites) < 4:
+        a = _gaussian(rng, 7, (8,))
+        if all(abs(complex(a - b)) > 0.25 for b in sites):
+            sites.append(a)
+    # a zero, a pole, and two sites where the factors may cancel
+    ups = [rng.randint(1, 2), 0, rng.randint(0, 2), rng.randint(0, 2)]
+    downs = [0, rng.randint(1, 2), rng.randint(0, 2), rng.randint(0, 2)]
+    lead = _gaussian(rng, 16, (1, 2, 4))
+    while lead == 0:
+        lead = _gaussian(rng, 16, (1, 2, 4))
+    num = lead * sp.prod([(w - a) ** k for a, k in zip(sites, ups)])
+    den = sp.prod([(w - a) ** k for a, k in zip(sites, downs)])
+    if seed % 2:  # the numerator expanded: its zeros are cancellations of rounded terms
+        coeffs = sp.Poly(num, w).all_coeffs()[::-1]
+        num_src = " + ".join(f"{_source(c)}*z^{k}" for k, c in enumerate(coeffs))
+    else:
+        num_src = "*".join([_source(lead)] + [f"(z - {_source(a)})^{k}" for a, k in zip(sites, ups)])
+    den_src = "*".join(["1"] + [f"(z - {_source(a)})^{k}" for a, k in zip(sites, downs)])
+    tree = parse_mero(f"({num_src})/({den_src})")
+    want_num, want_den = sp.fraction(sp.cancel(num / den))
+    regular = _sample_points(rng, [complex(a) for a in sites], 2)
+    for z0 in sites + regular:
+        want = _multiplicity(want_num, z0) - _multiplicity(want_den, z0)
+        assert local_order(tree, complex(z0)) == want, (z0, want)
