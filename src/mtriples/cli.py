@@ -77,14 +77,52 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config decoding
+# Config decoding: each action declares one table, field -> (kind, default),
+# and ``_read`` parses a config against it before any work runs
 # ---------------------------------------------------------------------------
 
+# A kind is ``kind(value, pointer)``: the parsed value, or a ConfigError at
+# ``pointer``.  A default is the value a missing field takes, or REQUIRED.
+REQUIRED = object()
 
-def _need(cfg: dict, key: str, pointer: str):
-    if key not in cfg:
-        raise ConfigError(f"{pointer}/{key}", "missing required field")
-    return cfg[key]
+
+def _read(table: dict, cfg, pointer: str) -> dict:
+    """Every field of ``table`` parsed from the object ``cfg`` at ``pointer``; a
+    missing required field, or a key the table does not name, is refused."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(pointer, "expected an object")
+    for key in cfg:
+        if key not in table:
+            import difflib  # only on this error path: a valid config never loads it
+
+            near = difflib.get_close_matches(key, table, n=1)
+            hint = f"did you mean {near[0]!r}?" if near else f"expected one of {sorted(table)}"
+            raise ConfigError(f"{pointer}/{key}", f"unknown field; {hint}")
+    fields = {}
+    for key, (kind, default) in table.items():
+        if key not in cfg and default is REQUIRED:
+            raise ConfigError(f"{pointer}/{key}", "missing required field")
+        fields[key] = kind(cfg[key], f"{pointer}/{key}") if key in cfg else default
+    return fields
+
+
+def _pick(tables: dict, cfg, key: str, pointer: str) -> dict:
+    """The table that the object ``cfg`` names by its field ``key``."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(pointer, "expected an object")
+    name = cfg.get(key)
+    if not isinstance(name, str) or name not in tables:
+        raise ConfigError(f"{pointer}/{key}", f"expected one of {sorted(tables)}, got {name!r}")
+    return tables[name]
+
+
+def _list_of(kind):
+    """The kind of a JSON list whose items are each of ``kind``, at ``/k``."""
+    def read(value, pointer: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(pointer, "expected a list")
+        return tuple(kind(v, f"{pointer}/{k}") for k, v in enumerate(value))
+    return read
 
 
 def _as_complex(value, pointer: str) -> complex:
@@ -115,84 +153,6 @@ def _as_positive(value, pointer: str) -> float:
     return x
 
 
-def _as_list(value, pointer: str) -> list:
-    if not isinstance(value, list):
-        raise ConfigError(pointer, "expected a list")
-    return value
-
-
-def _as_ext(value, pointer: str) -> ExtComplex:
-    if value in ("inf", "infinity"):
-        return INFINITY
-    return ExtComplex(_as_complex(value, pointer))
-
-
-def _as_expr(value, pointer: str):
-    if not isinstance(value, str):
-        raise ConfigError(pointer, "expected an expression string")
-    try:
-        return parse_mero(value)
-    except ValueError as exc:
-        raise ConfigError(pointer, f"bad expression: {exc}") from exc
-
-
-_DOMAINS = {cls.kind: cls for cls in (Disk, Annulus, Rectangle, TruncatedPlane)}
-
-
-def domain_from_json(cfg, pointer: str) -> DomainSpec:
-    """Decode a domain object field by field from its class's dataclass fields."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(pointer, "expected a domain object")
-    kind = _need(cfg, "kind", pointer)
-    if not isinstance(kind, str) or kind not in _DOMAINS:
-        raise ConfigError(f"{pointer}/kind", f"unknown domain kind {kind!r}")
-    cls = _DOMAINS[kind]
-    types = get_type_hints(cls)
-    args = {}
-    for f in dataclasses.fields(cls):
-        at = f"{pointer}/{f.name}"
-        if f.name == "punctures":
-            points = _as_list(cfg.get("punctures", []), at)
-            args[f.name] = tuple(_as_complex(p, f"{at}/{k}") for k, p in enumerate(points))
-        elif types[f.name] is complex:
-            value = cfg.get(f.name, 0) if f.name == "center" else _need(cfg, f.name, pointer)
-            args[f.name] = _as_complex(value, at)
-        else:
-            args[f.name] = _as_float(_need(cfg, f.name, pointer), at)
-    try:
-        return cls(**args)
-    except ValueError as exc:
-        raise ConfigError(pointer, str(exc)) from exc
-
-
-def domain_to_json(domain: DomainSpec) -> dict:
-    return {"kind": domain.kind, **encode_report(domain)}
-
-
-def _triple_parts(cfg, pointer: str) -> tuple:
-    """(domain, f, g, m) of a triple object, before any regularity check."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(pointer, "expected a triple object")
-    domain = domain_from_json(_need(cfg, "domain", pointer), f"{pointer}/domain")
-    f = _as_expr(_need(cfg, "f", pointer), f"{pointer}/f")
-    g = _as_expr(_need(cfg, "g", pointer), f"{pointer}/g")
-    m = _as_positive_int(_need(cfg, "m", pointer), f"{pointer}/m")
-    return domain, f, g, m
-
-
-def triple_from_json(cfg, pointer: str) -> MTriple:
-    return _probe(make_triple, {e: f"{pointer}/{e}" for e in "fg"}, *_triple_parts(cfg, pointer))
-
-
-def triple_to_json(t: MTriple) -> dict:
-    return {
-        "domain": domain_to_json(t.domain),
-        "f": to_source(t.f),
-        "g": to_source(t.g),
-        "m": t.m,
-    }
-
-
 def _as_int(value, pointer: str) -> int:
     # JSON true/false are ints to Python, and int() would truncate 20.9 or read "24"
     if isinstance(value, float) and value.is_integer():
@@ -209,83 +169,201 @@ def _as_positive_int(value, pointer: str) -> int:
     return n
 
 
-def _resolution(cfg: dict, opts, default: int) -> int:
-    """Mesh resolution: ``--resolution``, else the config's, else ``default``."""
-    given = opts.resolution if opts.resolution is not None else cfg.get("resolution", default)
-    return _as_int(given, "/resolution")
+def _as_ext(value, pointer: str) -> ExtComplex:
+    if value in ("inf", "infinity"):
+        return INFINITY
+    return ExtComplex(_as_complex(value, pointer))
 
 
-def property_from_json(cfg, pointer: str):
-    if not isinstance(cfg, dict):
-        raise ConfigError(pointer, "expected a property object")
-    if "bounded" in cfg:
-        limit = _as_float(cfg["bounded"], f"{pointer}/bounded")
-        try:
-            return Bounded(limit)
-        except ValueError as exc:
-            raise ConfigError(f"{pointer}/bounded", str(exc)) from exc
-    if "omits" in cfg:
-        omits = _as_list(cfg["omits"], f"{pointer}/omits")
-        vals = tuple(_as_ext(v, f"{pointer}/omits/{k}") for k, v in enumerate(omits))
-        try:
-            return Omits(vals)
-        except ValueError as exc:
-            raise ConfigError(f"{pointer}/omits", str(exc)) from exc
-    raise ConfigError(pointer, "property must carry 'bounded' or 'omits'")
+def _as_target(value, pointer: str):
+    """A completeness target: "infinity", or a finite point."""
+    return "infinity" if value in ("inf", "infinity") else _as_complex(value, pointer)
+
+
+def _as_expr(value, pointer: str):
+    if not isinstance(value, str):
+        raise ConfigError(pointer, "expected an expression string")
+    try:
+        return parse_mero(value)
+    except ValueError as exc:
+        raise ConfigError(pointer, f"bad expression: {exc}") from exc
+
+
+def _as_template(value, pointer: str) -> str:
+    """An expression template with an ``{n}`` placeholder, parsed at n = 1."""
+    if not isinstance(value, str) or "{n}" not in value:
+        raise ConfigError(pointer, "expected an expression template with {n}")
+    _as_expr(value.replace("{n}", "1"), pointer)
+    return value
+
+
+def _as_path(value, pointer: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(pointer, "expected a directory path string")
+    return value
+
+
+_EXPORT_FILES = {"obj": "mesh.obj", "ply": "mesh.ply", "csv": "vertices.csv", "json": "surface.json"}
+
+
+def _as_formats(value, pointer: str) -> list:
+    formats = sorted(_EXPORT_FILES)
+    if not (isinstance(value, list) and all(isinstance(f, str) and f in formats for f in value)):
+        raise ConfigError(pointer, f"expected a list of export formats from {formats}")
+    return value
+
+
+def _domain_table(cls) -> dict:
+    """A domain class's table, from its dataclass fields; a ClassVar, such as the
+    truncated plane's center, is none of them."""
+    hint = get_type_hints(cls)
+    kinds = {"center": (_as_complex, 0), "punctures": (_list_of(_as_complex), ())}
+    return {"kind": (lambda raw, at: cls, REQUIRED), **{
+        f.name: kinds.get(f.name, (_as_complex if hint[f.name] is complex else _as_float, REQUIRED))
+        for f in dataclasses.fields(cls)}}
+
+
+_DOMAIN_TABLES = {c.kind: _domain_table(c) for c in (Disk, Annulus, Rectangle, TruncatedPlane)}
+
+
+def domain_from_json(cfg, pointer: str) -> DomainSpec:
+    """Decode a domain object against the table of its ``kind``."""
+    fields = _read(_pick(_DOMAIN_TABLES, cfg, "kind", pointer), cfg, pointer)
+    try:
+        return fields.pop("kind")(**fields)
+    except ValueError as exc:
+        raise ConfigError(pointer, str(exc)) from exc
+
+
+def domain_to_json(domain: DomainSpec) -> dict:
+    return {"kind": domain.kind, **encode_report(domain)}
+
+
+_TRIPLE = {"domain": (domain_from_json, REQUIRED), "f": (_as_expr, REQUIRED),
+           "g": (_as_expr, REQUIRED), "m": (_as_positive_int, REQUIRED)}
+
+
+def _triple(value, pointer: str) -> tuple:
+    """(domain, f, g, m) of a triple object, before any regularity check."""
+    return tuple(_read(_TRIPLE, value, pointer).values())
+
+
+def triple_to_json(t: MTriple) -> dict:
+    return {
+        "domain": domain_to_json(t.domain),
+        "f": to_source(t.f),
+        "g": to_source(t.g),
+        "m": t.m,
+    }
+
+
+_PROPERTY = {"bounded": (_as_float, None), "omits": (_list_of(_as_ext), None)}
+
+
+def _property(value, pointer: str):
+    """Bounded or Omits, from a property object that carries exactly one of them."""
+    given = {key: v for key, v in _read(_PROPERTY, value, pointer).items() if v is not None}
+    if len(given) != 1:
+        raise ConfigError(pointer, "a property carries exactly one of 'bounded' or 'omits'")
+    ((key, arg),) = given.items()
+    try:
+        return (Bounded if key == "bounded" else Omits)(arg)
+    except ValueError as exc:
+        raise ConfigError(f"{pointer}/{key}", str(exc)) from exc
+
+
+_REGION = {"center": (_as_complex, 0), "radius": (_as_positive, REQUIRED)}
+
+
+def _region(value, pointer: str) -> Disk:
+    """The disk of a region object; one that overflows a float is refused at its radius."""
+    region = _read(_REGION, value, pointer)
+    try:
+        return Disk(region["center"], region["radius"])
+    except ValueError as exc:
+        raise ConfigError(f"{pointer}/radius", str(exc)) from exc
+
+
+# the fields every action takes; ``--seed`` and ``--out`` override them
+_COMMON = {"seed": (_as_int, 0), "output_dir": (_as_path, "run")}
+
+
+def _surface_tables() -> dict:
+    """One table per surface class for its synth, periods and singular actions:
+    ``class`` yields (class, synth), and the data fields are its dataclass's."""
+    from .surfaces import (FlatFrontData, ImproperAffineData, MaxfaceData, MinimalData,
+                           synth_flatfront, synth_improper_affine, synth_maxface, synth_minimal)
+
+    kinds = {"domain": (domain_from_json, REQUIRED), "base_point": (_as_complex, 0)}
+    tables = {}
+    for cls, synth in ((MinimalData, synth_minimal), (MaxfaceData, synth_maxface),
+                       (ImproperAffineData, synth_improper_affine),
+                       (FlatFrontData, synth_flatfront)):
+        tables[cls.kind] = {
+            "class": (lambda raw, at, pair=(cls, synth): pair, REQUIRED),
+            **{f.name: kinds.get(f.name, (_as_expr, REQUIRED)) for f in dataclasses.fields(cls)},
+            "resolution": (_as_int, 120),
+            "exports": (_as_formats, ["obj", "ply", "csv"]),
+            "cycles": (_list_of(_list_of(_as_complex)), ()),
+            **({"step": (_as_positive, None)} if cls is FlatFrontData else {}),
+        }
+    return tables
 
 
 # ---------------------------------------------------------------------------
-# Handlers: each returns (report, verdict_ok)
+# Handlers: each takes the action's parsed fields and the config as given,
+# and returns (report, verdict_ok)
 # ---------------------------------------------------------------------------
 
 
-def _mesh(domain, density, resolution: int, refine: bool):
-    """``build_mesh``, with a resolution below 8 or a lattice past the point cap
-    refused at ``/resolution``."""
+def _mesh(domain, resolution: int, density=None, refine: bool = False):
+    """``build_mesh``, of unit density by default, with a resolution below 8 or a
+    lattice past the point cap refused at ``/resolution``."""
     from .geodesy import build_mesh
 
+    density = density or (lambda zs: np.ones(np.shape(zs)))
     return _probe(build_mesh, {"resolution": "/resolution"}, domain, density, resolution, refine)
 
 
-def _handle_triple(action: str, cfg: dict, opts) -> tuple[dict, bool]:
-    triple_cfg = _need(cfg, "triple", "")
-    domain, f, g, m = _triple_parts(triple_cfg, "/triple")
+def _points_in(domain, points: tuple, at: str) -> tuple:
+    """``points``, the list at ``at``, each checked to lie inside ``domain``."""
+    for j, z in enumerate(points):
+        if not domain.contains(z):
+            raise ConfigError(f"{at}/{j}", f"point {z} is not inside the domain")
+    return points
+
+
+def _handle_triple(action: str, fields: dict, cfg: dict) -> tuple[dict, bool]:
+    domain, f, g, m = fields["triple"]
     # regularity is reported, not enforced: a failing triple still gets a report
-    report = _probe(check_regularity, {e: f"/triple/{e}" for e in "fg"}, domain, f, g, m)
-    out = {"triple": triple_cfg, "regularity": report}
-    ok = report.overall
-    if action == "check":
-        if ok:
-            t = MTriple(domain, f, g, m, report)
-            anchor = domain.anchor()
-            out["curvature_at_anchor"] = curvature(t, anchor)
-            out["anchor"] = anchor
-        return out, ok
-    # action == "curvature"
-    if not ok:
+    report = _probe(check_regularity, {"f": "/triple/f", "g": "/triple/g"}, domain, f, g, m)
+    out = {"triple": cfg["triple"], "regularity": report}  # the triple as the config gives it
+    if not report.overall:
         return out, False
     t = MTriple(domain, f, g, m, report)
-    pts = _points_in(domain, _need(cfg, "points", ""), "/points")
-    h = _as_positive(cfg.get("fd_step", 1e-3), "/fd_step")
+    if action == "check":
+        anchor = domain.anchor()
+        out["curvature_at_anchor"] = curvature(t, anchor)
+        out["anchor"] = anchor
+        return out, True
+    h = fields["fd_step"]
     out["points"] = [
         {"point": p, "curvature": curvature(t, p),
          "curvature_fd": _probe(curvature_fd, {"h": "/fd_step"}, t, p, h)}
-        for p in pts
+        for p in _points_in(domain, fields["points"], "/points")
     ]
     out["fd_step"] = h
     return out, True
 
 
-def _handle_estimate(action: str, cfg: dict, opts) -> tuple[dict, bool]:
-    triple = triple_from_json(_need(cfg, "triple", ""), "/triple")
-    prop = property_from_json(_need(cfg, "property", ""), "/property")
-    resolution = _resolution(cfg, opts, 200)
-    delta = _as_positive(cfg.get("delta", 1e-3), "/delta")
+def _handle_estimate(action: str, fields: dict, cfg: dict) -> tuple[dict, bool]:
+    triple = _probe(make_triple, {"f": "/triple/f", "g": "/triple/g"}, *fields["triple"])
+    prop = fields["property"]
     c = _probe(curvature_constant, {"m": "/triple/m"}, prop, triple.m)
     # puncture rings act as ideal-boundary sources for the distance field;
     # the property check stands off from them on its own
-    mesh = _mesh(triple.domain, triple.density, resolution, refine=True)
-    prop_report = property_check(triple.g, prop, mesh, delta)
+    mesh = _mesh(triple.domain, fields["resolution"], triple.density, refine=True)
+    prop_report = property_check(triple.g, prop, mesh, fields["delta"])
     est = verify_estimate(triple, prop, mesh, prop_report)
     out = {
         "triple": triple_to_json(triple),
@@ -296,51 +374,11 @@ def _handle_estimate(action: str, cfg: dict, opts) -> tuple[dict, bool]:
     return out, est.verdict != "fail"
 
 
-_EXPORT_FILES = {"obj": "mesh.obj", "ply": "mesh.ply", "csv": "vertices.csv", "json": "surface.json"}
-
-
-def _surface_data(cfg: dict):
-    """Decode the surface data; its two expressions are the class's first two fields."""
-    from .surfaces import (FlatFrontData, ImproperAffineData, MaxfaceData, MinimalData,
-                           synth_flatfront, synth_improper_affine, synth_maxface, synth_minimal)
-
-    classes = {
-        cls.kind: (cls, synth)
-        for cls, synth in ((MinimalData, synth_minimal), (MaxfaceData, synth_maxface),
-                           (ImproperAffineData, synth_improper_affine),
-                           (FlatFrontData, synth_flatfront))
-    }
-    cls_name = _need(cfg, "class", "")
-    if not isinstance(cls_name, str) or cls_name not in classes:
-        raise ConfigError("/class", f"unknown surface class {cls_name!r}")
-    cls, synth = classes[cls_name]
-    domain = domain_from_json(_need(cfg, "domain", ""), "/domain")
-    base = _as_complex(cfg.get("base_point", 0), "/base_point")
-    names = [f.name for f in dataclasses.fields(cls)[:2]]
-    exprs = [_as_expr(_need(cfg, name, ""), f"/{name}") for name in names]
-    try:
-        data = cls(*exprs, domain, base)
-    except ArgumentError as exc:
-        raise ConfigError("/" + exc.name, f"invalid surface data: {exc}") from exc
-    except (ValueError, RegularityViolation, NonHolomorphic) as exc:
-        raise ConfigError("/" + names[0], f"invalid surface data: {exc}") from exc
-    return cls_name, data, synth
-
-
-def _points_in(domain, items, at: str) -> list:
-    """The list of points at ``at``, each inside ``domain``."""
-    points = [_as_complex(p, f"{at}/{j}") for j, p in enumerate(_as_list(items, at))]
-    for j, z in enumerate(points):
-        if not domain.contains(z):
-            raise ConfigError(f"{at}/{j}", f"point {z} is not inside the domain")
-    return points
-
-
-def _period_rows(data, cycles) -> list:
+def _period_rows(data, cycles: tuple) -> list:
     from .surfaces import period_residuals
 
     rows = []
-    for k, cycle in enumerate(_as_list(cycles, "/cycles")):
+    for k, cycle in enumerate(cycles):
         at = f"/cycles/{k}"
         points = _points_in(data.domain, cycle, at)
         if len(points) < 2:
@@ -353,46 +391,49 @@ def _period_rows(data, cycles) -> list:
     return rows
 
 
-def _handle_surface(action: str, cfg: dict, opts) -> tuple[dict, bool]:
+def _handle_surface(action: str, fields: dict, cfg: dict) -> tuple[dict, bool]:
     from .surfaces import export_mesh, gauss_normal_check, immersion_check, singular_locus
 
-    cls_name, data, synth = _surface_data(cfg)
-    out: dict = {"class": cls_name, "domain": domain_to_json(data.domain)}
+    cls, synth = fields["class"]
+    names = [f.name for f in dataclasses.fields(cls)]
+    try:
+        data = cls(**{name: fields[name] for name in names})
+    except ArgumentError as exc:
+        raise ConfigError("/" + exc.name, f"invalid surface data: {exc}") from exc
+    except (ValueError, RegularityViolation, NonHolomorphic) as exc:
+        raise ConfigError("/" + names[0], f"invalid surface data: {exc}") from exc
+    out: dict = {"class": cls.kind, "domain": domain_to_json(data.domain)}
     if action == "periods":
-        out["periods"] = _period_rows(data, _need(cfg, "cycles", ""))
+        if not fields["cycles"]:
+            raise ConfigError("/cycles", "periods needs at least one cycle")
+        out["periods"] = _period_rows(data, fields["cycles"])
         return out, True
-    resolution = _resolution(cfg, opts, 120)
-    ones = lambda zs: np.ones(np.shape(zs))
-    mesh = _mesh(data.domain, ones, resolution, refine=False)
+    if action == "singular" and cls.kind == "minimal":
+        raise ConfigError("/class", "the minimal class has no singular locus")
+    mesh = _mesh(data.domain, fields["resolution"])
     if action == "singular":
-        if cls_name == "minimal":
-            raise ConfigError("/class", "the minimal class has no singular locus")
         out["singular_locus"] = singular_locus(data, mesh)
         return out, True
-    formats = _as_list(cfg.get("exports", ["obj", "ply", "csv"]), "/exports")
-    for fmt in formats:
-        if not isinstance(fmt, str) or fmt not in _EXPORT_FILES:
-            raise ConfigError("/exports", f"unknown export format {fmt!r}")
-    if cls_name == "flat_front":
-        step = _as_positive(cfg.get("step", 1e-3 * data.domain.diameter()), "/step")
+    if "step" in fields:  # a flat front's frame is integrated by RK4 at this step
+        step = fields["step"] if fields["step"] is not None else 1e-3 * data.domain.diameter()
         surface = _probe(synth, {"step": "/step"}, data, mesh, step)
     else:
         surface = synth(data, mesh)
     out["invariants"] = immersion_check(surface, data)
-    if cls_name == "minimal":
+    if cls.kind == "minimal":
         out["gauss_normal"] = gauss_normal_check(surface, data.g)
         out["singular_locus"] = []
     else:
         out["singular_locus"] = singular_locus(data, mesh)
-    out["periods"] = _period_rows(data, cfg.get("cycles", []))
+    out["periods"] = _period_rows(data, fields["cycles"])
     from .geodesy import write_edges_csv, write_nodes_csv
 
-    outdir = Path(opts.out)
-    for fmt in formats:
+    outdir = Path(fields["output_dir"])
+    for fmt in fields["exports"]:
         export_mesh(surface, fmt, outdir / _EXPORT_FILES[fmt])
     write_nodes_csv(mesh, outdir / "nodes.csv")
     write_edges_csv(mesh, outdir / "edges.csv")
-    out["exports"] = sorted(str(f) for f in formats)
+    out["exports"] = sorted(fields["exports"])
     return out, True
 
 
@@ -404,105 +445,84 @@ def _probe(fn, pointers: dict, *args):
         raise ConfigError(pointers[exc.name], str(exc)) from exc
 
 
-def _disk(center: complex, radius: float, pointer: str) -> Disk:
-    """``Disk(center, radius)``, with a radius whose disk overflows a float
-    reported at ``pointer``."""
-    try:
-        return Disk(center, radius)
-    except ValueError as exc:
-        raise ConfigError(pointer, str(exc)) from exc
-
-
-def _handle_probe(action: str, cfg: dict, opts) -> tuple[dict, bool]:
+def _handle_probe(action: str, fields: dict, cfg: dict) -> tuple[dict, bool]:
     if action == "marty":
-        template = _need(cfg, "family", "")
-        if not isinstance(template, str) or "{n}" not in template:
-            raise ConfigError("/family", "expected an expression template with {n}")
-        indices = _as_list(_need(cfg, "indices", ""), "/indices")
-        indices = [_as_positive_int(n, f"/indices/{k}") for k, n in enumerate(indices)]
-        _as_expr(template.replace("{n}", "1"), "/family")  # the template's own syntax
-        # a member that fails only past it is over a parser cap for its index
+        template, indices = fields["family"], fields["indices"]
+        # the template parses at n = 1, so a member that fails is over a parser cap for its index
         members = {n: _as_expr(template.replace("{n}", repr(n)), f"/indices/{k}")
                    for k, n in enumerate(indices)}
-        region_cfg = _need(cfg, "region", "")
-        if not isinstance(region_cfg, dict):
-            raise ConfigError("/region", "expected a region object")
-        center = _as_complex(region_cfg.get("center", 0), "/region/center")
-        radius = _as_positive(_need(region_cfg, "radius", "/region"), "/region/radius")
-        grid = _as_positive_int(cfg.get("grid", 120), "/grid")
-        region = _disk(center, radius, "/region/radius")
-        args = (members.__getitem__, indices, region, grid, template)
+        args = (members.__getitem__, indices, fields["region"], fields["grid"], template)
         pointers = {"grid": "/grid", **{f"indices/{k}": f"/indices/{k}" for k in range(len(indices))}}
         rep = _probe(marty_sup, pointers, *args)
         return {"marty": rep}, True
     if action == "zalcman":
-        h = _as_expr(_need(cfg, "h", ""), "/h")
-        grid = _as_positive_int(cfg.get("searchgrid", 300), "/searchgrid")
         pointers = {"h": "/h", "searchgrid": "/searchgrid"}
-        return {"zalcman": _probe(zalcman_rescale, pointers, h, grid)}, True
+        rep = _probe(zalcman_rescale, pointers, fields["h"], fields["searchgrid"])
+        return {"zalcman": rep}, True
     if action == "fujimoto":
-        f = _as_expr(_need(cfg, "f", ""), "/f")
-        omits = _as_list(_need(cfg, "omits", ""), "/omits")
-        values = tuple(_as_ext(v, f"/omits/{k}") for k, v in enumerate(omits))
-        eta = _as_float(_need(cfg, "eta", ""), "/eta")
-        radius = _as_positive(_need(cfg, "radius", ""), "/radius")
-        resolution = _resolution(cfg, opts, 150)
-        ones = lambda zs: np.ones(np.shape(zs))
-        mesh = _mesh(_disk(0, radius, "/radius"), ones, resolution, refine=False)
+        disk = _region({"radius": fields["radius"]}, "")  # the region {radius} at the root
+        mesh = _mesh(disk, fields["resolution"])
+        args = (fields["f"], fields["omits"], fields["eta"], disk.radius, mesh)
         pointers = {"values": "/omits", "eta": "/eta"}
-        return {"fujimoto": _probe(fujimoto_ratio, pointers, f, values, eta, radius, mesh)}, True
+        return {"fujimoto": _probe(fujimoto_ratio, pointers, *args)}, True
     # action == "completeness"
-    triple = triple_from_json(_need(cfg, "triple", ""), "/triple")
-    eps_cfg = _as_list(_need(cfg, "eps_levels", ""), "/eps_levels")
-    eps = [_as_float(e, f"/eps_levels/{k}") for k, e in enumerate(eps_cfg)]
-    targets_cfg = cfg.get("targets")
-    if targets_cfg is None:
-        targets_cfg = [_need(cfg, "target", "")]
-    targets = []
-    for k, tg in enumerate(_as_list(targets_cfg, "/targets")):
-        if tg in ("inf", "infinity"):
-            targets.append("infinity")
-        else:
-            targets.append(_as_complex(tg, f"/targets/{k}"))
+    triple = _probe(make_triple, {"f": "/triple/f", "g": "/triple/g"}, *fields["triple"])
     reports = [
         _probe(completeness_probe, {"eps_levels": "/eps_levels", "target": f"/targets/{k}"},
-               triple, t, eps)
-        for k, t in enumerate(targets)
+               triple, t, fields["eps_levels"])
+        for k, t in enumerate(fields["targets"])
     ]
     return {"triple": triple_to_json(triple), "completeness": reports}, True
 
 
-def _handle_example(action: str, cfg: dict, opts) -> tuple[dict, bool]:
-    m = _as_positive_int(_need(cfg, "m", ""), "/m")
-    alphas = _as_list(_need(cfg, "alphas", ""), "/alphas")
-    alphas = [_as_complex(a, f"/alphas/{k}") for k, a in enumerate(alphas)]
-    radius = cfg.get("radius")
-    radius = None if radius is None else _as_positive(radius, "/radius")
+def _handle_example(action: str, fields: dict, cfg: dict) -> tuple[dict, bool]:
+    alphas = fields["alphas"]
     try:
-        triple = optimal_example(m, alphas, radius)
+        triple = optimal_example(fields["m"], alphas, fields["radius"])
     except ValueError as exc:
         raise ConfigError("/alphas", str(exc)) from exc
-    resolution = _resolution(cfg, opts, 150)
-    mesh = _mesh(triple.domain, triple.density, resolution, refine=False)
+    mesh = _mesh(triple.domain, fields["resolution"], triple.density)
     prop = Omits(tuple([ExtComplex(a) for a in alphas] + [INFINITY]))
     check = property_check(triple.g, prop, mesh)
     out = {
         "triple": triple_to_json(triple),
         "regularity": triple.regularity,
-        "omitted_values": alphas + ["infinity"],
+        "omitted_values": [*alphas, "infinity"],
         "omitted_count": len(alphas) + 1,
         "omission_check": check,
     }
     return out, bool(check.verdict)
 
 
-# each group's handler and the actions that argparse lets through to it
-_HANDLERS = {
-    "triple": (_handle_triple, ("check", "curvature")),
-    "estimate": (_handle_estimate, ("verify",)),
-    "surface": (_handle_surface, ("synth", "periods", "singular")),
-    "probe": (_handle_probe, ("marty", "zalcman", "fujimoto", "completeness")),
-    "example": (_handle_example, ("optimal",)),
+# each group's handler, and the table of each action that argparse lets
+# through to it; a surface action reads the table of the config's class
+_ACTIONS = {
+    "triple": (_handle_triple, {
+        "check": {"triple": (_triple, REQUIRED)},
+        "curvature": {"triple": (_triple, REQUIRED), "points": (_list_of(_as_complex), REQUIRED),
+                      "fd_step": (_as_positive, 1e-3)},
+    }),
+    "estimate": (_handle_estimate, {
+        "verify": {"triple": (_triple, REQUIRED), "property": (_property, REQUIRED),
+                   "resolution": (_as_int, 200), "delta": (_as_positive, 1e-3)},
+    }),
+    "surface": (_handle_surface, dict.fromkeys(("synth", "periods", "singular"))),
+    "probe": (_handle_probe, {
+        "marty": {"family": (_as_template, REQUIRED),
+                  "indices": (_list_of(_as_positive_int), REQUIRED),
+                  "region": (_region, REQUIRED), "grid": (_as_positive_int, 120)},
+        "zalcman": {"h": (_as_expr, REQUIRED), "searchgrid": (_as_positive_int, 300)},
+        "fujimoto": {"f": (_as_expr, REQUIRED), "omits": (_list_of(_as_ext), REQUIRED),
+                     "eta": (_as_float, REQUIRED), "radius": (_as_positive, REQUIRED),
+                     "resolution": (_as_int, 150)},
+        "completeness": {"triple": (_triple, REQUIRED),
+                         "eps_levels": (_list_of(_as_float), REQUIRED),
+                         "targets": (_list_of(_as_target), REQUIRED)},
+    }),
+    "example": (_handle_example, {
+        "optimal": {"m": (_as_positive_int, REQUIRED), "alphas": (_list_of(_as_complex), REQUIRED),
+                    "radius": (_as_positive, None), "resolution": (_as_int, 150)},
+    }),
 }
 
 
@@ -519,9 +539,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="group", required=True)
-    for group, (_, acts) in _HANDLERS.items():
+    for group, (_, tables) in _ACTIONS.items():
         p = sub.add_parser(group)
-        p.add_argument("action", choices=acts)
+        p.add_argument("action", choices=tuple(tables))
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="run directory (default from config)")
         p.add_argument("--resolution", type=int, default=None, help="mesh resolution override")
@@ -536,9 +556,6 @@ def _error_object(kind: str, message: str, pointer: str | None = None) -> str:
     return canonical_json(obj)
 
 
-_TOO_DEEP = "config nests deeper than the interpreter's recursion limit"
-
-
 def main(argv=None) -> int:
     opts = _build_parser().parse_args(argv)
     try:
@@ -548,32 +565,29 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     try:
         cfg = json.loads(raw)
+        cfg_sha256 = config_hash(cfg) if isinstance(cfg, dict) else None
     except json.JSONDecodeError as exc:
         print(_error_object("config", f"config is not valid JSON: {exc}"), file=sys.stderr)
         return EXIT_ERROR
-    except RecursionError:
-        print(_error_object("config", _TOO_DEEP), file=sys.stderr)
-        return EXIT_ERROR
-    if not isinstance(cfg, dict):
-        print(_error_object("config", "config root must be an object", "/"), file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        cfg_sha256 = config_hash(cfg)
     except ReportValueError as exc:  # json.loads accepts NaN and overflows to inf
         print(_error_object("config", f"config is not canonical JSON: {exc}"), file=sys.stderr)
         return EXIT_ERROR
     except RecursionError:
-        print(_error_object("config", _TOO_DEEP), file=sys.stderr)
+        message = "config nests deeper than the interpreter's recursion limit"
+        print(_error_object("config", message), file=sys.stderr)
+        return EXIT_ERROR
+    if not isinstance(cfg, dict):
+        print(_error_object("config", "config root must be an object", "/"), file=sys.stderr)
         return EXIT_ERROR
 
+    # a flag is read as the config field it overrides
+    flags = {"seed": opts.seed, "output_dir": opts.out, "resolution": opts.resolution}
+    given = {**cfg, **{key: v for key, v in flags.items() if v is not None}}
     try:
-        seed = opts.seed if opts.seed is not None else _as_int(cfg.get("seed", 0), "/seed")
-        if opts.out is None:
-            opts.out = cfg.get("output_dir", "run")
-            if not isinstance(opts.out, str):
-                raise ConfigError("/output_dir", "expected a directory path string")
-        handler, _ = _HANDLERS[opts.group]
-        report, ok = handler(opts.action, cfg, opts)
+        handler, tables = _ACTIONS[opts.group]
+        own = tables[opts.action] or _pick(_surface_tables(), given, "class", "")
+        fields = _read({**_COMMON, **own}, given, "")
+        report, ok = handler(opts.action, fields, cfg)
     except ConfigError as exc:
         print(_error_object("schema", exc.message, exc.pointer), file=sys.stderr)
         return EXIT_ERROR
@@ -592,14 +606,11 @@ def main(argv=None) -> int:
         report = encode_report(report)
         report["tool"] = {"name": "mtriples", "version": __version__}
         report["config_sha256"] = cfg_sha256
-        report["seed"] = seed
+        report["seed"] = fields["seed"]
         report["subcommand"] = f"{opts.group} {opts.action}"
-        path = emit_report(report, Path(opts.out) / "report.json")
+        path = emit_report(report, Path(fields["output_dir"]) / "report.json")
     except ReportValueError as exc:
         print(_error_object("report", str(exc)), file=sys.stderr)
-        return EXIT_ERROR
-    except RecursionError:  # a config field echoed into the report nests as deep
-        print(_error_object("config", _TOO_DEEP), file=sys.stderr)
         return EXIT_ERROR
     except OSError as exc:
         print(_error_object("io", f"cannot write report: {exc}"), file=sys.stderr)

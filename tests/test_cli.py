@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -388,9 +389,11 @@ class TestReportHygiene:
         err = json.loads(proc.stderr.splitlines()[0])
         assert err["error"]["kind"] == "config"
 
-    # 5000 levels stop the JSON decoder; 700 pass it but not the report's echo of the triple
-    @pytest.mark.parametrize("depth", [5000, 700])
-    def test_deeply_nested_config(self, tmp_path, depth):
+    # 5000 levels stop the JSON decoder; 700 pass it, and the triple's table refuses the key
+    @pytest.mark.parametrize("depth, kind, pointer", [(5000, "config", None),
+                                                      (700, "schema", "/triple/note")],
+                             ids=["5000", "700"])
+    def test_deeply_nested_config(self, tmp_path, depth, kind, pointer):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(
             '{"triple": {"domain": {"kind": "disk", "radius": 1.0}, "f": "1", "g": "z", "m": 2,'
@@ -404,7 +407,8 @@ class TestReportHygiene:
         assert proc.returncode == 1
         assert not (tmp_path / "out" / "report.json").exists()
         err = json.loads(proc.stderr.splitlines()[-1])
-        assert err["error"]["kind"] == "config"
+        assert err["error"]["kind"] == kind
+        assert err["error"].get("pointer") == pointer
 
     def test_invalid_json_config(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -424,7 +428,7 @@ _FUJIMOTO = {"f": "z", "omits": [[1.2, 0], [-1.2, 0], "inf"], "eta": 0.2, "radiu
 _COMPLETENESS = {"triple": {"domain": {"kind": "truncated_plane", "radius": 3.0,
                                        "punctures": [[1, 0], [-1, 0]]},
                             "f": "1/(z^2-1)", "g": "z", "m": 1},
-                 "target": "infinity", "eps_levels": [1e-1, 1e-2]}
+                 "targets": ["infinity"], "eps_levels": [1e-1, 1e-2]}
 # the boundary point [1, 0] is a target; points past it are not
 _DISK_COMPLETENESS = {"triple": {"domain": DISK, "f": "1", "g": "z", "m": 1},
                       "targets": [[1, 0]], "eps_levels": [1e-1, 1e-2]}
@@ -505,11 +509,11 @@ def test_malformed_number_or_expression_is_schema_error(
     _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer)
 
 
-def _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer):
+def _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer, *flags):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
-    assert main([group, action, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert main([group, action, "--config", str(cfg_path), "--out", str(out), *flags]) == 1
     assert not (out / "report.json").exists()
     err = json.loads(capsys.readouterr().err.splitlines()[0])
     assert err["error"]["kind"] == "schema"
@@ -527,9 +531,9 @@ def _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer):
         ("completeness", dict(_COMPLETENESS, eps_levels=[1e-2, 1e-1]), "/eps_levels"),
         ("completeness", dict(_COMPLETENESS, eps_levels=[1e-1, 1e-9]), "/eps_levels"),
         ("completeness", dict(_COMPLETENESS, eps_levels=[1e-1]), "/eps_levels"),
-        ("completeness", dict(_COMPLETENESS, target=None, targets=["inf", [0.05, 0]]),
+        ("completeness", dict(_COMPLETENESS, targets=["inf", [0.05, 0]]),
          "/targets/1"),
-        ("completeness", dict(_COMPLETENESS, target=None, targets=[[-1.5, 0]]), "/targets/0"),
+        ("completeness", dict(_COMPLETENESS, targets=[[-1.5, 0]]), "/targets/0"),
         ("zalcman", {"h": "3", "searchgrid": 20}, "/h"),
         ("zalcman", {"h": "z^900", "searchgrid": 40}, "/h"),
         # (1e300)^2 overflows in the derivative's constant folding
@@ -543,7 +547,7 @@ def _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer):
                                                   "r_inner": 1.0, "r_outer": 1.1})),
          "/targets/0"),
         # the rim point -3 lies past the puncture -1, seen from the anchor 0
-        ("completeness", dict(_COMPLETENESS, target=None, targets=[[-3, 0]]), "/targets/0"),
+        ("completeness", dict(_COMPLETENESS, targets=[[-3, 0]]), "/targets/0"),
         ("fujimoto", dict(_FUJIMOTO, radius=1e308), "/radius"),
         ("marty", dict(_MARTY, region={"radius": 1e308}), "/region/radius"),
     ],
@@ -784,3 +788,74 @@ def test_estimate_verify_runs_the_property_check_once(tmp_path, monkeypatch):
     cfg_path.write_text(json.dumps(_ESTIMATE))
     assert main(["estimate", "verify", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+
+
+_SURFACE_FIELDS = ["base_point", "class", "cycles", "domain", "exports", "f", "g", "output_dir",
+                   "resolution", "seed"]
+
+
+@pytest.mark.parametrize(
+    "group, action, cfg, flags, pointer, message",
+    [
+        ("probe", "zalcman", {"h": "z^2", "serachgrid": 40}, (), "/serachgrid",
+         "unknown field; did you mean 'searchgrid'?"),
+        ("triple", "check", {"triple": dict(_TRIPLE, domain={"kind": "disk", "centre": [0, 0],
+                                                             "radius": 1.0})},
+         (), "/triple/domain/centre", "unknown field; did you mean 'center'?"),
+        ("probe", "marty", dict(_MARTY, region={"centr": [0, 0], "radius": 0.5}), (),
+         "/region/centr", "unknown field; did you mean 'center'?"),
+        ("triple", "check", {"triple": {"domain": DISK, "f": "1", "g": "z", "mm": 2}}, (),
+         "/triple/mm", "unknown field; did you mean 'm'?"),
+        # the truncated plane is centred at 0 by definition: no field names its center
+        ("triple", "check", {"triple": dict(_COMPLETENESS["triple"], domain={
+            "kind": "truncated_plane", "radius": 3.0, "center": [0, 0]})}, (),
+         "/triple/domain/center", "unknown field; expected one of ['kind', 'punctures', 'radius']"),
+        ("surface", "synth", dict(_SURFACE, step=0.01), (), "/step",
+         f"unknown field; expected one of {_SURFACE_FIELDS}"),
+        ("estimate", "verify", dict(_ESTIMATE, property={"bounded": 1.0, "omits": [[2, 0], "inf"]}),
+         (), "/property", "a property carries exactly one of 'bounded' or 'omits'"),
+        ("estimate", "verify", dict(_ESTIMATE, property={}), (), "/property",
+         "a property carries exactly one of 'bounded' or 'omits'"),
+        # a flag is read as the config field it overrides, and triple check builds no mesh
+        ("triple", "check", {"triple": _TRIPLE}, ("--resolution", "40"), "/resolution",
+         "unknown field; expected one of ['output_dir', 'seed', 'triple']"),
+        ("probe", "completeness", dict(_DISK_COMPLETENESS, target=[1, 0]), (), "/target",
+         "unknown field; did you mean 'targets'?"),
+        ("surface", "periods", _SURFACE, (), "/cycles", "periods needs at least one cycle"),
+    ],
+    ids=["top-level-typo", "domain-typo", "region-typo", "triple-typo", "truncated-plane-center",
+         "step-on-minimal", "bounded-and-omits", "neither-bounded-nor-omits",
+         "resolution-flag-without-mesh", "target-alias", "periods-without-cycles"],
+)
+def test_unknown_key_or_conflicting_field_is_schema_error(
+    tmp_path, capsys, group, action, cfg, flags, pointer, message
+):
+    err = _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer, *flags)
+    assert err["message"] == message
+
+
+def _config_tables():
+    """(name, table) for every table a config is read against: the fields every
+    action takes, each action's own, each surface class's and the nested objects'."""
+    from mtriples import cli
+
+    yield "every action", cli._COMMON
+    for group, (_, tables) in cli._ACTIONS.items():
+        yield from ((f"{group} {action}", t) for action, t in tables.items() if t is not None)
+    yield from ((f"surface, class {name}", t) for name, t in cli._surface_tables().items())
+    yield from ((f"domain, kind {name}", t) for name, t in cli._DOMAIN_TABLES.items())
+    yield from (("triple", cli._TRIPLE), ("property", cli._PROPERTY), ("region", cli._REGION))
+
+
+def test_readme_names_every_config_field_and_default():
+    from mtriples.cli import REQUIRED
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| ([^|`]+?) \| (.+) \|$", readme, flags=re.M))
+    tables = dict(_config_tables())
+    assert set(rows) == {"table", *tables}  # the header row, then one row per table
+    for name, table in tables.items():
+        documented = dict(re.findall(r"`(\w+)`(?: = (`[^`]*`|none))?", rows[name]))
+        want = {field: "" if default is REQUIRED else "none" if default is None
+                else f"`{json.dumps(default)}`" for field, (_, default) in table.items()}
+        assert documented == want, name

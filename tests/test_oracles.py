@@ -5,7 +5,8 @@ coordinates x and y, without the package's algebra: no ``expr.derivative``
 and no closed-form curvature.  The expression oracles hold the rational
 normal form to ``sp.fraction(sp.together(...))``, the symbolic derivative to
 ``sp.diff`` and the sampled vanishing order to the multiplicities of sympy's
-cancelled numerator and denominator.  Coefficients and sample points are
+cancelled numerator and denominator.  The regularity oracle holds the
+candidate points, their orders and each verdict to sympy's zeros and poles.  Coefficients and sample points are
 dyadic rationals, so the floats the package reads are the exact values sympy
 works with.
 """
@@ -33,7 +34,7 @@ from mtriples.expr import (
     parse_mero,
     rational_form,
 )
-from mtriples.mtriple import Disk, curvature, curvature_array, make_triple
+from mtriples.mtriple import Disk, check_regularity, curvature, curvature_array, make_triple
 
 x, y = sp.symbols("x y", real=True)
 w = sp.Symbol("w")
@@ -237,3 +238,71 @@ def test_local_order_matches_sympy_at_zeros_poles_and_regular_points(seed):
     for z0 in sites + regular:
         want = _multiplicity(want_num, z0) - _multiplicity(want_den, z0)
         assert local_order(tree, complex(z0)) == want, (z0, want)
+
+
+# ---------------------------------------------------------------------------
+# Regularity: candidate points, orders and verdicts
+# ---------------------------------------------------------------------------
+
+
+def _factored(rng: random.Random, sites: list, orders: list) -> tuple:
+    """lead * prod (w - a)^k over the sites and orders, as a sympy expression
+    and as source text with the poles in the denominator."""
+    lead = _gaussian(rng, 16, (1, 2, 4))
+    while lead == 0:
+        lead = _gaussian(rng, 16, (1, 2, 4))
+    expr = lead * sp.prod([(w - a) ** k for a, k in zip(sites, orders)])
+    num = "*".join([_source(lead)] + [f"(z - {_source(a)})^{k}"
+                                      for a, k in zip(sites, orders) if k > 0])
+    den = "*".join(["1"] + [f"(z - {_source(a)})^{-k}" for a, k in zip(sites, orders) if k < 0])
+    return expr, f"({num})/({den})"
+
+
+def _zeros_and_poles(expr: sp.Expr) -> dict:
+    """{point: order} over the zeros (order > 0) and poles (order < 0) that
+    sympy finds in the cancelled numerator and denominator."""
+    num, den = sp.fraction(sp.cancel(expr))
+    orders = dict(sp.roots(sp.Poly(num, w)))
+    for p, k in sp.roots(sp.Poly(den, w)).items():
+        orders[p] = orders.get(p, 0) - k
+    return orders
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_check_regularity_matches_sympy_zeros_and_poles(seed):
+    rng = random.Random(seed)
+    m = rng.randint(1, 3)
+    sites = []  # four inside the unit disk and one outside, clear of its rim
+    while len(sites) < 5:
+        a = _gaussian(rng, 12, (8,))
+        r = abs(complex(a))
+        if (r < 0.95 if len(sites) < 4 else r > 1.05) and all(
+                abs(complex(a - b)) > 0.25 for b in sites):
+            sites.append(a)
+    g_orders = [rng.randint(-1, 2) for _ in sites]
+    # at a pole of g, f has the zero of order -m ord g that regularity asks for,
+    # and no other zero or pole: on odd seeds always, on even seeds mostly
+    f_orders = [-m * k if k < 0 and (seed % 2 or rng.random() < 0.6)
+                else 0 if seed % 2 else rng.randint(-1, 1) for k in g_orders]
+    f_expr, f_src = _factored(rng, sites, f_orders)
+    g_expr, g_src = _factored(rng, sites, g_orders)
+    report = check_regularity(Disk(0, 1.0), parse_mero(f_src), parse_mero(g_src), m)
+
+    ord_f, ord_g = _zeros_and_poles(f_expr), _zeros_and_poles(g_expr)
+    inside = [p for p in {*ord_f, *ord_g} if abs(complex(p)) < 1]
+    assert report.checked
+    assert len(report.entries) == len(inside)
+    regular = True
+    for p in inside:
+        entry = min(report.entries, key=lambda e: abs(e.point - complex(p)))
+        assert abs(entry.point - complex(p)) < 1e-9, (entry.point, p)
+        a, b = ord_f.get(p, 0), ord_g.get(p, 0)
+        assert (entry.f_order, entry.g_order) == (a, b), p
+        # (1 + |g|^2)^(m/2) |f| ~ |z - p|^(a + m min(b, 0)): positive and finite iff that is 0
+        if a + m * min(b, 0) == 0:
+            want = "ok"
+        else:
+            want = "f-pole" if a < 0 else "order-mismatch" if b < 0 else "stray-f-zero"
+            regular = False
+        assert entry.verdict == want, p
+    assert report.overall == regular
