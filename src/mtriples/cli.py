@@ -452,7 +452,8 @@ def _handle_probe(action: str, fields: dict, cfg: dict) -> tuple[dict, bool]:
         members = {n: _as_expr(template.replace("{n}", repr(n)), f"/indices/{k}")
                    for k, n in enumerate(indices)}
         args = (members.__getitem__, indices, fields["region"], fields["grid"], template)
-        pointers = {"grid": "/grid", **{f"indices/{k}": f"/indices/{k}" for k in range(len(indices))}}
+        pointers = {"grid": "/grid", "indices": "/indices",
+                    **{f"indices/{k}": f"/indices/{k}" for k in range(len(indices))}}
         rep = _probe(marty_sup, pointers, *args)
         return {"marty": rep}, True
     if action == "zalcman":
@@ -466,6 +467,8 @@ def _handle_probe(action: str, fields: dict, cfg: dict) -> tuple[dict, bool]:
         pointers = {"values": "/omits", "eta": "/eta"}
         return {"fujimoto": _probe(fujimoto_ratio, pointers, *args)}, True
     # action == "completeness"
+    if not fields["targets"]:
+        raise ConfigError("/targets", "completeness needs at least one target")
     triple = _probe(make_triple, {"f": "/triple/f", "g": "/triple/g"}, *fields["triple"])
     reports = [
         _probe(completeness_probe, {"eps_levels": "/eps_levels", "target": f"/targets/{k}"},
@@ -479,7 +482,9 @@ def _handle_example(action: str, fields: dict, cfg: dict) -> tuple[dict, bool]:
     alphas = fields["alphas"]
     try:
         triple = optimal_example(fields["m"], alphas, fields["radius"])
-    except ValueError as exc:
+    except ArgumentError as exc:  # a radius that leaves an alpha outside
+        raise ConfigError("/" + exc.name, str(exc)) from exc
+    except ValueError as exc:  # the count of alphas, two that coincide, or two clustered as one
         raise ConfigError("/alphas", str(exc)) from exc
     mesh = _mesh(triple.domain, fields["resolution"], triple.density)
     prop = Omits(tuple([ExtComplex(a) for a in alphas] + [INFINITY]))

@@ -36,13 +36,11 @@ from .expr import (
     chordal_array,
     derivative,
     eval_array,
-    is_rational,
-    rational_form,
     spherical_gradient,
     spherical_gradient_array,
     substitute,
     _div,
-    _is_const,
+    _is_constant,
     _mul,
 )
 from .mtriple import (Disk, DomainSpec, MTriple, TruncatedPlane, curvature_array, make_triple,
@@ -244,25 +242,24 @@ def optimal_example(m: int, alphas: Sequence[complex], radius: float | None = No
     """The extremal construction: g = z with f = 1/prod(z - alpha_j).
 
     g omits exactly the m+2 values alphas plus infinity, and the metric
-    diverges along rays into every puncture and toward infinity.
+    diverges along rays into every puncture and toward infinity.  A given
+    ``radius`` that leaves an alpha outside is an ``ArgumentError`` on it.
     """
     if not (isinstance(m, int) and m >= 1):
         raise ValueError("m must be a positive integer")
     pts = [complex(a) for a in alphas]
     if len(pts) != m + 1:
         raise ValueError(f"expected m+1 = {m + 1} puncture points, got {len(pts)}")
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) <= 1e-12:
-                raise ValueError("alphas must be pairwise distinct")
     if radius is None:
         radius = max(2.0, 2.0 * max(abs(a) for a in pts))
+    try:
+        domain = TruncatedPlane(radius, punctures=tuple(pts))
+    except ArgumentError as exc:  # a puncture outside: the given radius is too small
+        raise ArgumentError("radius", f"radius {radius} leaves an alpha outside the plane") from exc
     prod: MeroExpr = Sub(Z, Const(pts[0]))
     for a in pts[1:]:
         prod = Mul(prod, Sub(Z, Const(a)))
-    f = _div(Const(1 + 0j), prod)
-    domain = TruncatedPlane(radius, punctures=tuple(pts))
-    return make_triple(domain, f, Z, m)
+    return make_triple(domain, _div(Const(1 + 0j), prod), Z, m)
 
 
 @dataclass(frozen=True)
@@ -353,14 +350,17 @@ def marty_sup(
     """Per-member supremum of the spherical gradient over a compact disk.
 
     Local boundedness of these suprema characterizes normality, so the
-    log-log slope across the family indices is the growth verdict.  An index
-    past the largest float (the fit takes its log), or a member whose
-    gradient cannot be evaluated on the grid or overflows there, is an
+    log-log slope across at least two distinct indices (else an
+    ``ArgumentError`` on ``indices``) is the growth verdict.  An index past
+    the largest float (the fit takes its log), or a member whose gradient
+    cannot be evaluated on the grid or overflows there, is an
     ``ArgumentError`` named ``indices/k`` after its position ``k``.
     """
     idx = [int(n) for n in indices]
     if any(n < 1 for n in idx):
         raise ValueError("indices must be positive")
+    if len(set(idx)) < 2:
+        raise ArgumentError("indices", "the growth fit needs at least two distinct indices")
     pts = _disk_grid(region.center, region.radius, grid)
     sups = []
     for k, n in enumerate(idx):
@@ -375,7 +375,7 @@ def marty_sup(
         if not math.isfinite(sup):
             raise ArgumentError(f"indices/{k}", f"the spherical gradient of member {k} overflows")
         sups.append(sup)
-    if len(idx) >= 2 and min(sups) > 0:
+    if min(sups) > 0:
         slope = float(np.polyfit(np.log(np.asarray(idx, dtype=float)), np.log(sups), 1)[0])
     else:
         slope = 0.0
@@ -403,26 +403,6 @@ class ZalcmanResult:
 
 def _conformal_gradient_grid(h: MeroExpr, pts: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 - np.abs(pts) ** 2) * spherical_gradient_array(h, pts)
-
-
-def _is_constant(h: MeroExpr) -> bool:
-    """Whether ``h`` is constant as a map to the sphere: its derivative folds
-    to 0, or ``h`` = p/q is rational and p'q - pq' is identically 0 (h's own
-    normal form keeps the degree cap; that of h' grows with each nested
-    quotient).  An overflowing derivative is left to the sampler to name."""
-    try:
-        if _is_const(derivative(h), 0j):
-            return True
-    except ArithmeticError:
-        return False
-    if not is_rational(h):
-        return False
-    p, q = rational_form(h)
-    if p.size == 0 or q.size == 0:
-        return True
-    with np.errstate(all="ignore"):
-        w = np.polysub(np.polymul(np.polyder(p), q), np.polymul(p, np.polyder(q)))
-    return not w.any()
 
 
 def zalcman_rescale(h: MeroExpr, searchgrid: int = 300) -> ZalcmanResult:

@@ -657,6 +657,26 @@ def rational_form(e: MeroExpr) -> tuple[np.ndarray, np.ndarray]:
     return np.trim_zeros(num, "f"), np.trim_zeros(den, "f")
 
 
+def _is_constant(h: MeroExpr) -> bool:
+    """Whether ``h`` is constant as a map to the sphere: its derivative folds
+    to 0, or ``h`` = p/q is rational and p'q - pq' is identically 0 (h's own
+    normal form keeps the degree cap; that of h' grows with each nested
+    quotient).  An overflowing derivative is left to the sampler to name."""
+    try:
+        if _is_const(derivative(h), 0j):
+            return True
+    except ArithmeticError:
+        return False
+    if not is_rational(h):
+        return False
+    p, q = rational_form(h)
+    if p.size == 0 or q.size == 0:
+        return True
+    with np.errstate(all="ignore"):
+        w = np.polysub(np.polymul(np.polyder(p), q), np.polymul(p, np.polyder(q)))
+    return not w.any()
+
+
 def _poly_pow(_, t: Pow, pair):
     n = t.exponent
     num = den = np.array([1.0 + 0j])

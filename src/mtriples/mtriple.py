@@ -80,14 +80,14 @@ class _DomainBase:
 
     def _validate(self):
         """Refuse a region whose size is not finite, then normalise and check
-        the punctures."""
+        the punctures; one outside is an ``ArgumentError`` on ``punctures``."""
         if not math.isfinite(self.diameter()):
             raise ValueError(f"the {self.kind} domain is not of finite size")
         ps = tuple(complex(p) for p in self.punctures)
         object.__setattr__(self, "punctures", ps)
         for idx, p in enumerate(ps):
             if not self.contains(p, margin=1e-9):
-                raise ValueError(f"puncture {p} is not strictly inside the domain")
+                raise ArgumentError("punctures", f"puncture {p} is not strictly inside the domain")
             for q in ps[idx + 1 :]:
                 if abs(p - q) <= 1e-12:
                     raise ValueError(f"punctures {p} and {q} coincide")
@@ -315,13 +315,6 @@ class RegularityReport:
     checked: bool
 
 
-def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
-    c = np.trim_zeros(np.asarray(coeffs, dtype=complex), "f")
-    if c.size <= 1:
-        return np.zeros(0, dtype=complex)
-    return np.roots(c)
-
-
 def _cluster(points: np.ndarray) -> list[complex]:
     """Centroids of root clusters.
 
@@ -349,33 +342,36 @@ def _order(e: MeroExpr, name: str, p: complex) -> int:
         raise ArgumentError(name, str(exc)) from exc
 
 
-def check_regularity(domain: DomainSpec, f: MeroExpr, g: MeroExpr, m: int) -> RegularityReport:
-    """Compare divisor orders of rational f and g at every candidate point.
+_SAME_POINT = 1e-9  # two clustered roots, or a root and a puncture, closer are one point
 
-    Candidates are the clustered roots of the numerator/denominator
-    polynomials of both expressions that lie strictly inside the domain
-    (punctures excluded).  Non-rational data yields an unchecked report.  An
-    order the sampler cannot determine, or an expression whose denominator is
-    identically zero, is an ``ArgumentError`` on ``f`` or ``g``.
-    """
+
+def _rational_pair(name: str, e: MeroExpr) -> tuple[np.ndarray, np.ndarray]:
+    """``rational_form(e)``; a zero denominator is an ``ArgumentError`` on ``name``."""
+    num, den = rational_form(e)
+    if den.size == 0:
+        raise ArgumentError(name, f"{name} is identically infinite")
+    return num, den
+
+
+def _candidates(domain: DomainSpec, polys: list) -> list[complex]:
+    """Sorted clustered roots of ``polys`` strictly inside the domain, off its punctures."""
+    raw = np.concatenate([np.roots(p) for p in polys])
+    inside = (p for p in _cluster(raw)
+              if domain.contains(p, margin=1e-12) and domain.puncture_gap(p) > _SAME_POINT)
+    return sorted(inside, key=lambda w: (w.real, w.imag))
+
+
+def check_regularity(domain: DomainSpec, f: MeroExpr, g: MeroExpr, m: int) -> RegularityReport:
+    """Compare divisor orders of rational f and g at every candidate point: the
+    ``_candidates`` of both numerators and denominators.  Non-rational data
+    yields an unchecked report.  An order the sampler cannot determine, or an
+    expression whose denominator is identically zero, is an ``ArgumentError``
+    on ``f`` or ``g``."""
     if not (is_rational(f) and is_rational(g)):
         return RegularityReport(entries=(), overall=True, checked=False)
-    num_f, den_f = rational_form(f)
-    num_g, den_g = rational_form(g)
-    for name, den in (("f", den_f), ("g", den_g)):
-        if den.size == 0:
-            raise ArgumentError(name, f"{name} is identically infinite")
-    raw = np.concatenate(
-        [_poly_roots(num_f), _poly_roots(den_f), _poly_roots(num_g), _poly_roots(den_g)]
-    )
-    candidates = [
-        p
-        for p in _cluster(raw)
-        if domain.contains(p, margin=1e-12) and domain.puncture_gap(p) > 1e-9
-    ]
     entries = []
     overall = True
-    for p in sorted(candidates, key=lambda w: (w.real, w.imag)):
+    for p in _candidates(domain, [*_rational_pair("f", f), *_rational_pair("g", g)]):
         ord_f, ord_g = (_order(e, name, p) for e, name in ((f, "f"), (g, "g")))
         if ord_f < 0:
             verdict = "f-pole"

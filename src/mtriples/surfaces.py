@@ -42,13 +42,18 @@ from .expr import (
     derivative,
     eval_array,
     eval_array_checked,
+    eval_ext,
     is_rational,
-    rational_form,
+    _is_constant,
 )
 from .mtriple import (
     DomainSpec,
     MTriple,
     _as_expr,
+    _SAME_POINT,
+    _candidates,
+    _order,
+    _rational_pair,
     curvature_array,
     make_triple,
     metric_density_array,
@@ -158,7 +163,8 @@ class MaxfaceData(_VectorData):
 
     def __post_init__(self):
         super().__post_init__()
-        if isinstance(self.g, Const) and abs(abs(self.g.value) - 1.0) < 1e-15:
+        g = self.g  # constant in any written form, |g| read at one point
+        if _is_constant(g) and abs(abs(eval_ext(g, self.domain.anchor()).value) - 1.0) < 1e-15:
             raise ArgumentError("g", "|g| identically 1: the data is singular everywhere")
 
     def forms(self) -> tuple:
@@ -172,7 +178,7 @@ class MaxfaceData(_VectorData):
 
     def singular_indicator(self, zs: np.ndarray) -> np.ndarray:
         """|g| - 1"""
-        return np.abs(eval_array(self.g, zs)) - 1.0
+        return np.abs(eval_array_checked(self.g, zs)) - 1.0
 
     def _metric_sq(self, diagnostics: dict) -> np.ndarray:
         return diagnostics["induced_metric_sq"]
@@ -180,8 +186,8 @@ class MaxfaceData(_VectorData):
 
 @dataclass(frozen=True)
 class _PoleFreeData(_SurfaceData):
-    """Data whose two expressions may have no pole inside the domain; a pole, or
-    a denominator that is identically zero, is an ``ArgumentError`` on its field."""
+    """Data whose two expressions may have no pole inside the domain; a pole left
+    after cancellation, or an identically zero denominator, is an ``ArgumentError``."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -189,12 +195,12 @@ class _PoleFreeData(_SurfaceData):
             e = getattr(self, f.name)
             if not is_rational(e):
                 continue  # checked at runtime by quadrature failures
-            den = rational_form(e)[1]
-            if den.size == 0:
-                raise ArgumentError(f.name, f"{f.name} is identically infinite")
-            for r in map(complex, np.roots(den)):
-                if self.domain.contains(r, margin=1e-12) and self.domain.puncture_gap(r) > 1e-9:
-                    raise ArgumentError(f.name, f"{f.name} has a pole at {r} inside the domain")
+            num, den = _rational_pair(f.name, e)
+            zeros = _candidates(self.domain, [num])
+            for p in _candidates(self.domain, [den]):
+                # cancelled only by a numerator root at the same point and a local order >= 0
+                if all(abs(p - q) > _SAME_POINT for q in zeros) or _order(e, f.name, p) < 0:
+                    raise ArgumentError(f.name, f"{f.name} has a pole at {p} inside the domain")
 
 
 @dataclass(frozen=True)
@@ -212,7 +218,8 @@ class ImproperAffineData(_PoleFreeData):
 
     def singular_indicator(self, zs: np.ndarray) -> np.ndarray:
         """|F'| - |G'|"""
-        return np.abs(eval_array(derivative(self.F), zs)) - np.abs(eval_array(derivative(self.G), zs))
+        Fp, Gp = (eval_array_checked(derivative(e), zs) for e in (self.F, self.G))
+        return np.abs(Fp) - np.abs(Gp)
 
     def _metric_sq(self, diagnostics: dict) -> np.ndarray:
         return diagnostics["tau_sq"]
@@ -229,8 +236,7 @@ class FlatFrontData(_PoleFreeData):
 
     def singular_indicator(self, zs: np.ndarray) -> np.ndarray:
         """|theta / omega| - 1"""
-        om = eval_array(self.omega, zs)
-        th = eval_array(self.theta, zs)
+        om, th = (eval_array_checked(e, zs) for e in (self.omega, self.theta))
         with np.errstate(all="ignore"):
             return np.abs(th / om) - 1.0
 
@@ -395,15 +401,13 @@ def synth_maxface(data: MaxfaceData, mesh: MeshedDomain) -> SurfaceMesh:
     """Integrate the Lorentzian representation forms; flag |g| = 1 vertices."""
     vertices = _form_integrals(data, mesh).real.T.copy()
     zs = mesh.nodes
-    gv = eval_array(data.g, zs)
-    fv = eval_array_checked(data.f, zs)
+    gv, fv = (eval_array_checked(e, zs) for e in (data.g, data.f))
     with np.errstate(all="ignore"):
         gm = np.abs(gv)
-        dsigma = (1.0 + gm**2) * np.abs(fv)
         ds_induced = (1.0 - gm**2) ** 2 * np.abs(fv) ** 2
     singular = np.abs(gm - 1.0) < SINGULAR_FLAG_TOL
     diags = {
-        "density": dsigma,
+        "density": metric_density_array(data.triple, zs),
         "curvature": curvature_array(data.triple, zs),
         "gauss_map": gv,
         "singular": singular,

@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from mtriples.estimates import (
     Bounded,
@@ -21,6 +22,7 @@ from mtriples.estimates import (
 )
 from mtriples.expr import (
     INFINITY,
+    ArgumentError,
     Const,
     ExtComplex,
     Mul,
@@ -35,7 +37,8 @@ from mtriples.geodesy import (
     completeness_probe,
     dijkstra_distances,
 )
-from mtriples.mtriple import Annulus, Disk, curvature, curvature_fd, make_triple
+from mtriples.mtriple import (Annulus, Disk, _candidates, _rational_pair, curvature, curvature_fd,
+                              make_triple)
 from mtriples.surfaces import (
     FlatFrontData,
     ImproperAffineData,
@@ -311,3 +314,50 @@ def test_ac13_sphere_geometry():
             continue
         assert abs(a - b) / a <= 1e-10
         checked += 1
+
+
+def test_ac14_pole_free_data_is_judged_after_cancellation():
+    """A removable site, here the lattice node 0, synthesizes as the cancelled
+    data and has the same singular locus; a double pole is one candidate,
+    refused at its own field."""
+    dom = Disk(0, 1.0)
+    mesh = build_mesh(dom, ONES, 40)
+    flat = lambda data, mesh: synth_flatfront(data, mesh, step=1e-2)
+    for data, cancelled, synth in (
+        (ImproperAffineData("z*z/z", "z", dom), ImproperAffineData("z", "z", dom),
+         synth_improper_affine),
+        # |F'| = |G'| on the circle |z| = 1/2
+        (ImproperAffineData("z*z/z", "z^2", dom), ImproperAffineData("z", "z^2", dom),
+         synth_improper_affine),
+        (FlatFrontData("z*(z+2)/z", "z/2", dom), FlatFrontData("z+2", "z/2", dom), flat),
+    ):
+        surf, want = synth(data, mesh), synth(cancelled, mesh)
+        assert np.max(np.abs(surf.vertices - want.vertices)) <= 1e-8
+        locus, want_locus = singular_locus(data, mesh), singular_locus(cancelled, mesh)
+        assert len(locus) == len(want_locus)
+        for poly, want_poly in zip(locus, want_locus):
+            assert np.all(np.isfinite(poly))
+            assert np.max(np.abs(poly - want_poly)) <= 1e-8
+
+    pole = parse_mero("1/(z-0.5)^2")
+    (site,) = _candidates(dom, [_rational_pair("F", pole)[1]])
+    assert abs(site - 0.5) <= 1e-9
+    with pytest.raises(ArgumentError, match="has a pole") as refused:
+        ImproperAffineData(pole, "z", dom)
+    assert refused.value.name == "F"
+
+
+def test_ac15_maxface_reads_g_repaired_at_a_removable_site():
+    """g = z*z/z at the lattice node 0 gives the Gauss map, singular flags and
+    density of g = z, up to the rounding of z*z/z (on a disk where no node has
+    |g| near the flag tolerance)."""
+    dom = Disk(0, 0.9)
+    mesh = build_mesh(dom, ONES, 40)
+    assert np.min(np.abs(mesh.nodes)) == 0.0
+    surf = synth_maxface(MaxfaceData("1", "z*z/z", dom), mesh)
+    want = synth_maxface(MaxfaceData("1", "z", dom), mesh)
+    assert np.array_equal(surf.diagnostics["singular"], want.diagnostics["singular"])
+    for key in ("gauss_map", "density", "induced_metric_sq"):
+        got = surf.diagnostics[key]
+        assert np.all(np.isfinite(got)), key
+        assert np.max(np.abs(got - want.diagnostics[key])) <= 1e-12, key

@@ -550,12 +550,16 @@ def _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer, *flags):
         ("completeness", dict(_COMPLETENESS, targets=[[-3, 0]]), "/targets/0"),
         ("fujimoto", dict(_FUJIMOTO, radius=1e308), "/radius"),
         ("marty", dict(_MARTY, region={"radius": 1e308}), "/region/radius"),
+        ("marty", dict(_MARTY, indices=[]), "/indices"),
+        ("marty", dict(_MARTY, indices=[3]), "/indices"),
+        ("marty", dict(_MARTY, indices=[3, 3]), "/indices"),
     ],
     ids=["eta-above-bound", "eta-zero", "two-omits", "no-infinity", "eps-increasing",
          "eps-too-small", "one-eps-level", "anchor-at-target", "path-through-puncture", "constant-h",
          "maximum-on-rim", "constant-overflow", "target-outside", "target-huge",
          "target-interior", "anchor-at-rim-target", "path-to-rim-through-puncture",
-         "fujimoto-radius-huge", "marty-radius-huge"],
+         "fujimoto-radius-huge", "marty-radius-huge", "marty-no-index", "marty-one-index",
+         "marty-one-distinct-index"],
 )
 def test_probe_argument_the_library_rejects_is_schema_error(
     tmp_path, capsys, action, cfg, pointer
@@ -747,11 +751,38 @@ def test_magnitude_the_numerics_cannot_hold_is_schema_error(
         ({"class": "improper_affine", "F": "z", "G": "1/(z-0.5)", "domain": DISK,
           "resolution": 20}, "/G"),
         (dict(_SURFACE, **{"class": "maxface"}, g="1"), "/g"),
+        (dict(_SURFACE, **{"class": "maxface"}, g="i*z/z"), "/g"),
+        (dict(_SURFACE, **{"class": "maxface"}, g="i+z-z"), "/g"),
     ],
-    ids=["flat-front-theta-pole", "improper-affine-G-pole", "maxface-g-unimodular"],
+    ids=["flat-front-theta-pole", "improper-affine-G-pole", "maxface-g-unimodular",
+         "maxface-g-unimodular-quotient", "maxface-g-unimodular-sum"],
 )
 def test_surface_data_error_is_reported_at_its_field(tmp_path, capsys, cfg, pointer):
     _assert_schema_error(tmp_path, capsys, "surface", "synth", cfg, pointer)
+
+
+@pytest.mark.parametrize(
+    "group, action, cfg, pointer",
+    [
+        ("probe", "completeness", dict(_COMPLETENESS, targets=[]), "/targets"),
+        ("example", "optimal", {"m": 1, "alphas": [[1, 0], [-1, 0]], "radius": 0.5}, "/radius"),
+        ("example", "optimal", {"m": 1, "alphas": [[1, 0], [1, 0]], "radius": 3}, "/alphas"),
+    ],
+    ids=["no-targets", "optimal-radius-too-small", "optimal-alphas-coincide"],
+)
+def test_degenerate_or_inconsistent_input_is_schema_error(
+    tmp_path, capsys, group, action, cfg, pointer
+):
+    _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer)
+
+
+def test_removable_site_of_pole_free_data_runs(tmp_path, capsys):
+    cfg = {"class": "improper_affine", "F": "z*z/z", "G": "z^2", "domain": DISK, "resolution": 20}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["surface", "synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["singular_locus"]
 
 
 def test_refined_estimate_leaves_scipy_spatial_unimported(tmp_path):

@@ -174,6 +174,11 @@ class TestOptimalExample:
         with pytest.raises(ValueError):
             optimal_example(1, [1.0, 1.0])
 
+    def test_radius_that_leaves_an_alpha_outside_is_refused_at_radius(self):
+        with pytest.raises(ArgumentError, match="outside") as refused:
+            optimal_example(1, [1.0, -1.0], radius=0.5)
+        assert refused.value.name == "radius"
+
 
 @pytest.fixture(scope="module")
 def mesh3():
@@ -233,6 +238,12 @@ class TestMarty:
         rep = marty_sup(lambda n: Const(3 + 0j), [1, 2, 4], self.REGION, grid=50)
         assert all(s == 0.0 for s in rep.sups)
         assert rep.verdict == "bounded"
+
+    @pytest.mark.parametrize("indices", [[], [3], [3, 3]])
+    def test_fewer_than_two_distinct_indices_are_refused(self, indices):
+        with pytest.raises(ArgumentError, match="two distinct indices") as refused:
+            marty_sup(lambda n: Mul(Const(complex(n)), Z), indices, self.REGION, grid=20)
+        assert refused.value.name == "indices"
 
     def test_grid_past_the_point_cap_is_refused(self):
         with pytest.raises(ArgumentError, match="cap") as refused:

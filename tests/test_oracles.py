@@ -6,7 +6,9 @@ and no closed-form curvature.  The expression oracles hold the rational
 normal form to ``sp.fraction(sp.together(...))``, the symbolic derivative to
 ``sp.diff`` and the sampled vanishing order to the multiplicities of sympy's
 cancelled numerator and denominator.  The regularity oracle holds the
-candidate points, their orders and each verdict to sympy's zeros and poles.  Coefficients and sample points are
+candidate points, their orders and each verdict to sympy's zeros and poles,
+and the pole-free oracle holds the refusal of surface data to the poles
+that survive ``sp.cancel``.  Coefficients and sample points are
 dyadic rationals, so the floats the package reads are the exact values sympy
 works with.
 """
@@ -20,6 +22,7 @@ import sympy as sp
 
 from mtriples.expr import (
     Add,
+    ArgumentError,
     Const,
     Div,
     Exp,
@@ -35,6 +38,7 @@ from mtriples.expr import (
     rational_form,
 )
 from mtriples.mtriple import Disk, check_regularity, curvature, curvature_array, make_triple
+from mtriples.surfaces import ImproperAffineData
 
 x, y = sp.symbols("x y", real=True)
 w = sp.Symbol("w")
@@ -306,3 +310,37 @@ def test_check_regularity_matches_sympy_zeros_and_poles(seed):
             regular = False
         assert entry.verdict == want, p
     assert report.overall == regular
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pole_free_data_is_refused_iff_a_pole_survives_cancellation(seed):
+    rng = random.Random(seed)
+    sites = []  # three inside the unit disk and one outside, clear of its rim
+    while len(sites) < 4:
+        a = _gaussian(rng, 12, (8,))
+        r = abs(complex(a))
+        if (r < 0.95 if len(sites) < 3 else r > 1.05) and all(
+                abs(complex(a - b)) > 0.25 for b in sites):
+            sites.append(a)
+    downs = [rng.randint(0, 2) for _ in sites]
+    # a zero at a pole's site: at least as deep on even seeds, so every pole
+    # cancels, and of any order up to 2 on odd seeds
+    ups = [k + rng.randint(0, 1) if seed % 2 == 0 else rng.randint(0, 2) for k in downs]
+    lead = _gaussian(rng, 16, (1, 2, 4))
+    while lead == 0:
+        lead = _gaussian(rng, 16, (1, 2, 4))
+    expr = lead * sp.prod([(w - a) ** (u - d) for a, u, d in zip(sites, ups, downs)])
+    num = "*".join([_source(lead)] + [f"(z - {_source(a)})^{k}" for a, k in zip(sites, ups)])
+    den = "*".join(["1"] + [f"(z - {_source(a)})^{k}" for a, k in zip(sites, downs)])
+    src = f"({num})/({den})"
+    poles = sp.roots(sp.Poly(sp.fraction(sp.cancel(expr))[1], w))
+    refused = any(abs(complex(p)) < 1 for p in poles)
+    # the data in F on one pair of seeds, in G on the next
+    field, exprs = ("F", (src, "z")) if seed // 2 % 2 == 0 else ("G", ("z", src))
+    if refused:
+        with pytest.raises(ArgumentError, match="has a pole") as info:
+            ImproperAffineData(*exprs, Disk(0, 1.0))
+        assert info.value.name == field
+    else:
+        ImproperAffineData(*exprs, Disk(0, 1.0))
+    assert refused == (seed % 2 == 1 and any(d > u for u, d in zip(ups[:3], downs[:3])))

@@ -271,6 +271,11 @@ class TestImproperAffine:
         (FlatFrontData, ("1", "1/(z-0.5)"), "theta", "has a pole"),
         (FlatFrontData, ("z/(z-z)", "z"), "omega", "identically infinite"),
         (MaxfaceData, ("1", "i"), "g", "identically 1"),
+        (MaxfaceData, ("1", "i*z/z"), "g", "identically 1"),
+        (MaxfaceData, ("1", "i+z-z"), "g", "identically 1"),
+        (ImproperAffineData, ("1/(z-0.5)^12", "z"), "F", "has a pole"),
+        (ImproperAffineData, ("(z-0.5)/(z-0.5000001)", "z"), "F", "has a pole"),
+        (FlatFrontData, ("(z-0.5)^2/(z-0.5)^3", "z"), "omega", "has a pole"),
     ],
 )
 def test_invalid_expression_is_named_by_its_field(cls, exprs, name, message):
