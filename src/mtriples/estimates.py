@@ -14,6 +14,7 @@ Only ``verify_estimate`` imports ``geodesy``, and with it scipy, inside it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from .expr import (
     chordal,
     chordal_array,
     derivative,
-    eval_array,
+    eval_array_checked,
     spherical_gradient,
     spherical_gradient_array,
     substitute,
@@ -140,11 +141,10 @@ def property_check(
     for p in mesh.domain.punctures:
         keep &= np.abs(zs - p) >= standoff
     zs = zs[keep]
-    vals = eval_array(g, zs)
+    vals = eval_array_checked(g, zs)
     if isinstance(prop, Bounded):
         kind, threshold = "bounded", prop.limit
         score = np.abs(vals)
-        score = np.where(np.isfinite(score), score, np.inf)
         k = int(np.argmax(score))
         verdict = score[k] < threshold
         near = score >= 0.95 * threshold
@@ -293,8 +293,8 @@ def fujimoto_ratio(
     if not (0.0 < eta < (q - 2) / q):
         raise ArgumentError("eta", f"eta must lie in (0, {(q - 2) / q})")
     zs = mesh.nodes
-    fz = eval_array(f, zs)
-    fd = eval_array(derivative(f), zs)
+    fz = eval_array_checked(f, zs)
+    fd = eval_array_checked(derivative(f), zs)
     with np.errstate(all="ignore"):
         prod = np.ones(len(zs))
         for alpha in vals:
@@ -547,15 +547,11 @@ def completeness_probe(triple: MTriple, target, eps_levels: Sequence[float]) -> 
         stops = [anchor] + [tgt - e * u for e in eps]
         label = f"{'puncture' if is_puncture else 'boundary'} {tgt}"
 
-    lengths = []
-    total = 0.0
-    for a, b in zip(stops, stops[1:]):
-        seg = simpson_segments(dens, np.array([a]), np.array([b]), rel_tol=1e-9)
-        piece = float(abs(seg[0]))
-        if not math.isfinite(piece):
-            raise QuadratureError("length integrand overflowed before truncation")
-        total += piece
-        lengths.append(total)
+    stops = np.array(stops)
+    pieces = [float(abs(s)) for s in simpson_segments(dens, stops[:-1], stops[1:], rel_tol=1e-9)]
+    if not all(map(math.isfinite, pieces)):
+        raise QuadratureError("length integrand overflowed before truncation")
+    lengths = list(itertools.accumulate(pieces))  # running sums, one piece at a time
 
     xs = np.log(1.0 / np.asarray(eps))
     ys = np.asarray(lengths)

@@ -947,7 +947,10 @@ _OPS = {
 
 
 def eval_array(e: MeroExpr, zs: np.ndarray) -> np.ndarray:
-    """Evaluate on a complex ndarray; poles come out as inf/nan entries.
+    """Evaluate on a complex ndarray; poles and removable sites come out as
+    inf/nan entries.  Library modules read ``eval_array_checked`` or a
+    pole-aware quantity instead; this raw read is for callers that want
+    numpy's values as they are.
 
     A constant, and an op whose operands are all constant, is evaluated once,
     out of place, on a ``(1,) * zs.ndim`` array, and broadcasting carries it
@@ -1006,6 +1009,18 @@ def _repair(out: np.ndarray, bad: np.ndarray, zs: np.ndarray, at_point) -> np.nd
     for k in np.nonzero(bad.ravel())[0]:
         out.flat[k] = at_point(complex(zs.flat[k]))
     return out
+
+
+def _repaired_array(formula, exprs, zs, at_point) -> np.ndarray:
+    """``formula`` of the arrays of ``exprs`` on ``zs``, with ``at_point``
+    repairing each entry that is not finite or where the first operand's
+    modulus passes ``_BIG``; the driver of every pole-aware array quantity."""
+    zs = np.asarray(zs, dtype=complex)
+    vals = [eval_array(e, zs) for e in exprs]
+    with np.errstate(all="ignore"):
+        out = formula(*vals)
+        bad = ~np.isfinite(out) | (np.abs(vals[0]) > _BIG)
+    return _repair(out, bad, zs, at_point)
 
 
 # ---------------------------------------------------------------------------
@@ -1076,10 +1091,5 @@ def spherical_gradient(e: MeroExpr, z: complex) -> float:
 
 def spherical_gradient_array(e: MeroExpr, zs: np.ndarray) -> np.ndarray:
     """Vectorized spherical gradient with scalar repair near poles."""
-    zs = np.asarray(zs, dtype=complex)
-    fv = eval_array(e, zs)
-    dv = eval_array(derivative(e), zs)
-    with np.errstate(all="ignore"):
-        out = _gradient_of(fv, dv)
-        bad = ~np.isfinite(out) | (np.abs(fv) > _BIG)
-    return _repair(out, bad, zs, lambda z: spherical_gradient(e, z))
+    return _repaired_array(_gradient_of, (e, derivative(e)), zs,
+                           lambda z: spherical_gradient(e, z))

@@ -27,7 +27,6 @@ from .expr import (
     MeroExpr,
     OrderUndeterminedError,
     derivative,
-    eval_array,
     eval_ext,
     invert_expr,
     is_rational,
@@ -37,7 +36,7 @@ from .expr import (
     _BIG,
     _mul,
     _pow,
-    _repair,
+    _repaired_array,
 )
 
 __all__ = [
@@ -486,25 +485,14 @@ def curvature(t: MTriple, z: complex) -> float:
 
 def metric_density_array(t: MTriple, zs) -> np.ndarray:
     """Vectorized density with scalar repair at pole/limit sites."""
-    zs = np.asarray(zs, dtype=complex)
-    gv = eval_array(t.g, zs)
-    fv = eval_array(t.f, zs)
-    with np.errstate(all="ignore"):
-        out = _density_of(gv, fv, t.m)
-        bad = ~np.isfinite(out) | (np.abs(gv) > _BIG)
-    return _repair(out, bad, zs, lambda z: metric_density(t, z))
+    return _repaired_array(lambda gv, fv: _density_of(gv, fv, t.m), (t.g, t.f), zs,
+                           lambda z: metric_density(t, z))
 
 
 def curvature_array(t: MTriple, zs) -> np.ndarray:
     """Vectorized curvature with scalar repair at pole/limit sites."""
-    zs = np.asarray(zs, dtype=complex)
-    gv = eval_array(t.g, zs)
-    fv = eval_array(t.f, zs)
-    gd = eval_array(derivative(t.g), zs)
-    with np.errstate(all="ignore"):
-        out = _curvature_of(gv, fv, gd, t.m)
-        bad = ~np.isfinite(out) | (np.abs(gv) > _BIG)
-    return _repair(out, bad, zs, lambda z: curvature(t, z))
+    return _repaired_array(lambda gv, fv, gd: _curvature_of(gv, fv, gd, t.m),
+                           (t.g, t.f, derivative(t.g)), zs, lambda z: curvature(t, z))
 
 
 def curvature_fd(t: MTriple, z: complex, h: float = 1e-3, richardson: bool = False) -> float:

@@ -40,7 +40,6 @@ from .expr import (
     Pow,
     Sub,
     derivative,
-    eval_array,
     eval_array_checked,
     eval_ext,
     is_rational,
@@ -389,7 +388,7 @@ def synth_minimal(data: MinimalData, mesh: MeshedDomain) -> SurfaceMesh:
     vertices = _form_integrals(data, mesh).real.T.copy()
     zs = mesh.nodes
     diags = {
-        "gauss_map": eval_array(data.g, zs),
+        "gauss_map": eval_array_checked(data.g, zs),
         "density": metric_density_array(data.triple, zs),
         "curvature": curvature_array(data.triple, zs),
         "singular": np.zeros(len(zs), dtype=bool),
@@ -615,27 +614,19 @@ class ImmersionReport:
     n_checked: int
 
 
-def _lattice_stencil(mesh: MeshedDomain, exclude: np.ndarray | None):
-    """Vertex ids with axis neighbors at offsets 1 and 2 on the lattice.
+# lattice offsets of the FD stencil: center, e1, w1, n1, s1, e2, w2, n2, s2
+_STENCIL = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (2, 0), (-2, 0), (0, 2), (0, -2))
 
-    Order: center, e1, w1, n1, s1, e2, w2, n2, s2.
-    """
+
+def _lattice_stencil(mesh: MeshedDomain, exclude: np.ndarray | None):
+    """Vertex ids with axis neighbors at offsets 1 and 2 on the lattice, in
+    ``_STENCIL`` order."""
     grid = mesh.lattice
     if grid.size == 0:
         raise MeshError("mesh carries no lattice for finite differences")
-    c = grid[2:-2, 2:-2]
-    ids = [
-        c,
-        grid[3:-1, 2:-2],
-        grid[1:-3, 2:-2],
-        grid[2:-2, 3:-1],
-        grid[2:-2, 1:-3],
-        grid[4:, 2:-2],
-        grid[:-4, 2:-2],
-        grid[2:-2, 4:],
-        grid[2:-2, :-4],
-    ]
-    ok = np.ones(c.shape, dtype=bool)
+    ni, nj = grid.shape  # stops clipped at 0: a negative one would count from the end
+    ids = [grid[2 + di:max(ni - 2 + di, 0), 2 + dj:max(nj - 2 + dj, 0)] for di, dj in _STENCIL]
+    ok = np.ones(ids[0].shape, dtype=bool)
     for a in ids:
         ok &= a >= 0
     ids = tuple(a[ok] for a in ids)
@@ -728,7 +719,7 @@ def gauss_normal_check(surface: SurfaceMesh, g: MeroExpr) -> GaussNormalReport:
     if np.any(norms < 1e-12):
         raise EvalError("degenerate FD normal (metric density near zero)")
     normal /= norms[:, None]
-    gv = eval_array(g, mesh.nodes[c])
+    gv = eval_array_checked(g, mesh.nodes[c])
     mag = np.abs(gv)
     finite = np.isfinite(mag)
     target = np.empty((len(c), 3))

@@ -350,7 +350,8 @@ def test_ac14_pole_free_data_is_judged_after_cancellation():
 def test_ac15_maxface_reads_g_repaired_at_a_removable_site():
     """g = z*z/z at the lattice node 0 gives the Gauss map, singular flags and
     density of g = z, up to the rounding of z*z/z (on a disk where no node has
-    |g| near the flag tolerance)."""
+    |g| near the flag tolerance); for a minimal surface it also gives g = z's
+    Gauss map and FD normal."""
     dom = Disk(0, 0.9)
     mesh = build_mesh(dom, ONES, 40)
     assert np.min(np.abs(mesh.nodes)) == 0.0
@@ -361,3 +362,8 @@ def test_ac15_maxface_reads_g_repaired_at_a_removable_site():
         got = surf.diagnostics[key]
         assert np.all(np.isfinite(got)), key
         assert np.max(np.abs(got - want.diagnostics[key])) <= 1e-12, key
+    minimal = synth_minimal(MinimalData("1", "z*z/z", dom), mesh)
+    gauss = minimal.diagnostics["gauss_map"]
+    assert np.all(np.isfinite(gauss)) and np.all(np.isfinite(minimal.vertices))
+    assert np.max(np.abs(gauss - want.diagnostics["gauss_map"])) <= 1e-12
+    assert gauss_normal_check(minimal, parse_mero("z*z/z")).max_angle < 1e-6

@@ -73,6 +73,17 @@ class TestPropertyCheck:
         )
         assert rep.verdict and rep.extremum > 1e-3
 
+    def test_removable_site_reads_as_its_limit(self):
+        # g = z*z/(2*z) is g = z/2 with the node 0 a removable site, not a pole
+        t = make_triple(Disk(0, 1.0), "1", "z*z/(2*z)", 2)
+        mesh = build_mesh(t.domain, t.density, 40)
+        assert np.min(np.abs(mesh.nodes)) == 0.0
+        rep = property_check(t.g, Bounded(1.0), mesh)
+        want = property_check(parse_mero("z/2"), Bounded(1.0), mesh)
+        assert rep.verdict and want.verdict
+        assert abs(rep.extremum - want.extremum) <= 1e-12
+        assert verify_estimate(t, Bounded(1.0), mesh).verdict == "pass"
+
     def test_omits_identity_at_punctures(self):
         t = optimal_example(1, [1.0, -1.0])
         mesh = build_mesh(t.domain, t.density, 150, refine_punctures=False)
@@ -208,6 +219,15 @@ class TestFujimotoRatio:
             parse_mero("0.5"), (ExtComplex(0j), ExtComplex(1 + 0j), INFINITY), 0.25, 3.0, mesh3
         )
         assert rep.sup == 0.0
+
+    def test_removable_site_reads_as_its_limit(self):
+        # f = z*z/z takes the value 0 at the node 0, not one of the omitted values
+        mesh = build_mesh(Disk(0, 0.9), ONES, 40)
+        assert np.min(np.abs(mesh.nodes)) == 0.0
+        X = (ExtComplex(1.2 + 0j), ExtComplex(-1.2 + 0j), INFINITY)
+        rep = fujimoto_ratio(parse_mero("z*z/z"), X, 0.2, 0.9, mesh)
+        want = fujimoto_ratio(parse_mero("z"), X, 0.2, 0.9, mesh)
+        assert abs(rep.sup - want.sup) <= 1e-12 * want.sup
 
     def test_attained_value_rejected(self, mesh3):
         f = parse_mero("z")  # attains 0 inside

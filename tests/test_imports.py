@@ -150,3 +150,16 @@ def test_siblings_are_imported_at_the_top(module):
     # the one exception: geodesy loads scipy, and surfaces is costly to import
     allowed = {"geodesy", "surfaces"} if module in ("cli", "estimates") else set()
     assert _function_imports(module) - allowed == set()
+
+
+def _names_eval_array(module: str) -> bool:
+    """Whether ``module`` imports, calls or otherwise names the raw ``eval_array``."""
+    tree = ast.parse((_PACKAGE / f"{module}.py").read_text())
+    return any("eval_array" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                getattr(node, "name", None)) for node in ast.walk(tree))
+
+
+def test_only_expr_reads_raw_array_values():
+    # every other module reads eval_array_checked or a pole-aware quantity,
+    # so a removable site reads as its limit, not as NaN
+    assert [m for m in _MODULES if _names_eval_array(m)] == ["expr"]
