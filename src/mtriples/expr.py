@@ -63,6 +63,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -574,12 +575,13 @@ def _run(program, rules: dict, z):
 def _compile(program):
     """``lambda z: _run(program, _RAW_RULES, z)`` as straight-line Python.
 
-    Each op is one assignment ``v3 = r3(z, n3, v1, v2)``; its rule ``r3`` and
-    node ``n3`` are bound through the function's namespace and never formatted
-    into the source, so every constant keeps its bits.  The compiler holds
-    several KB per statement while it compiles a function, so the ops go into
-    functions of ``_CHUNK_OPS`` ops each, compiled one after the other; a
-    value that a later function reads passes through one list."""
+    Each op is one assignment ``v3 = r_Add(z, n3, v1, v2)``; its rule
+    ``r_Add`` (one name per op kind) and node ``n3`` are bound through the
+    function's namespace and never formatted into the source, so every
+    constant keeps its bits.  The compiler holds several KB per statement
+    while it compiles a function, so the ops go into functions of
+    ``_CHUNK_OPS`` ops each, compiled one after the other; a value that a
+    later function reads passes through one list."""
     ops, last, _ = program
     # the list slot of each value read past the chunk that computes it
     ahead = [k for k in range(len(ops)) if last.get(k, 0) // _CHUNK_OPS > k // _CHUNK_OPS]
@@ -592,9 +594,12 @@ def _compile(program):
         behind = sorted({a for _, _, args in ops[lo:hi] for a in args if a < lo})
         lines += [f" v{a} = vals[{crossing[a]}]" for a in behind]
         for k in range(lo, hi):
-            kind, namespace[f"n{k}"], args = ops[k]
-            namespace[f"r{k}"] = _RAW_RULES[kind]
-            lines.append(f" v{k} = r{k}(z, n{k}{''.join(f', v{a}' for a in args)})")
+            kind, node, args = ops[k]
+            # one rule name per op kind, and node names that the compiler's
+            # own interned names reuse, keep few strings per op alive
+            name, rule = sys.intern(f"n{k}"), f"r_{kind.__name__}"
+            namespace[name], namespace[rule] = node, _RAW_RULES[kind]
+            lines.append(f" v{k} = {rule}(z, {name}{''.join(f', v{a}' for a in args)})")
         lines += [f" vals[{crossing[k]}] = v{k}" for k in range(lo, hi) if k in crossing]
         lines.append(f" return v{hi - 1}")
         exec(compile("\n".join(lines), "<expr program>", "exec"), namespace)

@@ -6,15 +6,34 @@ over a batch of segments, so the integrand is evaluated on numpy arrays
 instead of point by point.
 
 A batch is cut into blocks of ``_BLOCK`` consecutive segments, and each
-block is integrated to completion before the next one starts.  A block of
-8192 segments hands the integrand 4 * 8192 complex points, 512 KiB per
-temporary, which stays in a 2 MiB per-core L2 cache; a whole res-400 mesh
-(4M points, 64 MB per temporary) spends its time on memory traffic
-instead.  Of 2048 ... 32768, 8192 was the fastest block on res-400
-meshes and within 5% of the fastest at res 200.  Every step of both
-rules (the first panel, the smoothness test, the tolerance, bisection,
-the depth caps and the summation into each segment's total) acts on one
-segment at a time, so blocking leaves every result bit unchanged.
+block is integrated to completion by one thread: the calling thread takes
+the even blocks and one helper thread, started for the call when there are
+at least two blocks, takes the odd ones.  There are ``_THREADS`` threads,
+two, or one (the caller alone) when the process may run on one CPU only;
+there is no option and no pool.  numpy lets go of the GIL inside its large
+array loops, so the two threads overlap there.  Each block writes only its
+own slice of the output, and every step of both rules (the first panel, the
+smoothness test, the tolerance, bisection, the depth caps and the summation
+into each segment's total) acts on one segment at a time, so neither the
+blocking nor the thread that ran a block changes a result bit.  A failed
+block stops the blocks after it, and the exception of the lowest-numbered
+failed block is raised: the error a serial run would have met first.
+
+On a 2-vCPU VM one Gauss-4 weighting of a unit-disk mesh (f = 1, degree-2
+g, m = 2) took, as the median of nine calls:
+
+    resolution 200 (254k edges)    8192    16384   32768 segments per block
+        one thread              0.020 s  0.020 s  0.040 s
+        two threads             0.016 s  0.014 s  0.022 s
+    resolution 400 (1.0M edges)
+        one thread              0.083 s  0.088 s  0.096 s
+        two threads             0.063 s  0.054 s  0.055 s
+
+against 0.028 s and 0.118 s with the first panel gathered per segment (one
+thread, 8192).  A block of 16384 segments hands the integrand 4 * 16384
+complex points, 1 MiB per temporary, which still sits in a 2 MiB per-core
+L2 cache; with two threads, smaller blocks spend their time taking turns
+at the GIL between numpy calls, and larger ones on memory traffic.
 
 This module also owns the point cap ``MAX_GRID_POINTS`` that every mesh
 lattice, probe grid, RK4 batch and Simpson pass obeys, and ``MeshError``.
@@ -23,6 +42,8 @@ lattice, probe grid, RK4 batch and Simpson pass obeys, and ``MeshError``.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from typing import Callable
 
 import numpy as np
@@ -62,7 +83,10 @@ GAUSS4_REL_TOL = 1e-9
 GAUSS4_MAX_DEPTH = 14
 SIMPSON_MAX_DEPTH = 24
 
-_BLOCK = 8192  # segments per block, see the module docstring
+_BLOCK = 16384  # segments per block, see the module docstring
+# the caller plus one helper thread, or the caller alone on one CPU; affinity,
+# not the machine's CPU count, says how many CPUs this process may run on
+_THREADS = min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
 
 
 class QuadratureError(ValueError):
@@ -85,13 +109,36 @@ def _require_grid_points(n: float, name: str) -> None:
 
 
 def _blocks(kernel, fvec, za, zb, dtype, *args) -> np.ndarray:
-    """Run ``kernel`` on consecutive blocks of ``_BLOCK`` segments."""
+    """Run ``kernel`` on the blocks of ``_BLOCK`` segments, the even blocks in
+    the calling thread and the odd ones in a helper (module docstring)."""
     za = np.asarray(za, dtype=complex).ravel()
     zb = np.asarray(zb, dtype=complex).ravel()
     out = np.empty(za.size, dtype=dtype)
-    for start in range(0, za.size, _BLOCK):
-        stop = start + _BLOCK
-        out[start:stop] = kernel(fvec, za[start:stop], zb[start:stop], *args)
+    n_blocks = -(-za.size // _BLOCK)
+    step = min(_THREADS, n_blocks) or 1
+    failed = []  # (block number, exception)
+
+    def run(first: int) -> None:
+        for k in range(first, n_blocks, step):
+            if any(j < k for j, _ in failed):
+                return
+            s = slice(k * _BLOCK, (k + 1) * _BLOCK)
+            try:
+                out[s] = kernel(fvec, za[s], zb[s], *args)
+            except Exception as exc:  # noqa: BLE001 - raised below in block order
+                failed.append((k, exc))
+                return
+
+    helpers = [threading.Thread(target=run, args=(first,)) for first in range(1, step)]
+    for helper in helpers:
+        helper.start()
+    try:
+        run(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
     return out
 
 
@@ -105,42 +152,44 @@ def gauss4_segments(
     4-point Gauss-Legendre panels, bisected in sync across a block of
     segments wherever the one-panel and two-panel values disagree; steep
     conformal densities near a truncated boundary need the subdivision.
-    Blocks of ``_BLOCK`` segments run one after another (module docstring).
+    Blocks of ``_BLOCK`` segments run on up to two threads (module docstring).
     """
     return _blocks(_gauss4, fvec, za, zb, float)
 
 
 def _gauss4(fvec, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
     """``gauss4_segments`` on one block of raveled complex endpoints."""
-    n = za.size
     dz = zb - za
 
-    def panel(seg_idx: np.ndarray, a: np.ndarray, b: np.ndarray, spread=None) -> np.ndarray:
-        t = a[None, :] + _GL4_T[:, None] * (b - a)[None, :]
-        pts = za[seg_idx][None, :] + t * dz[seg_idx][None, :]
+    def samples(pts: np.ndarray) -> np.ndarray:
         vals = np.asarray(fvec(pts.ravel()), dtype=float).reshape(pts.shape)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("non-finite density sample on a segment")
-        if spread is not None:
-            spread[:] = vals.max(axis=0) - vals.min(axis=0)
+        return vals
+
+    def panel(zs: np.ndarray, ds: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        t = a[None, :] + _GL4_T[:, None] * (b - a)[None, :]
+        vals = samples(zs[None, :] + t * ds[None, :])
         return (_GL4_W[:, None] * vals).sum(axis=0) * (b - a)
 
-    totals = np.zeros(n)
-    seg = np.arange(n)
-    a = np.zeros(n)
-    b = np.ones(n)
-    spread = np.empty(n)
-    whole = panel(seg, a, b, spread)
+    # the first panel spans [0, 1] of every segment: its nodes are _GL4_T and
+    # its width is 1, exactly, so it needs no gather of the endpoints
+    vals = samples(za[None, :] + _GL4_T[:, None] * dz[None, :])
+    whole = (_GL4_W[:, None] * vals).sum(axis=0)
     # a panel whose samples vary by under 5% is already exact to ~1e-11
-    smooth = spread <= 0.05 * np.abs(whole)
-    totals[smooth] = whole[smooth]
-    seg, a, b, whole = seg[~smooth], a[~smooth], b[~smooth], whole[~smooth]
+    smooth = vals.max(axis=0) - vals.min(axis=0) <= 0.05 * np.abs(whole)
+    totals = np.where(smooth, whole, 0.0)
+    seg = np.flatnonzero(~smooth)
+    whole = whole[seg]
+    a = np.zeros(seg.size)
+    b = np.ones(seg.size)
     tol = GAUSS4_REL_TOL * (np.abs(whole) + 1e-30)
     depth = 0
     while seg.size:
+        zs, ds = za[seg], dz[seg]
         m = 0.5 * (a + b)
-        left = panel(seg, a, m)
-        right = panel(seg, m, b)
+        left = panel(zs, ds, a, m)
+        right = panel(zs, ds, m, b)
         two = left + right
         done = (np.abs(two - whole) <= tol) | (depth >= GAUSS4_MAX_DEPTH)
         np.add.at(totals, seg[done], two[done])
@@ -164,7 +213,7 @@ def simpson_segments(
 
     The integrand is a vectorized complex map; intervals from every segment
     of a block are refined together, one depth level per pass, and blocks
-    of ``_BLOCK`` segments run one after another (module docstring).
+    of ``_BLOCK`` segments run on up to two threads (module docstring).
     Relative tolerance is measured against each segment's first
     whole-interval estimate.
     """

@@ -10,6 +10,11 @@ reference meshes with ``reference_gauss4_segments`` too.
 
 from __future__ import annotations
 
+import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -17,6 +22,7 @@ import pytest
 
 from mtriples import geodesy, quadrature
 from mtriples.estimates import optimal_example
+from mtriples.mtriple import Disk, make_triple
 from mtriples.quadrature import (
     _GL4_T,
     _GL4_W,
@@ -30,7 +36,10 @@ from mtriples.quadrature import (
 )
 
 B = quadrature._BLOCK
-SIZES = [0, 1, B - 1, B, B + 1, 3 * B + 5]
+H = B // 2
+# around the block edges, and around half a block: one short block, and one
+# and a half blocks, which the two threads split unevenly
+SIZES = [0, 1, H - 1, H, H + 1, 3 * H + 5, B - 1, B, B + 1, 3 * B + 5]
 
 
 def reference_gauss4_segments(
@@ -251,7 +260,9 @@ RULES = [(gauss4_segments, 4), (simpson_segments, 1)]
 
 
 @pytest.mark.parametrize("rule, per_segment", RULES, ids=["gauss4", "simpson"])
-def test_non_finite_sample_in_the_last_block_raises(rule, per_segment):
+def test_non_finite_sample_in_the_last_block_raises(rule, per_segment, monkeypatch):
+    # one thread runs the blocks in order
+    monkeypatch.setattr(quadrature, "_THREADS", 1)
     za, zb = _segments(3 * B + 5)
     za[-1], zb[-1] = 200.0, 200.5  # only the last segment reaches Re z > 100
     calls = []
@@ -263,7 +274,85 @@ def test_non_finite_sample_in_the_last_block_raises(rule, per_segment):
     assert calls[-1] == 5 * per_segment
 
 
-@pytest.mark.parametrize("n", [1, 2, B, B + 1, 3 * B + 6])
+class BlockFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [(1, 3), (2, 3), (1, 2)])
+@pytest.mark.parametrize("rule", [gauss4_segments, simpson_segments], ids=["gauss4", "simpson"])
+def test_two_threads_raise_the_first_failed_block(rule, failing, monkeypatch):
+    # the caller runs blocks 0, 2, the helper 1, 3; the failing blocks each
+    # raise their own exception, and the lowest-numbered one is raised
+    monkeypatch.setattr(quadrature, "_THREADS", 2)
+    za, zb = _segments(4 * B + 5)
+    for k in failing:
+        za[(k + 1) * B - 1], zb[(k + 1) * B - 1] = 100.0 * (k + 1), 100.0 * (k + 1) + 0.5
+
+    def fvec(zs):
+        far = zs.real[zs.real > 50]
+        if far.size:
+            raise BlockFailure(int(far.max() // 100) - 1)
+        return _smooth(zs)
+
+    for _ in range(5):
+        with pytest.raises(BlockFailure) as info:
+            rule(fvec, za, zb)
+        assert info.value.args == (min(failing),)
+
+
+def test_the_thread_count_follows_the_cpu_affinity():
+    assert quadrature._THREADS == min(2, len(os.sched_getaffinity(0)))
+    # a process pinned to one CPU runs the blocks in the calling thread alone
+    cpu = min(os.sched_getaffinity(0))
+    code = (f"import os; os.sched_setaffinity(0, {{{cpu}}}); "
+            "from mtriples import quadrature; print(quadrature._THREADS)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(quadrature.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "1"
+
+
+def _stress_cases():
+    """(name, a maker of fresh densities, segments) for the thread stress test."""
+    za, zb = _segments(2 * B + 7, seed=3)
+    # the extremal density: poles of f at the three punctures
+    punctured = optimal_example(2, [1, -1, 1j])
+    yield "punctured", lambda: copy.deepcopy(punctured).density, (za, zb)
+    # every 97th segment through the cusp refines to the depth cap
+    yield "depth-cap", lambda: _cusp, _through_cusp(za, zb)
+    # f = z^2, g = 1/z: every 997th segment is 2e-7 long and passes within
+    # 1e-7 of the pole of g, where each sample is repaired through the
+    # compiled point evaluator
+    pole = make_triple(Disk(0, 2), "z^2", "1/z", 2)
+    near, far = za.copy(), zb.copy()
+    near[::997], far[::997] = -1e-7 + 3e-8j, 1e-7 + 3e-8j
+    yield "pole", lambda: copy.deepcopy(pole).density, (near, far)
+
+
+_STRESS = {name: (fresh, segments) for name, fresh, segments in _stress_cases()}
+
+
+@pytest.mark.parametrize("rule, reference", [(gauss4_segments, reference_gauss4_segments),
+                                             (simpson_segments, reference_simpson_segments)],
+                         ids=["gauss4", "simpson"])
+@pytest.mark.parametrize("name", sorted(_STRESS))
+def test_threaded_runs_on_fresh_trees_keep_the_bits(name, rule, reference, monkeypatch):
+    # each run integrates with a copy of the trees that carries no program and
+    # no compiled evaluator, so the two threads race to build them
+    monkeypatch.setattr(quadrature, "_THREADS", 2)
+    fresh, (za, zb) = _STRESS[name]
+    want = reference(fresh(), za, zb)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            _same_bits(rule(fresh(), za, zb), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("n", [1, 2, H, H + 1, 3 * H + 6, B, B + 1, 3 * B + 6])
 def test_simpson_polyline_keeps_the_bits(n):
     rng = np.random.default_rng(2)
     pts = np.cumsum(rng.uniform(-0.05, 0.05, n) + 1j * rng.uniform(-0.05, 0.05, n))
