@@ -42,7 +42,7 @@ from .estimates import (
     verify_estimate,
     zalcman_rescale,
 )
-from .expr import ArgumentError, ExtComplex, INFINITY, parse_mero, to_source
+from .expr import ArgumentError, ExtComplex, INFINITY, parse_mero
 from .mtriple import (
     Annulus,
     Disk,
@@ -50,14 +50,13 @@ from .mtriple import (
     MTriple,
     Rectangle,
     RegularityViolation,
-    NonHolomorphic,
     TruncatedPlane,
     check_regularity,
     curvature,
     curvature_fd,
     make_triple,
 )
-from .reporting import ReportValueError, canonical_json, config_hash, emit_report, encode_report
+from .reporting import ReportValueError, canonical_json, config_hash, emit_report
 
 # geodesy (which imports scipy) and surfaces are imported by the handlers
 # that mesh or synthesize, so the other actions never load them
@@ -236,7 +235,7 @@ def domain_from_json(cfg, pointer: str) -> DomainSpec:
 
 
 def domain_to_json(domain: DomainSpec) -> dict:
-    return {"kind": domain.kind, **encode_report(domain)}
+    return {"kind": domain.kind, **dataclasses.asdict(domain)}
 
 
 _TRIPLE = {"domain": (domain_from_json, REQUIRED), "f": (_as_expr, REQUIRED),
@@ -251,8 +250,8 @@ def _triple(value, pointer: str) -> tuple:
 def triple_to_json(t: MTriple) -> dict:
     return {
         "domain": domain_to_json(t.domain),
-        "f": to_source(t.f),
-        "g": to_source(t.g),
+        "f": t.f,
+        "g": t.g,
         "m": t.m,
     }
 
@@ -400,7 +399,7 @@ def _handle_surface(action: str, fields: dict, cfg: dict) -> tuple[dict, bool]:
         data = cls(**{name: fields[name] for name in names})
     except ArgumentError as exc:
         raise ConfigError("/" + exc.name, f"invalid surface data: {exc}") from exc
-    except (ValueError, RegularityViolation, NonHolomorphic) as exc:
+    except ValueError as exc:
         raise ConfigError("/" + names[0], f"invalid surface data: {exc}") from exc
     out: dict = {"class": cls.kind, "domain": domain_to_json(data.domain)}
     if action == "periods":
@@ -596,7 +595,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(_error_object("schema", exc.message, exc.pointer), file=sys.stderr)
         return EXIT_ERROR
-    except (PropertyViolation, RegularityViolation, NonHolomorphic) as exc:
+    except (PropertyViolation, RegularityViolation) as exc:
         print(_error_object("verdict", str(exc)), file=sys.stderr)
         return EXIT_VERDICT
     except OSError as exc:  # e.g. surface exports into an --out that is a file
@@ -608,11 +607,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
     try:
-        report = encode_report(report)
-        report["tool"] = {"name": "mtriples", "version": __version__}
-        report["config_sha256"] = cfg_sha256
-        report["seed"] = fields["seed"]
-        report["subcommand"] = f"{opts.group} {opts.action}"
+        report = {**report, "tool": {"name": "mtriples", "version": __version__},
+                  "config_sha256": cfg_sha256, "seed": fields["seed"],
+                  "subcommand": f"{opts.group} {opts.action}"}
         path = emit_report(report, Path(fields["output_dir"]) / "report.json")
     except ReportValueError as exc:
         print(_error_object("report", str(exc)), file=sys.stderr)

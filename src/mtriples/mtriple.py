@@ -293,10 +293,8 @@ class RegularityViolation(ValueError):
         self.point = point
 
 
-class NonHolomorphic(ValueError):
-    def __init__(self, message: str, point: complex):
-        super().__init__(message)
-        self.point = point
+class NonHolomorphic(RegularityViolation):
+    """f has a pole inside the domain."""
 
 
 @dataclass(frozen=True)

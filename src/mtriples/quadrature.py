@@ -51,7 +51,7 @@ import numpy as np
 from .expr import ArgumentError
 
 __all__ = ["MeshError", "MAX_GRID_POINTS", "QuadratureError", "gauss4_segments",
-           "simpson_segments", "simpson_polyline"]
+           "simpson_segments"]
 
 # The most points a mesh lattice, a probe grid, one batch of RK4 samples or
 # one adaptive Simpson pass may have, refused before anything is allocated:
@@ -288,15 +288,3 @@ def _simpson(fvec, za: np.ndarray, zb: np.ndarray, rel_tol: float) -> np.ndarray
         depth += 1
     return totals * dz
 
-
-def simpson_polyline(
-    fvec: Callable[[np.ndarray], np.ndarray],
-    points: np.ndarray,
-    rel_tol: float = 1e-10,
-) -> complex:
-    """Integral of f dz along the polyline through ``points``."""
-    pts = np.asarray(points, dtype=complex).ravel()
-    if pts.size < 2:
-        return 0j
-    vals = simpson_segments(fvec, pts[:-1], pts[1:], rel_tol=rel_tol)
-    return complex(vals.sum())

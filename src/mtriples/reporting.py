@@ -3,10 +3,11 @@
 Reports must be byte-identical across runs with the same config and seed,
 so floats are rendered with a fixed 17-significant-digit format and any
 non-finite number aborts serialization instead of leaking into a report.
-``encode_report`` turns the result objects of the library (dataclasses,
-complex numbers, arrays, expressions) into the plain values that
-``canonical_json`` renders.  The table exports (OBJ, PLY and CSV) share
-one row writer here, ``_rows``.
+``canonical_json`` renders the result objects of the library in one walk:
+an expression as its source text, a dataclass as an object of its fields,
+a complex number as an ``[re, im]`` pair, a complex array as a row-major
+list of such pairs, and a real array as its ``tolist()``.  The table
+exports (OBJ, PLY and CSV) share one row writer here, ``_rows``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .expr import MeroExpr, to_source
 
-__all__ = ["canonical_json", "emit_report", "encode_report", "config_hash", "ReportValueError"]
+__all__ = ["canonical_json", "emit_report", "config_hash", "ReportValueError"]
 
 
 class ReportValueError(ValueError):
@@ -29,6 +30,7 @@ class ReportValueError(ValueError):
 
 
 def _render(obj, out: list) -> None:
+    """Append the canonical text of ``obj`` to ``out``; the one walk of a report."""
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -44,8 +46,15 @@ def _render(obj, out: list) -> None:
         out.append(f"{x:.17g}")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for k, item in enumerate(obj):
+            if k:
+                out.append(",")
+            _render(item, out)
+        out.append("]")
     elif isinstance(obj, complex):
-        raise ReportValueError("complex values must be encoded as [re, im] pairs")
+        _render([obj.real, obj.imag], out)
     elif isinstance(obj, dict):
         out.append("{")
         first = True
@@ -59,35 +68,15 @@ def _render(obj, out: list) -> None:
             out.append(":")
             _render(obj[key], out)
         out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        items = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        for k, item in enumerate(items):
-            if k:
-                out.append(",")
-            _render(item, out)
-        out.append("]")
+    elif isinstance(obj, np.ndarray):
+        # a complex array row-major as [re, im] pairs; a 0-d real array as its scalar
+        _render(obj.ravel().tolist() if np.iscomplexobj(obj) else obj.tolist(), out)
+    elif isinstance(obj, MeroExpr):  # expression nodes are dataclasses too
+        out.append(json.dumps(to_source(obj)))
+    elif dataclasses.is_dataclass(obj):
+        _render({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out)
     else:
         raise ReportValueError(f"unserializable object of type {type(obj).__name__}")
-
-
-def encode_report(obj):
-    """Plain JSON values for a report: expressions become source text,
-    dataclasses dicts of their fields, complex numbers ``[re, im]`` pairs
-    and complex arrays row-major lists of such pairs."""
-    if isinstance(obj, MeroExpr):  # expression nodes are dataclasses too
-        return to_source(obj)
-    if dataclasses.is_dataclass(obj):
-        return {f.name: encode_report(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        return encode_report(obj.ravel().tolist()) if np.iscomplexobj(obj) else obj.tolist()
-    if isinstance(obj, dict):
-        return {k: encode_report(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [encode_report(v) for v in obj]
-    return obj
 
 
 def canonical_json(obj) -> str:

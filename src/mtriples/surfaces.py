@@ -44,6 +44,7 @@ from .expr import (
     eval_ext,
     is_rational,
     _is_constant,
+    _repaired_array,
 )
 from .mtriple import (
     DomainSpec,
@@ -52,13 +53,13 @@ from .mtriple import (
     _SAME_POINT,
     _candidates,
     _order,
+    _point_values,
     _rational_pair,
     curvature_array,
     make_triple,
     metric_density_array,
 )
-from .quadrature import (MeshError, QuadratureError, _require_grid_points, simpson_polyline,
-                         simpson_segments)
+from .quadrature import MeshError, QuadratureError, _require_grid_points, simpson_segments
 from .reporting import _rows, _write_csv
 
 if TYPE_CHECKING:  # geodesy imports scipy; period residuals need no mesh
@@ -400,17 +401,21 @@ def synth_maxface(data: MaxfaceData, mesh: MeshedDomain) -> SurfaceMesh:
     """Integrate the Lorentzian representation forms; flag |g| = 1 vertices."""
     vertices = _form_integrals(data, mesh).real.T.copy()
     zs = mesh.nodes
-    gv, fv = (eval_array_checked(e, zs) for e in (data.g, data.f))
+    gv = eval_array_checked(data.g, zs)
     with np.errstate(all="ignore"):
-        gm = np.abs(gv)
-        ds_induced = (1.0 - gm**2) ** 2 * np.abs(fv) ** 2
-    singular = np.abs(gm - 1.0) < SINGULAR_FLAG_TOL
+        singular = np.abs(np.abs(gv) - 1.0) < SINGULAR_FLAG_TOL
+
+    def induced(gv, fv):
+        """(1 - |g|^2)^2 |f|^2, the same at (1/g, g^2 f)"""
+        return (1.0 - abs(gv) ** 2) ** 2 * abs(fv) ** 2
+
     diags = {
         "density": metric_density_array(data.triple, zs),
         "curvature": curvature_array(data.triple, zs),
         "gauss_map": gv,
         "singular": singular,
-        "induced_metric_sq": ds_induced,
+        "induced_metric_sq": _repaired_array(
+            induced, (data.g, data.f), zs, lambda z: induced(*_point_values(data.triple, z, False))),
     }
     meta = {
         "lorentzian": True,
@@ -592,9 +597,8 @@ def period_residuals(data: WeierstrassData, cycle: Sequence[complex], step: floa
         dev = L[0] - np.eye(2)
         return PeriodResidual(kind="flatfront", values=dev, norm=float(np.max(np.abs(dev))))
     try:
-        vals = np.array(
-            [simpson_polyline(_expr_vec(e), pts, rel_tol=1e-12).real for e in data.forms()]
-        )
+        vals = np.array([simpson_segments(_expr_vec(e), pts[:-1], pts[1:], rel_tol=1e-12)
+                         .sum().real for e in data.forms()])
     except QuadratureError as exc:
         raise EvalError(f"integral along the cycle failed: {exc}") from exc
     return PeriodResidual(kind=data.kind, values=vals, norm=float(np.linalg.norm(vals)))
@@ -758,8 +762,10 @@ def singular_locus(data: WeierstrassData, mesh: MeshedDomain) -> list:
         raise MeshError("mesh carries no lattice")
     # lattice ids are 0..n_lat-1 in row-major order
     vals = data.singular_indicator(mesh.nodes[: np.count_nonzero(mesh.lattice >= 0)])
-    if not np.all(np.isfinite(vals)):
-        raise MeshError("singular indicator is not finite at a lattice corner")
+    if np.isnan(vals).any():
+        raise MeshError("singular indicator is undefined at a lattice corner")
+    # a pole of the indicator keeps its sign; finite values keep their bits
+    vals = np.clip(vals, -np.finfo(float).max, np.finfo(float).max)
     cells = _lattice_cells(mesh)
     cv, cz = vals[cells], mesh.nodes[cells]
     nxt = [1, 2, 3, 0]

@@ -1,5 +1,6 @@
 """CLI contract: schemas, exit codes, determinism, artifacts."""
 
+import hashlib
 import json
 import math
 import re
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from mtriples.cli import domain_from_json, domain_to_json, main
+from mtriples.reporting import canonical_json
 
 EXE = [sys.executable, "-m", "mtriples.cli"]
 
@@ -43,9 +45,9 @@ def run_cli(tmp_path, group, action, cfg, name="cfg"):
     ids=["disk-no-center", "disk", "annulus", "rectangle", "truncated_plane"],
 )
 def test_domain_json_round_trip(cfg, filled):
-    out = domain_to_json(domain_from_json(cfg, "/domain"))
+    out = json.loads(canonical_json(domain_to_json(domain_from_json(cfg, "/domain"))))
     assert out == {**cfg, **filled}
-    assert domain_to_json(domain_from_json(out, "/domain")) == out
+    assert json.loads(canonical_json(domain_to_json(domain_from_json(out, "/domain")))) == out
 
 
 class TestTripleCommands:
@@ -783,6 +785,38 @@ def test_removable_site_of_pole_free_data_runs(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["surface", "synth", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["singular_locus"]
+
+
+# a pole of the singular indicator at a lattice node: omega = z + 1 vanishes at
+# the node -1 at resolution 20 but at no node at 21, and g = 1/z has its pole
+# at the node 0 at every resolution
+_FLAT_POLE = {"class": "flat_front", "omega": "z+1", "theta": "z/2",
+              "domain": {"kind": "disk", "radius": 2.0}}
+_INDICATOR_POLES = {
+    "flat-20": dict(_FLAT_POLE, resolution=20),
+    "flat-21": dict(_FLAT_POLE, resolution=21),
+    "maxface": {"class": "maxface", "f": "z^2", "g": "1/z", "domain": DISK, "resolution": 20},
+}
+
+
+@pytest.mark.parametrize("action", ["singular", "synth"])
+@pytest.mark.parametrize("name", list(_INDICATOR_POLES))
+def test_pole_of_the_singular_indicator_at_a_node_runs(tmp_path, name, action):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_INDICATOR_POLES[name]))
+    out = tmp_path / "out"
+    assert main(["surface", action, "--config", str(cfg_path), "--out", str(out)]) == 0
+    report = (out / "report.json").read_bytes()
+    if name == "flat-21" and action == "singular":
+        # no node sits on the pole, so the locus keeps the bits it had before
+        # poles at nodes were read: the report digest of that code
+        want = "2619b2cf9267615a5562f490ebc2833f83cc12c154b773a560465311ccb8723f"
+        assert hashlib.sha256(report).hexdigest() == want
+    if name == "maxface" and action == "synth":
+        # (1 - |g|^2)^2 |f|^2 is read at (1/g, g^2 f) at the pole, which is a stencil centre
+        invariants = json.loads(report)["invariants"]
+        assert max(invariants[k] for k in ("conformal_asymmetry", "cross_term",
+                                           "metric_deviation")) <= 1e-12
 
 
 def test_refined_estimate_leaves_scipy_spatial_unimported(tmp_path):

@@ -1,6 +1,7 @@
 """Meshing, distance fields, probes, hyperbolic reference."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ from mtriples.mtriple import (
     segment_point_dist,
 )
 from mtriples.quadrature import QuadratureError
-from mtriples.reporting import encode_report
+from mtriples.reporting import canonical_json
 from test_quadrature import reference_gauss4_segments
 
 from _helpers import hyperbolic_distance, poincare_density
@@ -244,6 +245,51 @@ class TestDistanceField:
         assert ratios[2] <= ratios[1] * 1.01 <= ratios[0] * 1.01 * 1.01
         assert ratios[2] < 1.03
 
+    @pytest.mark.parametrize("res", [100, 400])
+    def test_point_source_overestimates_by_at_most_the_stencil_factor(self, res):
+        # a shortest lattice path runs along the two stencil directions that
+        # bracket the true one, so it is at most 1/cos(theta/2) times as long,
+        # theta the widest angle between adjacent directions
+        half = np.array([complex(di, dj) for di, dj in geodesy._HALF_OFFSETS])
+        angles = np.sort(np.angle(np.concatenate([half, -half])))
+        theta = np.diff(np.append(angles, angles[0] + 2 * np.pi)).max()
+        bound = 1.0 / math.cos(theta / 2)
+        assert abs(math.degrees(theta) - 26.565) < 1e-3 and abs(bound - 1.02748629675) < 1e-10
+        mesh = build_mesh(Disk(0, 1.0), ONES, res)
+        source = mesh.node_nearest(0)
+        assert mesh.nodes[source] == 0
+        lattice = np.count_nonzero(mesh.lattice >= 0)
+        d = dijkstra_distances(mesh, [source])[:lattice]
+        r = np.abs(mesh.nodes[:lattice])
+        ratio = d[r > 0] / r[r > 0]
+        assert ratio.max() <= bound
+        assert ratio.min() >= 1.0 - 1e-12
+        # the bound is all but reached, and refining does not shrink it
+        assert ratio.max() >= bound - 1e-6
+
+    @pytest.mark.parametrize("res", [50, 100, 200])
+    @pytest.mark.parametrize("domain", [Disk(0.3 - 0.2j, 1.0), Annulus(0.1j, 0.4, 1.2),
+                                        Rectangle(-1 - 0.5j, 1 + 0.7j)], ids=lambda d: d.kind)
+    def test_boundary_distance_is_at_least_the_distance_to_the_rim(self, domain, res):
+        # the ghost rim sits inside the boundary by BOUNDARY_INSET_FRACTION of
+        # each boundary's size (the rectangle's: of its scale), and a graph path
+        # is no shorter than the straight line to the ghost it ends at; 1e-12
+        # covers rounding, about res * 2^-52 * diameter along a path
+        mesh = build_mesh(domain, ONES, res)
+        inset = geodesy.BOUNDARY_INSET_FRACTION
+        z = mesh.nodes
+        if isinstance(domain, Disk):
+            rim = domain.radius * (1 - inset) - np.abs(z - domain.center)
+        elif isinstance(domain, Annulus):
+            r = np.abs(z - domain.center)
+            rim = np.minimum(domain.r_outer * (1 - inset) - r, r - domain.r_inner * (1 + inset))
+        else:
+            lo = domain.corner_min + inset * domain.scale() * (1 + 1j)
+            hi = domain.corner_max - inset * domain.scale() * (1 + 1j)
+            rim = np.minimum.reduce([z.real - lo.real, hi.real - z.real,
+                                     z.imag - lo.imag, hi.imag - z.imag])
+        assert np.all(boundary_distance_field(mesh) >= rim - 1e-12)
+
     def test_multi_source_general(self, disk_mesh):
         src = [disk_mesh.node_nearest(0.5), disk_mesh.node_nearest(-0.5)]
         d = dijkstra_distances(disk_mesh, src)
@@ -309,7 +355,7 @@ class TestCompletenessProbe:
 
     def test_report_serializes(self, optimal_triple):
         rep = completeness_probe(optimal_triple, 1 + 0j, self.EPS)
-        d = encode_report(rep)
+        d = json.loads(canonical_json(rep))
         assert d["divergence_evidence"] is True
         assert len(d["lengths"]) == len(self.EPS)
 

@@ -22,7 +22,9 @@ import pytest
 
 from mtriples import geodesy, quadrature
 from mtriples.estimates import optimal_example
+from mtriples.expr import eval_array_checked
 from mtriples.mtriple import Disk, make_triple
+from mtriples.surfaces import MinimalData, period_residuals
 from mtriples.quadrature import (
     _GL4_T,
     _GL4_W,
@@ -31,7 +33,6 @@ from mtriples.quadrature import (
     SIMPSON_MAX_DEPTH,
     QuadratureError,
     gauss4_segments,
-    simpson_polyline,
     simpson_segments,
 )
 
@@ -354,12 +355,16 @@ def test_threaded_runs_on_fresh_trees_keep_the_bits(name, rule, reference, monke
 
 @pytest.mark.parametrize("n", [1, 2, H, H + 1, 3 * H + 6, B, B + 1, 3 * B + 6])
 def test_simpson_polyline_keeps_the_bits(n):
+    # period_residuals integrates each form along the closed polyline of n points
     rng = np.random.default_rng(2)
     pts = np.cumsum(rng.uniform(-0.05, 0.05, n) + 1j * rng.uniform(-0.05, 0.05, n))
-    f = lambda zs: np.exp(zs) / (zs - 30.0)
-    got = simpson_polyline(f, pts)
-    want = complex(reference_simpson_segments(f, pts[:-1], pts[1:]).sum()) if n > 1 else 0j
-    _same_bits(np.array([got]), np.array([want]))
+    data = MinimalData("exp(z)/(z-30)", "z", Disk(0, 1.0))
+    got = period_residuals(data, pts).values
+    ring = np.append(pts, pts[0]) if n > 1 else pts
+    want = np.array([reference_simpson_segments(lambda zs, e=e: eval_array_checked(e, zs),
+                                                ring[:-1], ring[1:], rel_tol=1e-12).sum().real
+                     for e in data.forms()])
+    _same_bits(got, want)
 
 
 @pytest.mark.parametrize("rule, per_segment", RULES, ids=["gauss4", "simpson"])

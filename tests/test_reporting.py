@@ -1,5 +1,5 @@
-"""Canonical JSON: determinism, float format, non-finite refusal; the
-report encoder."""
+"""Canonical JSON: determinism, float format, non-finite refusal; how
+library results (expressions, dataclasses, complex values) render."""
 
 import json
 import math
@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from mtriples.expr import parse_mero
+from mtriples.mtriple import Disk
 from mtriples.reporting import (
     ReportValueError,
     canonical_json,
     config_hash,
     emit_report,
-    encode_report,
 )
 
 
@@ -42,9 +42,16 @@ class TestCanonicalJson:
         with pytest.raises(ReportValueError):
             canonical_json({"x": [1.0, math.inf]})
 
-    def test_refuses_bare_complex(self):
+    def test_complex_renders_as_a_pair(self):
+        assert canonical_json({"x": 1 - 2j}) == '{"x":[1,-2]}'
+        for bad in (complex(math.nan, 1.0), complex(0.0, math.inf)):
+            with pytest.raises(ReportValueError):
+                canonical_json({"x": bad})
+
+    @pytest.mark.parametrize("obj", [{1: "a"}, {"x": {1, 2}}, {"x": np.bool_(True)}])
+    def test_refuses_what_json_cannot_hold(self, obj):
         with pytest.raises(ReportValueError):
-            canonical_json({"x": 1 + 2j})
+            canonical_json(obj)
 
     def test_hash_stable(self):
         cfg = {"triple": {"f": "1", "g": "z", "m": 2}, "seed": 0}
@@ -70,28 +77,39 @@ class _Outer:
 
 
 class TestEncodeReport:
+    """How ``canonical_json`` encodes the library's result objects."""
+
     def test_expression_becomes_source_text(self):
         @dataclass(frozen=True)
         class Holder:
             expr: object
 
-        got = encode_report(Holder(parse_mero("z^2 + 1")))
-        assert got == {"expr": "z^2 + 1"}
+        got = canonical_json(Holder(parse_mero("z^2 + 1")))
+        assert got == '{"expr":"z^2 + 1"}'
 
     def test_complex_matrix_row_major_pairs(self):
         m = np.array([[1 + 2j, 3 - 4j], [5j, -6 + 0j]])
-        got = encode_report(m)
+        got = json.loads(canonical_json(m))
         assert got == [[1.0, 2.0], [3.0, -4.0], [0.0, 5.0], [-6.0, 0.0]]
 
+    def test_zero_dimensional_arrays(self):
+        # a real one renders as its scalar, a complex one as a list of one pair
+        assert canonical_json(np.array(2.5)) == "2.5"
+        assert canonical_json(np.array(1 - 2j)) == "[[1,-2]]"
+
     def test_none_becomes_null(self):
-        assert canonical_json(encode_report({"x": None})) == '{"x":null}'
+        assert canonical_json({"x": None}) == '{"x":null}'
+
+    def test_class_variables_are_not_fields(self):
+        # a domain's kind is a ClassVar
+        assert json.loads(canonical_json(Disk(0, 1.0))) == {
+            "center": [0.0, 0.0], "radius": 1.0, "punctures": []}
 
     def test_nested_dataclasses(self):
         obj = _Outer(_Inner(0.5 - 1j, "ok"), (1j, np.arange(2.0)), None)
-        got = encode_report(obj)
+        got = json.loads(canonical_json(obj))
         assert got == {
             "inner": {"point": [0.5, -1.0], "note": "ok"},
             "items": [[0.0, 1.0], [0.0, 1.0]],
             "missing": None,
         }
-        assert json.loads(canonical_json(got)) == got

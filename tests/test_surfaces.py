@@ -677,6 +677,38 @@ def _saddle_data(domain, rng):
     return out
 
 
+def _indicator_with(monkeypatch, node: int, value: float) -> None:
+    """MaxfaceData's indicator, with ``value`` at lattice node ``node``."""
+    indicator = MaxfaceData.singular_indicator
+
+    def patched(self, zs):
+        vals = indicator(self, zs).copy()
+        vals[node] = value
+        return vals
+
+    monkeypatch.setattr(MaxfaceData, "singular_indicator", patched)
+
+
+def test_singular_locus_reads_a_pole_at_a_node_by_its_sign(monkeypatch):
+    dom = Disk(0, 1.0)
+    mesh = build_mesh(dom, ONES, 20)
+    data = MaxfaceData("1", "2*z", dom, 0j)  # the locus is |z| = 1/2
+    lattice = mesh.nodes[: np.count_nonzero(mesh.lattice >= 0)]
+    node = int(np.argmin(np.abs(np.abs(lattice) - 0.5)))  # a corner of crossed cells
+    big = np.finfo(float).max
+    for sign in (1.0, -1.0):
+        _indicator_with(monkeypatch, node, sign * np.inf)
+        got = singular_locus(data, mesh)
+        _indicator_with(monkeypatch, node, sign * big)
+        want = singular_locus(data, mesh)
+        assert len(got) == len(want) > 0
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+    _indicator_with(monkeypatch, node, np.nan)
+    with pytest.raises(surfaces.MeshError, match="undefined"):
+        singular_locus(data, mesh)
+
+
 LOCUS_DOMAINS = [
     Disk(0, 1.0),
     Annulus(0, 0.4, 1.2),
