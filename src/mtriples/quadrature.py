@@ -5,35 +5,14 @@ weights, and an adaptive Simpson rule.  Both refine depth-synchronized
 over a batch of segments, so the integrand is evaluated on numpy arrays
 instead of point by point.
 
-A batch is cut into blocks of ``_BLOCK`` consecutive segments, and each
-block is integrated to completion by one thread: the calling thread takes
-the even blocks and one helper thread, started for the call when there are
-at least two blocks, takes the odd ones.  There are ``_THREADS`` threads,
-two, or one (the caller alone) when the process may run on one CPU only;
-there is no option and no pool.  numpy lets go of the GIL inside its large
-array loops, so the two threads overlap there.  Each block writes only its
-own slice of the output, and every step of both rules (the first panel, the
-smoothness test, the tolerance, bisection, the depth caps and the summation
-into each segment's total) acts on one segment at a time, so neither the
-blocking nor the thread that ran a block changes a result bit.  A failed
-block stops the blocks after it, and the exception of the lowest-numbered
-failed block is raised: the error a serial run would have met first.
-
-On a 2-vCPU VM one Gauss-4 weighting of a unit-disk mesh (f = 1, degree-2
-g, m = 2) took, as the median of nine calls:
-
-    resolution 200 (254k edges)    8192    16384   32768 segments per block
-        one thread              0.020 s  0.020 s  0.040 s
-        two threads             0.016 s  0.014 s  0.022 s
-    resolution 400 (1.0M edges)
-        one thread              0.083 s  0.088 s  0.096 s
-        two threads             0.063 s  0.054 s  0.055 s
-
-against 0.028 s and 0.118 s with the first panel gathered per segment (one
-thread, 8192).  A block of 16384 segments hands the integrand 4 * 16384
-complex points, 1 MiB per temporary, which still sits in a 2 MiB per-core
-L2 cache; with two threads, smaller blocks spend their time taking turns
-at the GIL between numpy calls, and larger ones on memory traffic.
+A batch is cut into blocks of ``_BLOCK // 4`` consecutive segments, so that
+a first Gauss-4 panel hands its integrand one block of ``expr._BLOCK``
+points, and ``expr._blocks`` integrates each block to completion on one of up
+to two threads; every step of both rules (the first panel, the smoothness
+test, the tolerance, bisection, the depth caps and the summation into each
+segment's total) acts on one segment at a time, so neither the blocking nor
+the thread changes a result bit.  The thread story and its timings are in
+``expr``'s module docstring.
 
 This module also owns the point cap ``MAX_GRID_POINTS`` that every mesh
 lattice, probe grid, RK4 batch and Simpson pass obeys, and ``MeshError``.
@@ -42,13 +21,11 @@ lattice, probe grid, RK4 batch and Simpson pass obeys, and ``MeshError``.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from typing import Callable
 
 import numpy as np
 
-from .expr import ArgumentError
+from .expr import _BLOCK, ArgumentError, _blocks
 
 __all__ = ["MeshError", "MAX_GRID_POINTS", "QuadratureError", "gauss4_segments",
            "simpson_segments"]
@@ -83,11 +60,6 @@ GAUSS4_REL_TOL = 1e-9
 GAUSS4_MAX_DEPTH = 14
 SIMPSON_MAX_DEPTH = 24
 
-_BLOCK = 16384  # segments per block, see the module docstring
-# the caller plus one helper thread, or the caller alone on one CPU; affinity,
-# not the machine's CPU count, says how many CPUs this process may run on
-_THREADS = min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
-
 
 class QuadratureError(ValueError):
     """Non-finite integrand sample or failure to converge."""
@@ -108,40 +80,6 @@ def _require_grid_points(n: float, name: str) -> None:
         )
 
 
-def _blocks(kernel, fvec, za, zb, dtype, *args) -> np.ndarray:
-    """Run ``kernel`` on the blocks of ``_BLOCK`` segments, the even blocks in
-    the calling thread and the odd ones in a helper (module docstring)."""
-    za = np.asarray(za, dtype=complex).ravel()
-    zb = np.asarray(zb, dtype=complex).ravel()
-    out = np.empty(za.size, dtype=dtype)
-    n_blocks = -(-za.size // _BLOCK)
-    step = min(_THREADS, n_blocks) or 1
-    failed = []  # (block number, exception)
-
-    def run(first: int) -> None:
-        for k in range(first, n_blocks, step):
-            if any(j < k for j, _ in failed):
-                return
-            s = slice(k * _BLOCK, (k + 1) * _BLOCK)
-            try:
-                out[s] = kernel(fvec, za[s], zb[s], *args)
-            except Exception as exc:  # noqa: BLE001 - raised below in block order
-                failed.append((k, exc))
-                return
-
-    helpers = [threading.Thread(target=run, args=(first,)) for first in range(1, step)]
-    for helper in helpers:
-        helper.start()
-    try:
-        run(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    return out
-
-
 def gauss4_segments(
     fvec: Callable[[np.ndarray], np.ndarray],
     za: np.ndarray,
@@ -152,12 +90,17 @@ def gauss4_segments(
     4-point Gauss-Legendre panels, bisected in sync across a block of
     segments wherever the one-panel and two-panel values disagree; steep
     conformal densities near a truncated boundary need the subdivision.
-    Blocks of ``_BLOCK`` segments run on up to two threads (module docstring).
+    Blocks of ``_BLOCK // 4`` segments run on up to two threads (module docstring).
     """
-    return _blocks(_gauss4, fvec, za, zb, float)
+    return _blocks(_gauss4, _endpoints(za, zb), float, _BLOCK // 4, fvec)
 
 
-def _gauss4(fvec, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
+def _endpoints(za, zb) -> tuple:
+    """The segment endpoints as raveled complex arrays."""
+    return np.asarray(za, dtype=complex).ravel(), np.asarray(zb, dtype=complex).ravel()
+
+
+def _gauss4(za: np.ndarray, zb: np.ndarray, fvec) -> np.ndarray:
     """``gauss4_segments`` on one block of raveled complex endpoints."""
     dz = zb - za
 
@@ -213,14 +156,14 @@ def simpson_segments(
 
     The integrand is a vectorized complex map; intervals from every segment
     of a block are refined together, one depth level per pass, and blocks
-    of ``_BLOCK`` segments run on up to two threads (module docstring).
+    of ``_BLOCK // 4`` segments run on up to two threads (module docstring).
     Relative tolerance is measured against each segment's first
     whole-interval estimate.
     """
-    return _blocks(_simpson, fvec, za, zb, complex, rel_tol)
+    return _blocks(_simpson, _endpoints(za, zb), complex, _BLOCK // 4, fvec, rel_tol)
 
 
-def _simpson(fvec, za: np.ndarray, zb: np.ndarray, rel_tol: float) -> np.ndarray:
+def _simpson(za: np.ndarray, zb: np.ndarray, fvec, rel_tol: float) -> np.ndarray:
     """``simpson_segments`` on one block of raveled complex endpoints.
 
     The live intervals can double with each pass; a pass that would sample

@@ -7,7 +7,8 @@ non-finite number aborts serialization instead of leaking into a report.
 an expression as its source text, a dataclass as an object of its fields,
 a complex number as an ``[re, im]`` pair, a complex array as a row-major
 list of such pairs, and a real array as its ``tolist()``.  The table
-exports (OBJ, PLY and CSV) share one row writer here, ``_rows``.
+exports (OBJ, PLY and CSV) share one row writer here, ``_write_rows``, which
+formats and writes fixed blocks of rows.
 """
 
 from __future__ import annotations
@@ -97,20 +98,29 @@ def config_hash(config) -> str:
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
 
 
-def _rows(row: str, values: list) -> str:
-    """``row``, one ``%`` field per column, once per row of the row-major ``values``."""
-    return (row * (len(values) // row.count("%"))) % tuple(values)
+_ROWS = 65_536  # rows per block of a table export
+
+
+def _write_rows(fh, row: str, columns: list) -> None:
+    """Write ``row``, one ``%`` field per column, once per entry of the
+    equal-length array ``columns``, each field filled by the entry as a plain
+    Python number; ``_ROWS`` rows at a time, so no list or text of the whole
+    table is ever held."""
+    ncols, n = len(columns), len(columns[0])
+    for start in range(0, n, _ROWS):
+        stop = min(start + _ROWS, n)
+        values = [None] * (ncols * (stop - start))
+        for k, col in enumerate(columns):
+            values[k::ncols] = col[start:stop].tolist()
+        fh.write((row * (stop - start)) % tuple(values))
 
 
 def _write_csv(path, header: list, columns: list) -> None:
     """One row per entry of the equal-length ``columns``, as ``csv.writer``
     writes numbers: each its Python ``repr``, every row ended by CRLF; the
     directory is made if missing."""
-    ncols = len(columns)
-    values = [None] * (ncols * len(columns[0]))
-    for k, col in enumerate(columns):
-        values[k::ncols] = np.asarray(col).tolist()
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n" + _rows(",".join(["%r"] * ncols) + "\r\n", values))
+        fh.write(",".join(header) + "\r\n")
+        _write_rows(fh, ",".join(["%r"] * len(columns)) + "\r\n", [np.asarray(c) for c in columns])

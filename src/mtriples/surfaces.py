@@ -60,7 +60,7 @@ from .mtriple import (
     metric_density_array,
 )
 from .quadrature import MeshError, QuadratureError, _require_grid_points, simpson_segments
-from .reporting import _rows, _write_csv
+from .reporting import _write_csv, _write_rows
 
 if TYPE_CHECKING:  # geodesy imports scipy; period residuals need no mesh
     from .geodesy import MeshedDomain
@@ -856,9 +856,10 @@ def export_mesh(surface: SurfaceMesh, fmt: str, path) -> None:
     psi = surface.hermitian_psi
     herm = None if psi is None or fmt == "csv" else _json_table(psi.reshape(len(psi), -1))
     if fmt == "obj":
-        comments = "".join(f"# {s}\n" for s in _metadata_lines(surface))
-        vertices = _rows("v %.17g %.17g %.17g\n", surface.vertices.ravel().tolist())
-        path.write_text(comments + vertices + _rows("f %d %d %d\n", (surface.faces + 1).ravel().tolist()))
+        with open(path, "w") as fh:
+            fh.write("".join(f"# {s}\n" for s in _metadata_lines(surface)))
+            _write_rows(fh, "v %.17g %.17g %.17g\n", list(surface.vertices.T))
+            _write_rows(fh, "f %d %d %d\n", list(surface.faces.T + 1))
     elif fmt == "ply":
         header = ["ply", "format ascii 1.0"]
         header += [f"comment {s}" for s in _metadata_lines(surface)]
@@ -871,9 +872,10 @@ def export_mesh(surface: SurfaceMesh, fmt: str, path) -> None:
             "property list uchar int vertex_indices",
             "end_header",
         ]
-        vertices = _rows("%.9g %.9g %.9g\n", surface.vertices.ravel().tolist())
-        faces = _rows("3 %d %d %d\n", surface.faces.ravel().tolist())
-        path.write_text("\n".join(header) + "\n" + vertices + faces)
+        with open(path, "w") as fh:
+            fh.write("\n".join(header) + "\n")
+            _write_rows(fh, "%.9g %.9g %.9g\n", list(surface.vertices.T))
+            _write_rows(fh, "3 %d %d %d\n", list(surface.faces.T))
     elif fmt == "csv":
         zs, verts = surface.mesh.nodes, surface.vertices
         cols = [("id", np.arange(surface.n_vertices)), ("u", zs.real), ("v", zs.imag)]

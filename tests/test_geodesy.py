@@ -10,7 +10,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
 
-from mtriples import geodesy, quadrature, reporting
+from mtriples import expr, geodesy, quadrature, reporting
 from mtriples.estimates import optimal_example
 from mtriples.expr import ArgumentError
 from mtriples.geodesy import (
@@ -642,7 +642,7 @@ class TestTopologyCache:
         # res 90 gives several Gauss-4 blocks of edges; the extremal density refines
         t = optimal_example(1, [1, -1])
         got = build_mesh(t.domain, t.density, 90)
-        assert len(got.edges_i) > 3 * quadrature._BLOCK
+        assert len(got.edges_i) > 3 * (expr._BLOCK // 4)
         _assert_same_mesh(got, _reference_build_mesh(t.domain, t.density, 90))
 
     @pytest.mark.parametrize("domain", [_CACHE_DOMAINS[1], _CACHE_DOMAINS[7]])

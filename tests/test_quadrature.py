@@ -1,7 +1,7 @@
 """Blocked quadrature against the unblocked rules it replaced.
 
 ``gauss4_segments`` and ``simpson_segments`` integrate their segments in
-blocks of ``quadrature._BLOCK``.  The references below are the rules as
+blocks of ``expr._BLOCK // 4`` segments.  The references below are the rules as
 they were before blocking, one pass over the whole batch; every test
 compares bits (uint64 views), at batch sizes around the block edges, on
 smooth, refining and depth-capped integrands.  ``test_geodesy`` weights its
@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from mtriples import geodesy, quadrature
+from mtriples import expr, geodesy, quadrature
 from mtriples.estimates import optimal_example
 from mtriples.expr import eval_array_checked
 from mtriples.mtriple import Disk, make_triple
@@ -36,7 +36,7 @@ from mtriples.quadrature import (
     simpson_segments,
 )
 
-B = quadrature._BLOCK
+B = expr._BLOCK // 4  # segments per quadrature block
 H = B // 2
 # around the block edges, and around half a block: one short block, and one
 # and a half blocks, which the two threads split unevenly
@@ -263,7 +263,7 @@ RULES = [(gauss4_segments, 4), (simpson_segments, 1)]
 @pytest.mark.parametrize("rule, per_segment", RULES, ids=["gauss4", "simpson"])
 def test_non_finite_sample_in_the_last_block_raises(rule, per_segment, monkeypatch):
     # one thread runs the blocks in order
-    monkeypatch.setattr(quadrature, "_THREADS", 1)
+    monkeypatch.setattr(expr, "_THREADS", 1)
     za, zb = _segments(3 * B + 5)
     za[-1], zb[-1] = 200.0, 200.5  # only the last segment reaches Re z > 100
     calls = []
@@ -284,7 +284,7 @@ class BlockFailure(Exception):
 def test_two_threads_raise_the_first_failed_block(rule, failing, monkeypatch):
     # the caller runs blocks 0, 2, the helper 1, 3; the failing blocks each
     # raise their own exception, and the lowest-numbered one is raised
-    monkeypatch.setattr(quadrature, "_THREADS", 2)
+    monkeypatch.setattr(expr, "_THREADS", 2)
     za, zb = _segments(4 * B + 5)
     for k in failing:
         za[(k + 1) * B - 1], zb[(k + 1) * B - 1] = 100.0 * (k + 1), 100.0 * (k + 1) + 0.5
@@ -302,13 +302,13 @@ def test_two_threads_raise_the_first_failed_block(rule, failing, monkeypatch):
 
 
 def test_the_thread_count_follows_the_cpu_affinity():
-    assert quadrature._THREADS == min(2, len(os.sched_getaffinity(0)))
+    assert expr._THREADS == min(2, len(os.sched_getaffinity(0)))
     # a process pinned to one CPU runs the blocks in the calling thread alone
     cpu = min(os.sched_getaffinity(0))
     code = (f"import os; os.sched_setaffinity(0, {{{cpu}}}); "
-            "from mtriples import quadrature; print(quadrature._THREADS)")
+            "from mtriples import expr; print(expr._THREADS)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(quadrature.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        [str(Path(expr.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "1"
@@ -341,7 +341,7 @@ _STRESS = {name: (fresh, segments) for name, fresh, segments in _stress_cases()}
 def test_threaded_runs_on_fresh_trees_keep_the_bits(name, rule, reference, monkeypatch):
     # each run integrates with a copy of the trees that carries no program and
     # no compiled evaluator, so the two threads race to build them
-    monkeypatch.setattr(quadrature, "_THREADS", 2)
+    monkeypatch.setattr(expr, "_THREADS", 2)
     fresh, (za, zb) = _STRESS[name]
     want = reference(fresh(), za, zb)
     interval = sys.getswitchinterval()

@@ -1,13 +1,17 @@
 """Canonical JSON: determinism, float format, non-finite refusal; how
-library results (expressions, dataclasses, complex values) render."""
+library results (expressions, dataclasses, complex values) render; the
+blocked row writer of the table exports."""
 
+import csv
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from mtriples import reporting
 from mtriples.expr import parse_mero
 from mtriples.mtriple import Disk
 from mtriples.reporting import (
@@ -113,3 +117,37 @@ class TestEncodeReport:
             "items": [[0.0, 1.0], [0.0, 1.0]],
             "missing": None,
         }
+
+
+class TestBlockedRows:
+    def test_csv_longer_than_one_block_matches_csv_writer(self, tmp_path):
+        n = 2 * reporting._ROWS + 3
+        rng = np.random.default_rng(4)
+        special = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, 0.1 + 0.2, -1.19, 1.0]
+        header = ["id", "x", "special", "flag"]
+        columns = [np.arange(n), rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n),
+                   np.resize(special, n), (np.arange(n) % 3 == 0).astype(int)]
+        reporting._write_csv(tmp_path / "got.csv", header, columns)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(zip(*(c.tolist() for c in columns)))
+        want = (tmp_path / "want.csv").read_bytes()
+        assert (tmp_path / "got.csv").read_bytes() == want
+        assert want.count(b"\r\n") == n + 1
+
+    def test_a_four_times_longer_table_raises_the_peak_by_less_than_one_block(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(reporting, "_ROWS", 4096)
+
+        def peak(rows: int) -> int:
+            columns = [np.arange(rows), np.linspace(-1.0, 1.0, rows), np.linspace(0.0, 1e6, rows)]
+            tracemalloc.start()
+            try:
+                reporting._write_csv(tmp_path / f"{rows}.csv", ["i", "x", "y"], columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_block = peak(4096)
+        assert peak(4 * 3 * 4096) - peak(3 * 4096) < one_block

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from mtriples import quadrature, surfaces
+from mtriples import quadrature, reporting, surfaces
 from mtriples.expr import Add, ArgumentError, Const, EvalError, Mul, Pow, Sub, Z
 from mtriples.geodesy import build_mesh
 from mtriples.mtriple import Annulus, Disk, Rectangle, TruncatedPlane
@@ -527,6 +527,15 @@ class TestExport:
         assert text[0] == "ply"
         assert f"element vertex {enneper_small.n_vertices}" in text
         assert f"element face {len(enneper_small.faces)}" in text
+
+    @pytest.mark.parametrize("fmt", ["obj", "ply", "csv"])
+    def test_blocks_of_rows_keep_the_bytes(self, enneper_small, tmp_path, monkeypatch, fmt):
+        # the whole table as one block, then blocks of 9 rows and a shorter last one
+        export_mesh(enneper_small, fmt, tmp_path / "whole")
+        assert enneper_small.n_vertices % 9 and len(enneper_small.faces) % 9
+        monkeypatch.setattr(reporting, "_ROWS", 9)
+        export_mesh(enneper_small, fmt, tmp_path / "blocked")
+        assert (tmp_path / "blocked").read_bytes() == (tmp_path / "whole").read_bytes()
 
     def test_csv_and_json(self, enneper_small, tmp_path):
         export_mesh(enneper_small, "csv", tmp_path / "verts.csv")
