@@ -77,10 +77,11 @@ blocks in its own thread (a thread-local flag says so), so a call never has
 more than two threads.
 
 The pole-aware array quantities (``eval_array_checked``, the spherical
-gradient, and ``mtriple``'s density and curvature) evaluate, apply their
-formula, mask and repair one block of ``_BLOCK`` points at a time: 65,536
-points, 1 MiB per complex temporary, which still sits in a 2 MiB per-core L2
-cache, and no temporary of the whole cloud's size.  ``quadrature`` integrates
+gradient, and ``mtriple``'s density and curvature, which are formulas of
+moduli) evaluate, apply their formula, mask and repair one block of
+``_BLOCK`` points at a time: 65,536 points, 1 MiB per complex temporary,
+which still sits in a 2 MiB per-core L2 cache, and no temporary of the whole
+cloud's size.  ``quadrature`` integrates
 blocks of ``_BLOCK // 4`` segments, so a first Gauss-4 panel hands its
 integrand one block of points.  On a 2-vCPU VM the spherical gradient of a
 degree-2 rational function on 525k points took 0.043 s as one whole-cloud
@@ -1117,20 +1118,31 @@ def _repair(out: np.ndarray, bad: np.ndarray, zs: np.ndarray, at_point) -> np.nd
 
 
 def _repaired_array(formula, exprs, zs, at_point) -> np.ndarray:
-    """The real ``formula`` of the arrays of ``exprs`` on ``zs``, with
+    """The real ``formula`` of the moduli of ``exprs`` on ``zs``, with
     ``at_point`` repairing each entry that is not finite or where the first
-    operand's modulus passes ``_BIG``; the driver of every pole-aware array
-    quantity, on blocks of ``_BLOCK`` points (module docstring)."""
+    modulus passes ``_BIG``; the driver of every pole-aware array quantity,
+    on blocks of ``_BLOCK`` points (module docstring).
+
+    Each operand's modulus is taken once.  An operand that does not read z
+    is evaluated, and taken in modulus, at one point of a block of more than
+    one and broadcast; a constant's value does not depend on the input's
+    size (``eval_array``), and the formulas act entry by entry, so the bits
+    are those of the whole block."""
+    reads = [any(kind is Var for kind, _, _ in _lower(e)[0]) for e in exprs]
     return _blocks(_repaired, (np.asarray(zs, dtype=complex),), float, _BLOCK,
-                   formula, exprs, at_point)
+                   formula, exprs, reads, at_point)
 
 
-def _repaired(zs: np.ndarray, formula, exprs, at_point) -> np.ndarray:
+def _repaired(zs: np.ndarray, formula, exprs, reads, at_point) -> np.ndarray:
     """``_repaired_array`` on one block."""
-    vals = [eval_array(e, zs) for e in exprs]
+    one = zs[(slice(0, 1),) * zs.ndim] if zs.size > 1 else zs
+    # the builtin abs: numpy's scalar rounding on the numpy scalar of a 0-d input
+    mods = [abs(eval_array(e, zs if r else one)) for e, r in zip(exprs, reads)]
     with np.errstate(all="ignore"):
-        out = formula(*vals)
-        bad = ~np.isfinite(out) | (np.abs(vals[0]) > _BIG)
+        out = formula(*mods)
+        if out.shape != zs.shape:  # no operand reads z
+            out = np.broadcast_to(out, zs.shape).copy()
+        bad = ~np.isfinite(out) | (mods[0] > _BIG)
     return _repair(out, bad, zs, at_point)
 
 
@@ -1180,8 +1192,9 @@ def chordal_array(zs: np.ndarray, target: "ExtComplex | complex") -> np.ndarray:
 
 
 def _gradient_of(v, d):
-    """2*sqrt(2)*|d| / (1 + |v|^2) on Python complex numbers or on numpy arrays."""
-    return 2.0 * math.sqrt(2.0) * abs(d) / (1.0 + abs(v) ** 2)
+    """2*sqrt(2)*d / (1 + v^2) of the moduli v = |f| and d = |f'|, as Python
+    floats or as numpy arrays."""
+    return 2.0 * math.sqrt(2.0) * d / (1.0 + v ** 2)
 
 
 def spherical_gradient(e: MeroExpr, z: complex) -> float:
@@ -1197,7 +1210,7 @@ def spherical_gradient(e: MeroExpr, z: complex) -> float:
     d = eval_ext(derivative(e), z)
     if v.is_inf or d.is_inf:
         raise EvalError(f"spherical gradient indeterminate at z={z}")
-    return _gradient_of(v.value, d.value)
+    return _gradient_of(abs(v.value), abs(d.value))
 
 
 def spherical_gradient_array(e: MeroExpr, zs: np.ndarray) -> np.ndarray:

@@ -13,6 +13,12 @@ stencil's directions, not from the spacing, so refinement does not remove
 it: on the flat unit disk the interior ratio stays near 1.02 from resolution
 50 to 400.
 
+The topology's edges are index pairs into the node array, and nothing
+builds an endpoint array of the whole mesh: the segment filter gathers the
+endpoints of only the edges a hole or a puncture core can cut
+(``_segment_filter``), and ``gauss4_segments`` gathers those of one block of
+edges at a time.
+
 This is the one module that imports scipy (its sparse graph routines), and
 it does so at the top, so importing it pays that cost at once.
 """
@@ -51,6 +57,20 @@ _topologies: dict = {}
 
 # half-stencil offsets; mirroring gives the 16-neighbor star
 _HALF_OFFSETS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2))
+# in lattice spacings: the radius within which a ghost, and an outermost ring
+# node, links to lattice nodes, and the outermost ring's radius
+_GHOST_LINK = 2.2
+_RING_LINK = 2.5
+_RING_RADIUS = 3.2
+# No edge is longer than this many spacings: a lattice edge is at most a
+# knight move of _HALF_OFFSETS, sqrt(5); a ghost or outermost-ring link is at
+# most _GHOST_LINK or _RING_LINK; a ring node links to its successor on its
+# ring of 16 (a chord of 2 r sin(pi/16) < r) and to three nodes of the next
+# ring in, at radius r' <= r and at most pi/8 round, which is no farther than
+# r since r' <= 2 r cos(pi/8); and every ring's radius r is at most
+# _RING_RADIUS.
+_LONGEST_EDGE = max(*(math.hypot(*o) for o in _HALF_OFFSETS), _GHOST_LINK, _RING_LINK,
+                    _RING_RADIUS)
 
 
 @dataclass
@@ -107,7 +127,7 @@ class MeshedDomain:
 def _puncture_rings(p: complex, spacing: float) -> np.ndarray:
     """Geometric refinement rings of 16 points around a puncture down to the
     core radius, outermost first: a (levels, 16) array."""
-    r0 = 3.2 * spacing
+    r0 = _RING_RADIUS * spacing
     if r0 <= PUNCTURE_CORE_RADIUS:
         return np.zeros((0, 16), dtype=complex)
     radii = []
@@ -177,6 +197,40 @@ def _adjacency(n: int, edges_i: np.ndarray, edges_j: np.ndarray) -> tuple:
     return layout
 
 
+def _segment_filter(domain: DomainSpec, spacing: float, nodes: np.ndarray, ei: np.ndarray,
+                    ej: np.ndarray) -> tuple:
+    """The edges ``(ei, ej)`` less those whose segment leaves the domain (it
+    passes within a hole's radius of its centre, see ``holes``) or passes
+    within 0.8 ``PUNCTURE_CORE_RADIUS`` of a puncture, in edge order.
+
+    A segment that passes within r of a point has an endpoint within r + L/2
+    of it, L its length, and no edge is longer than ``_LONGEST_EDGE`` = 3.2
+    spacings, the outermost puncture ring's radius (derived at the constant
+    from ``_HALF_OFFSETS``, the 2.2 and 2.5 spacing link radii and the ring
+    radii).  So only the edges with an endpoint within r + ``_LONGEST_EDGE``
+    spacings of a cut's centre (twice the reach needed, which absorbs any
+    rounding) are gathered and tested, as a full scan tests them; every other
+    edge is kept.  A domain with no hole and no puncture gathers nothing and
+    returns the arrays as given, as does one whose cuts drop no edge.
+    """
+    cuts = [*domain.holes(), *((p, 0.8 * PUNCTURE_CORE_RADIUS) for p in domain.punctures)]
+    if not cuts:
+        return ei, ej
+    near = np.zeros(len(nodes), dtype=bool)
+    for c, r in cuts:
+        near |= np.abs(nodes - c) <= r + _LONGEST_EDGE * spacing
+    cand = np.flatnonzero(near[ei] | near[ej])
+    za, zb = nodes[ei[cand]], nodes[ej[cand]]
+    keep = np.ones(cand.size, dtype=bool)
+    for c, r in cuts:
+        keep &= segment_point_dist(za, zb, c) > r
+    if keep.all():
+        return ei, ej
+    kept = np.ones(len(ei), dtype=bool)
+    kept[cand[~keep]] = False
+    return ei[kept], ej[kept]
+
+
 def _mesh_topology(domain: DomainSpec, refine_punctures: bool, spacing, i_lo, i_hi, j_lo, j_hi):
     """The ``MeshedDomain`` fields that do not depend on the density, as
     read-only arrays."""
@@ -191,7 +245,7 @@ def _mesh_topology(domain: DomainSpec, refine_punctures: bool, spacing, i_lo, i_
     inside = domain.contains(zz, margin)
 
     core = max(PUNCTURE_CORE_RADIUS, 0.3 * spacing)
-    lattice_excl = 3.2 * spacing if refine_punctures else core
+    lattice_excl = _RING_RADIUS * spacing if refine_punctures else core
     for p in domain.punctures:
         inside &= np.abs(zz - p) >= lattice_excl
 
@@ -232,7 +286,7 @@ def _mesh_topology(domain: DomainSpec, refine_punctures: bool, spacing, i_lo, i_
             edges_i.append(frm[linked])
             edges_j.append(to[linked])
             # the outermost ring, absent below the core radius, links to the lattice
-            k, q = _near_lattice(zz, id_grid, spacing, rings[:1][keep[:1]], 2.5 * spacing)
+            k, q = _near_lattice(zz, id_grid, spacing, rings[:1][keep[:1]], _RING_LINK * spacing)
             edges_i.append(ids[:1][keep[:1]][k])
             edges_j.append(q)
             puncture_src.extend(ids[-1:][keep[-1:]])
@@ -240,20 +294,14 @@ def _mesh_topology(domain: DomainSpec, refine_punctures: bool, spacing, i_lo, i_
     ghosts = domain.rim(BOUNDARY_INSET_FRACTION, spacing / 2.0)
     ghost_start = next_id
     nodes.append(ghosts)
-    k, q = _near_lattice(zz, id_grid, spacing, ghosts, 2.2 * spacing)
+    k, q = _near_lattice(zz, id_grid, spacing, ghosts, _GHOST_LINK * spacing)
     edges_i.append(ghost_start + k)
     edges_j.append(q)
 
     all_nodes = np.concatenate(nodes)
-    ei = np.concatenate(edges_i).astype(int)
-    ej = np.concatenate(edges_j).astype(int)
-
-    # drop segments that leave the domain (an annular hole) or pass a puncture core
-    za, zb = all_nodes[ei], all_nodes[ej]
-    keep = domain.keeps_segments(za, zb)
-    for p in domain.punctures:
-        keep &= segment_point_dist(za, zb, p) > 0.8 * PUNCTURE_CORE_RADIUS
-    ei, ej = ei[keep], ej[keep]
+    ei, ej = np.concatenate(edges_i), np.concatenate(edges_j)
+    del edges_i, edges_j  # 100 MB of pieces at the grid cap, past their use
+    ei, ej = _segment_filter(domain, spacing, all_nodes, ei, ej)
 
     n = len(all_nodes)
     boundary = np.zeros(n, dtype=bool)
@@ -279,9 +327,7 @@ def _mesh_topology(domain: DomainSpec, refine_punctures: bool, spacing, i_lo, i_
                     boundary_adjacent=boundary, puncture_adjacent=puncture, lattice=id_grid)
     for arr in topology.values():
         arr.flags.writeable = False
-    # the segment filter and the connectivity check leave about 60 MB at
-    # resolution 400; drop them so that the layout build stays under the peak
-    del za, zb, edges_i, edges_j, m
+    del m  # so that the layout build stays under the connectivity check's peak
     return dict(topology, spacing=spacing, adjacency=_adjacency(n, ei, ej))
 
 
@@ -337,10 +383,9 @@ def build_mesh(
     if len(_topologies) > _TOPOLOGY_CACHE_SIZE:
         del _topologies[next(iter(_topologies))]
 
-    nodes, ei, ej = topology["nodes"], topology["edges_i"], topology["edges_j"]
     fvec = _as_density(density)
     try:
-        w = gauss4_segments(fvec, nodes[ei], nodes[ej])
+        w = gauss4_segments(fvec, topology["edges_i"], topology["edges_j"], topology["nodes"])
     except QuadratureError as exc:
         raise MeshError(f"density not finite on a mesh edge: {exc}") from exc
     if np.any(~np.isfinite(w)) or np.any(w <= 0):

@@ -95,10 +95,18 @@ class _DomainBase:
     # (points a relative ``inset`` inside the boundary, about ``step`` apart),
     # bbox, anchor, scale
 
+    def holes(self) -> tuple:
+        """(centre, radius) of each disc outside the region that a segment
+        between two of its points can cross; none on a convex shape."""
+        return ()
+
     def keeps_segments(self, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
         """Which segments za -> zb between points of the region stay inside
-        it; all of them on a convex shape."""
-        return np.ones(np.shape(za), dtype=bool)
+        it: those farther than its radius from each hole's centre."""
+        keep = np.ones(np.shape(za), dtype=bool)
+        for c, r in self.holes():
+            keep &= segment_point_dist(za, zb, c) > r
+        return keep
 
     def diameter(self) -> float:
         x0, x1, y0, y1 = self.bbox()
@@ -188,8 +196,8 @@ class Annulus(_DomainBase):
             ]
         )
 
-    def keeps_segments(self, za: np.ndarray, zb: np.ndarray) -> np.ndarray:
-        return segment_point_dist(za, zb, self.center) > self.r_inner
+    def holes(self) -> tuple:
+        return ((self.center, self.r_inner),)
 
     def bbox(self):
         c, r = self.center, self.r_outer
@@ -343,10 +351,14 @@ _SAME_POINT = 1e-9  # two clustered roots, or a root and a puncture, closer are 
 
 
 def _rational_pair(name: str, e: MeroExpr) -> tuple[np.ndarray, np.ndarray]:
-    """``rational_form(e)``; a zero denominator is an ``ArgumentError`` on ``name``."""
+    """``rational_form(e)``; a zero denominator, or a coefficient that is not
+    finite (the unnormalised product of many constant denominators overflows),
+    is an ``ArgumentError`` on ``name``."""
     num, den = rational_form(e)
     if den.size == 0:
         raise ArgumentError(name, f"{name} is identically infinite")
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
+        raise ArgumentError(name, f"the rational normal form of {name} overflows")
     return num, den
 
 
@@ -430,16 +442,18 @@ def make_triple(domain: DomainSpec, f, g, m: int) -> MTriple:
     return MTriple(domain=domain, f=f, g=g, m=m, regularity=report)
 
 
-def _density_of(gv, fv, m: int):
-    """(1 + |g|^2)^(m/2) |f| for point and array callers alike: the builtin ``abs``
-    and ``**`` keep CPython's rounding on complex numbers and numpy's on arrays."""
-    return (1.0 + abs(gv) ** 2) ** (m / 2.0) * abs(fv)
+def _density_of(ga, fa, m: int):
+    """(1 + |g|^2)^(m/2) |f| of the moduli ga = |g| and fa = |f|, for point and
+    array callers alike: point callers take CPython's ``abs`` and array callers
+    numpy's, and ``**`` keeps each one's rounding."""
+    return (1.0 + ga ** 2) ** (m / 2.0) * fa
 
 
-def _curvature_of(gv, fv, gd, m: int):
-    """-2m |g'|^2 / ((1 + |g|^2)^(m+2) |f|^2), typed like ``_density_of``."""
-    den = (1.0 + abs(gv) ** 2) ** (m + 2) * abs(fv) ** 2
-    return -2.0 * m * abs(gd) ** 2 / den
+def _curvature_of(ga, fa, gda, m: int):
+    """-2m |g'|^2 / ((1 + |g|^2)^(m+2) |f|^2) of the moduli, typed like
+    ``_density_of``."""
+    den = (1.0 + ga ** 2) ** (m + 2) * fa ** 2
+    return -2.0 * m * gda ** 2 / den
 
 
 def _point_values(t: MTriple, z: complex, slope: bool) -> tuple:
@@ -465,7 +479,7 @@ def _point_values(t: MTriple, z: complex, slope: bool) -> tuple:
 def metric_density(t: MTriple, z: complex) -> float:
     """Metric density (1 + |g|^2)^(m/2) |f| at a point, finite across g-poles."""
     try:
-        return _density_of(*_point_values(t, z, slope=False), t.m)
+        return _density_of(*map(abs, _point_values(t, z, slope=False)), t.m)
     except OverflowError as exc:
         raise EvalError(f"metric density overflows at z={z}") from exc
 
@@ -476,20 +490,20 @@ def curvature(t: MTriple, z: complex) -> float:
         gv, fv, gd = _point_values(t, z, slope=True)
         if fv == 0:
             raise EvalError(f"f vanishes at z={z}; metric is degenerate there")
-        return _curvature_of(gv, fv, gd, t.m)
+        return _curvature_of(abs(gv), abs(fv), abs(gd), t.m)
     except OverflowError as exc:
         raise EvalError(f"curvature overflows at z={z}") from exc
 
 
 def metric_density_array(t: MTriple, zs) -> np.ndarray:
     """Vectorized density with scalar repair at pole/limit sites."""
-    return _repaired_array(lambda gv, fv: _density_of(gv, fv, t.m), (t.g, t.f), zs,
+    return _repaired_array(lambda ga, fa: _density_of(ga, fa, t.m), (t.g, t.f), zs,
                            lambda z: metric_density(t, z))
 
 
 def curvature_array(t: MTriple, zs) -> np.ndarray:
     """Vectorized curvature with scalar repair at pole/limit sites."""
-    return _repaired_array(lambda gv, fv, gd: _curvature_of(gv, fv, gd, t.m),
+    return _repaired_array(lambda ga, fa, gda: _curvature_of(ga, fa, gda, t.m),
                            (t.g, t.f, derivative(t.g)), zs, lambda z: curvature(t, z))
 
 

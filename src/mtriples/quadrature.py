@@ -14,6 +14,12 @@ segment's total) acts on one segment at a time, so neither the blocking nor
 the thread changes a result bit.  The thread story and its timings are in
 ``expr``'s module docstring.
 
+Gauss-4 weighs mesh edges, so it takes the node array and the two index
+arrays of the edges, and each block gathers the endpoints of its own
+segments: no endpoint array of the whole mesh is built (two of 16 MB at
+resolution 400, and of 100 MB at the grid cap).  Simpson takes endpoint
+arrays, since its callers integrate polylines and stops, not a mesh.
+
 This module also owns the point cap ``MAX_GRID_POINTS`` that every mesh
 lattice, probe grid, RK4 batch and Simpson pass obeys, and ``MeshError``.
 """
@@ -82,17 +88,19 @@ def _require_grid_points(n: float, name: str) -> None:
 
 def gauss4_segments(
     fvec: Callable[[np.ndarray], np.ndarray],
-    za: np.ndarray,
-    zb: np.ndarray,
+    i: np.ndarray,
+    j: np.ndarray,
+    nodes: np.ndarray,
 ) -> np.ndarray:
-    """Line integral of a real density along segments za -> zb.
+    """Line integral of a real density along the segments nodes[i] -> nodes[j].
 
     4-point Gauss-Legendre panels, bisected in sync across a block of
     segments wherever the one-panel and two-panel values disagree; steep
     conformal densities near a truncated boundary need the subdivision.
-    Blocks of ``_BLOCK // 4`` segments run on up to two threads (module docstring).
+    Blocks of ``_BLOCK // 4`` segments gather their own endpoints from the
+    complex array ``nodes`` and run on up to two threads (module docstring).
     """
-    return _blocks(_gauss4, _endpoints(za, zb), float, _BLOCK // 4, fvec)
+    return _blocks(_gauss4, (np.ravel(i), np.ravel(j)), float, _BLOCK // 4, fvec, nodes)
 
 
 def _endpoints(za, zb) -> tuple:
@@ -100,9 +108,10 @@ def _endpoints(za, zb) -> tuple:
     return np.asarray(za, dtype=complex).ravel(), np.asarray(zb, dtype=complex).ravel()
 
 
-def _gauss4(za: np.ndarray, zb: np.ndarray, fvec) -> np.ndarray:
-    """``gauss4_segments`` on one block of raveled complex endpoints."""
-    dz = zb - za
+def _gauss4(i: np.ndarray, j: np.ndarray, fvec, nodes: np.ndarray) -> np.ndarray:
+    """``gauss4_segments`` on one block of raveled index arrays."""
+    za = nodes[i]
+    dz = nodes[j] - za
 
     def samples(pts: np.ndarray) -> np.ndarray:
         vals = np.asarray(fvec(pts.ravel()), dtype=float).reshape(pts.shape)

@@ -405,9 +405,9 @@ def synth_maxface(data: MaxfaceData, mesh: MeshedDomain) -> SurfaceMesh:
     with np.errstate(all="ignore"):
         singular = np.abs(np.abs(gv) - 1.0) < SINGULAR_FLAG_TOL
 
-    def induced(gv, fv):
-        """(1 - |g|^2)^2 |f|^2, the same at (1/g, g^2 f)"""
-        return (1.0 - abs(gv) ** 2) ** 2 * abs(fv) ** 2
+    def induced(ga, fa):
+        """(1 - |g|^2)^2 |f|^2 of the moduli, the same at (1/g, g^2 f)"""
+        return (1.0 - ga ** 2) ** 2 * fa ** 2
 
     diags = {
         "density": metric_density_array(data.triple, zs),
@@ -415,7 +415,7 @@ def synth_maxface(data: MaxfaceData, mesh: MeshedDomain) -> SurfaceMesh:
         "gauss_map": gv,
         "singular": singular,
         "induced_metric_sq": _repaired_array(
-            induced, (data.g, data.f), zs, lambda z: induced(*_point_values(data.triple, z, False))),
+            induced, (data.g, data.f), zs, lambda z: induced(*map(abs, _point_values(data.triple, z, False)))),
     }
     meta = {
         "lorentzian": True,

@@ -746,6 +746,15 @@ def test_magnitude_the_numerics_cannot_hold_is_schema_error(
     _assert_schema_error(tmp_path, capsys, group, action, cfg, pointer)
 
 
+def test_overflowing_normal_form_is_schema_error_at_its_field(tmp_path, capsys):
+    # 40 constant denominators multiply to 1e320: the normal form of g has
+    # coefficients inf and nan, which np.roots would refuse as a LinAlgError
+    g = "+".join(f"{k}*z/100000000" for k in range(1, 41))
+    err = _assert_schema_error(tmp_path, capsys, "triple", "check",
+                               {"triple": dict(_TRIPLE, g=g)}, "/triple/g")
+    assert "normal form of g overflows" in err["message"]
+
+
 @pytest.mark.parametrize(
     "cfg, pointer",
     [

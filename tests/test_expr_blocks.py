@@ -3,12 +3,15 @@
 Each pole-aware array quantity is compared bit for bit (uint64 views), at
 sizes around the block edges, with one block of the whole cloud (the code as
 it was before blocking) and with a run on the calling thread alone; a pole
-and a removable site sit in blocks after the first.
+and a removable site sit in blocks after the first.  The formulas of moduli
+are compared with the formulas of complex operands they replaced.
 """
 
 from __future__ import annotations
 
 import copy
+import math
+from collections import Counter
 import re
 import sys
 import threading
@@ -20,11 +23,23 @@ from mtriples import expr
 from mtriples.expr import (
     EvalError,
     _blocks,
+    derivative,
     eval_array_checked,
+    eval_ext,
+    invert_expr,
     parse_mero,
     spherical_gradient_array,
+    to_source,
 )
-from mtriples.mtriple import Disk, curvature_array, make_triple, metric_density_array
+from mtriples.geodesy import build_mesh
+from mtriples.mtriple import (
+    Disk,
+    _point_values,
+    curvature_array,
+    make_triple,
+    metric_density_array,
+)
+from mtriples.surfaces import MaxfaceData, synth_maxface
 from mtriples.quadrature import simpson_segments
 
 B = expr._BLOCK
@@ -169,3 +184,136 @@ def test_a_call_inside_a_block_starts_no_thread(monkeypatch):
     started.clear()
     simpson_segments(smoothed, za[: B // 4], zb[: B // 4])
     assert started
+
+
+# ---------------------------------------------------------------------------
+# Formulas of moduli against the formulas of complex operands they replaced
+# ---------------------------------------------------------------------------
+
+
+def _density_c(gv, fv, m):
+    return (1.0 + abs(gv) ** 2) ** (m / 2.0) * abs(fv)
+
+
+def _curvature_c(gv, fv, gd, m):
+    den = (1.0 + abs(gv) ** 2) ** (m + 2) * abs(fv) ** 2
+    return -2.0 * m * abs(gd) ** 2 / den
+
+
+def _gradient_c(v, d):
+    return 2.0 * math.sqrt(2.0) * abs(d) / (1.0 + abs(v) ** 2)
+
+
+def _induced_c(gv, fv):
+    return (1.0 - abs(gv) ** 2) ** 2 * abs(fv) ** 2
+
+
+def _complex_repaired_array(formula, exprs, zs, at_point):
+    """``expr._repaired_array`` as it was: ``formula`` of the complex arrays,
+    every operand evaluated on the whole cloud, the ``_BIG`` mask from a second
+    modulus, in one pass."""
+    zs = np.asarray(zs, dtype=complex)
+    vals = [expr.eval_array(e, zs) for e in exprs]
+    with np.errstate(all="ignore"):
+        out = formula(*vals)
+        bad = ~np.isfinite(out) | (np.abs(vals[0]) > expr._BIG)
+    return expr._repair(out, bad, zs, at_point)
+
+
+def _reference_density(t, zs):
+    return _complex_repaired_array(
+        lambda gv, fv: _density_c(gv, fv, t.m), (t.g, t.f), zs,
+        lambda z: _density_c(*_point_values(t, z, False), t.m))
+
+
+def _reference_curvature(t, zs):
+    def at_point(z):
+        gv, fv, gd = _point_values(t, z, True)
+        return _curvature_c(gv, fv, gd, t.m)
+
+    return _complex_repaired_array(lambda gv, fv, gd: _curvature_c(gv, fv, gd, t.m),
+                                   (t.g, t.f, derivative(t.g)), zs, at_point)
+
+
+def _reference_gradient(e, zs):
+    def at_point(z):
+        v = eval_ext(e, z)
+        h = invert_expr(e) if v.is_inf or abs(v.value) > 1.0 else e
+        return _gradient_c(eval_ext(h, z).value, eval_ext(derivative(h), z).value)
+
+    return _complex_repaired_array(_gradient_c, (e, derivative(e)), zs, at_point)
+
+
+# f = z*z/z is 0/0 at the pole 0 of g; f = 1 is a constant, and so is g' of
+# g = (2+i)*z + 1; on the punctured disk 1/z passes _BIG off the puncture
+MODULI_TRIPLES = {
+    "removable": TRIPLE,
+    "constant-f": make_triple(Disk(0, 2, punctures=(0j,)), "1", "1/z", 1),
+    "constant-f-and-slope": make_triple(Disk(0, 2), "3-i", "(2+i)*z+1", 2),
+}
+MODULI_EXPRS = {"pole": GRADIENT, "constant-slope": parse_mero("(3+i)*z+2"),
+                "constant": parse_mero("2+i")}
+# a cloud over blocks, with the poles 0 and 0.5 in it, points where |1/z|
+# passes _BIG, and small and two-dimensional clouds, where one block is the
+# whole cloud
+_BIG_SITES = np.array([1e-7, -3e-7j, 2e-9 + 1e-9j])
+MODULI_CLOUDS = {
+    "blocks": lambda: np.concatenate([_cloud(2 * B + 1), _BIG_SITES]),
+    "point": lambda: np.asarray(0.3 + 0.1j),
+    "one": lambda: np.array([0.3 + 0.1j]),
+    "two": lambda: np.array([0.3 + 0.1j, 1e-7]),
+    "grid": lambda: np.concatenate([_disk(12, 3), _BIG_SITES]).reshape(3, 5),
+}
+
+
+def _off_punctures(t, zs):
+    return np.where(np.abs(zs) < 1e-12, 0.25, zs) if t.domain.punctures else zs
+
+
+@pytest.mark.parametrize("cloud", sorted(MODULI_CLOUDS))
+@pytest.mark.parametrize("name", sorted(MODULI_TRIPLES))
+def test_density_and_curvature_of_moduli_keep_the_bits(name, cloud):
+    t = MODULI_TRIPLES[name]
+    zs = _off_punctures(t, MODULI_CLOUDS[cloud]())
+    for got, want in ((metric_density_array(t, zs), _reference_density(t, zs)),
+                      (curvature_array(t, zs), _reference_curvature(t, zs))):
+        assert np.shape(got) == np.shape(want) == zs.shape
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("cloud", sorted(MODULI_CLOUDS))
+@pytest.mark.parametrize("name", sorted(MODULI_EXPRS))
+def test_gradient_of_moduli_keeps_the_bits(name, cloud):
+    e, zs = MODULI_EXPRS[name], MODULI_CLOUDS[cloud]()
+    got, want = spherical_gradient_array(e, zs), _reference_gradient(e, zs)
+    assert np.shape(got) == np.shape(want) == zs.shape
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_induced_metric_of_moduli_keeps_the_bits():
+    # g = 1/z has a pole at the lattice node 0, where the entry is repaired
+    domain = Disk(0, 1.0)
+    mesh = build_mesh(domain, lambda zs: np.ones(np.shape(zs)), 20)
+    data = MaxfaceData("z^2", "1/z", domain, 0.5 + 0j)
+    assert np.any(mesh.nodes == 0)
+    got = synth_maxface(data, mesh).diagnostics["induced_metric_sq"]
+    want = _complex_repaired_array(_induced_c, (data.g, data.f), mesh.nodes,
+                                   lambda z: _induced_c(*_point_values(data.triple, z, False)))
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_an_operand_that_does_not_read_z_is_evaluated_at_one_point(monkeypatch):
+    t = MODULI_TRIPLES["constant-f-and-slope"]
+    zs = _disk(B + 7, 4)
+    seen = Counter()
+    eval_array = expr.eval_array
+
+    def spy(e, pts):
+        seen[to_source(e), np.shape(pts)] += 1
+        return eval_array(e, pts)
+
+    monkeypatch.setattr(expr, "eval_array", spy)
+    curvature_array(t, zs)
+    # two blocks: g on each block's points, f and g' on one point of each
+    g, f, slope = (to_source(e) for e in (t.g, t.f, derivative(t.g)))
+    assert seen == Counter({(g, (B,)): 1, (g, (7,)): 1, (f, (1,)): 2, (slope, (1,)): 2})

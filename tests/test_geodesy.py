@@ -3,9 +3,12 @@
 import csv
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings, strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial import cKDTree
@@ -751,6 +754,23 @@ class TestTopologyCache:
             build_mesh(Disk(0, 1.0, punctures=(0j,)), ONES, 8)
         assert not cold_cache
 
+    def test_reweighting_builds_no_complex_array_of_the_edge_count(self, cold_cache,
+                                                                  monkeypatch):
+        # one thread, so the blocks' temporaries do not overlap; Gauss-4
+        # gathers each block's endpoints, so a re-weighting holds the weights
+        # (8 bytes an edge) and block-sized temporaries, never a complex array
+        # of the edge count (16 bytes an edge), as nodes[edges_i] would be
+        monkeypatch.setattr(expr, "_THREADS", 1)
+        t = make_triple(Disk(0, 1.0), "1", "z/2", 2)
+        edges = len(build_mesh(t.domain, t.density, 200).edges_i)
+        tracemalloc.start()
+        try:
+            build_mesh(t.domain, t.density, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * edges + 16 * edges
+
     def test_resolution_below_eight_is_an_argument_error(self, cold_cache):
         for res in (7, 0, -5):
             with pytest.raises(ArgumentError, match="below 8") as refused:
@@ -817,3 +837,125 @@ class TestNearLattice:
         k, q = geodesy._near_lattice(zz, id_grid, 0.25, points, 1.25)
         assert [node_id in q[k == p] for p in range(4)] == [True, True, True, False]
         _assert_same_pairs((k, q), _kd_tree_pairs(lattice, points, 1.25))
+
+
+# ---------------------------------------------------------------------------
+# Segment filter
+# ---------------------------------------------------------------------------
+
+_FILTER_RES = [20, 50, 200]
+# offsets from a lattice line or node, in spacings: on it, a rounding or a hair
+# off it, and well off it
+_FILTER_OFFSETS = [0.0, 1e-12, -1e-12, 1e-6, -1e-6, 0.3, -0.3, 0.5]
+
+
+def _same_mesh_or_error(domain, res, refine=True):
+    """``build_mesh`` on a cold topology cache gives the full-scan reference's
+    mesh, or its MeshError."""
+    geodesy._topologies.clear()
+    try:
+        want = _reference_build_mesh(domain, ONES, res, refine)
+    except MeshError as exc:
+        with pytest.raises(MeshError, match=re.escape(str(exc))):
+            build_mesh(domain, ONES, res, refine_punctures=refine)
+    else:
+        _assert_same_mesh(build_mesh(domain, ONES, res, refine_punctures=refine), want)
+    finally:
+        geodesy._topologies.clear()
+
+
+def _domain_or_reject(kind, *args, **kwargs):
+    try:
+        return kind(*args, **kwargs)
+    except ValueError:  # coinciding punctures, or one off the domain
+        reject()
+
+
+@st.composite
+def _annuli(draw, res):
+    """An annulus whose hole's rim grazes lattice lines: r_inner is j spacings
+    (a horizontal line through the centre's lattice row is j rows off), give
+    or take an offset, and the centre sits on or off a lattice node."""
+    spacing = 4.0 / res  # r_outer = 2
+    j = draw(st.integers(1, res // 2 - 3))
+    r_inner = (j + draw(st.sampled_from(_FILTER_OFFSETS))) * spacing
+    center = complex(draw(st.sampled_from([0.0, 0.25, 1e-12])), draw(st.sampled_from([0.0, 0.5])))
+    return _domain_or_reject(Annulus, center, r_inner, 2.0)
+
+
+@st.composite
+def _punctured(draw, res):
+    """A disk, rectangle or truncated plane with one to three punctures on,
+    next to or off lattice nodes or the midpoints of stencil edges from them,
+    some of them near the rim."""
+    kind = draw(st.sampled_from(["disk", "rectangle", "truncated_plane"]))
+    domain, half = {"disk": (Disk(0, 1.0), 1.0), "rectangle": (Rectangle(-1 - 1j, 1 + 1j), 1.0),
+                    "truncated_plane": (TruncatedPlane(2.0), 2.0)}[kind]
+    spacing = 2 * half / res  # every box is square and centred at 0
+    punctures = []
+    for _ in range(draw(st.integers(1, 3))):
+        near_rim = draw(st.booleans())
+        rho = half * (1 - draw(st.floats(0.5, 3)) / res if near_rim else draw(st.floats(0, 0.9)))
+        theta = draw(st.floats(0, 2 * math.pi))
+        node = complex(round(rho * math.cos(theta) / spacing), round(rho * math.sin(theta) / spacing))
+        phi = draw(st.floats(0, 2 * math.pi))
+        off = draw(st.sampled_from(_FILTER_OFFSETS)) * complex(math.cos(phi), math.sin(phi))
+        if draw(st.booleans()):  # a lattice edge from the node passes through it
+            off = complex(*draw(st.sampled_from(geodesy._HALF_OFFSETS))) / 2 + 1e-3 * off
+        punctures.append((node + off) * spacing)
+    return _domain_or_reject(type(domain), *(
+        [domain.radius] if kind == "truncated_plane" else
+        [0, 1.0] if kind == "disk" else [-1 - 1j, 1 + 1j]), punctures=tuple(punctures))
+
+
+# 25 examples per resolution and test
+_FILTER_EXAMPLES = settings(derandomize=True, database=None, max_examples=25, deadline=None,
+                            suppress_health_check=[HealthCheck.too_slow,
+                                                   HealthCheck.filter_too_much])
+
+
+class TestSegmentFilter:
+    @pytest.mark.parametrize("res", _FILTER_RES)
+    @_FILTER_EXAMPLES
+    @given(data=st.data())
+    def test_annulus_keeps_the_full_scan_edges(self, res, data):
+        _same_mesh_or_error(data.draw(_annuli(res)), res)
+
+    @pytest.mark.parametrize("res", _FILTER_RES)
+    @_FILTER_EXAMPLES
+    @given(data=st.data(), refine=st.booleans())
+    def test_punctured_domain_keeps_the_full_scan_edges(self, res, data, refine):
+        _same_mesh_or_error(data.draw(_punctured(res)), res, refine)
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["lattice", "refined"])
+    @pytest.mark.parametrize("domain", _CACHE_DOMAINS, ids=lambda d: f"{d.kind}-{len(d.punctures)}")
+    def test_no_edge_is_longer_than_the_stated_bound(self, cold_cache, monkeypatch, domain,
+                                                     refine):
+        seen = []
+
+        def spy(domain, spacing, nodes, ei, ej):
+            seen.append(np.abs(nodes[ej] - nodes[ei]).max() / spacing)
+            return segment_filter(domain, spacing, nodes, ei, ej)
+
+        segment_filter = geodesy._segment_filter
+        monkeypatch.setattr(geodesy, "_segment_filter", spy)
+        build_mesh(domain, ONES, 40, refine_punctures=refine)
+        assert 2 < seen[0] <= geodesy._LONGEST_EDGE == geodesy._RING_RADIUS
+
+    @pytest.mark.parametrize("domain", [Disk(0, 1.0), Rectangle(0, 2 + 1j), TruncatedPlane(2.0),
+                                        Disk(0, 1.0, punctures=(0.3 + 0.2j,))],
+                             ids=["disk", "rectangle", "truncated-plane", "disk-uncut"])
+    def test_nothing_to_cut_returns_the_edges_as_given(self, domain):
+        # a puncture cuts only edges within 0.8 core radii of it; the edges
+        # below join far-off nodes, so none is cut
+        nodes = np.array([-0.5, 0.5, 0.5j, -0.5j], dtype=complex)
+        ei, ej = np.array([0, 2, 0]), np.array([1, 3, 2])
+        got = geodesy._segment_filter(domain, 0.05, nodes, ei, ej)
+        assert got[0] is ei and got[1] is ej
+
+    def test_cut_edges_leave_in_edge_order(self):
+        nodes = np.array([-1.5, 1.5, 1.5j, -1.5j, 1.0 + 1.0j, 1.2 + 1.0j], dtype=complex)
+        ei, ej = np.array([0, 4, 2, 0]), np.array([1, 5, 3, 2])
+        # the first and third segments cross the hole, through its centre
+        got = geodesy._segment_filter(Annulus(0, 0.5, 2.0), 1.0, nodes, ei, ej)
+        assert [a.tolist() for a in got] == [[4, 0], [5, 2]]

@@ -5,7 +5,9 @@ blocks of ``expr._BLOCK // 4`` segments.  The references below are the rules as
 they were before blocking, one pass over the whole batch; every test
 compares bits (uint64 views), at batch sizes around the block edges, on
 smooth, refining and depth-capped integrands.  ``test_geodesy`` weights its
-reference meshes with ``reference_gauss4_segments`` too.
+reference meshes with ``reference_gauss4_segments`` too.  ``gauss4_segments``
+takes mesh edges (index pairs into a node array); the tests hand it endpoint
+arrays through ``gauss4_endpoints``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,16 @@ H = B // 2
 # around the block edges, and around half a block: one short block, and one
 # and a half blocks, which the two threads split unevenly
 SIZES = [0, 1, H - 1, H, H + 1, 3 * H + 5, B - 1, B, B + 1, 3 * B + 5]
+
+
+def gauss4_endpoints(fvec: Callable[[np.ndarray], np.ndarray], za: np.ndarray,
+                     zb: np.ndarray) -> np.ndarray:
+    """``gauss4_segments`` on endpoint arrays: segment k joins nodes k and
+    n + k of the node array za + zb."""
+    nodes = np.concatenate([np.asarray(za, dtype=complex).ravel(),
+                            np.asarray(zb, dtype=complex).ravel()])
+    n = nodes.size // 2
+    return gauss4_segments(fvec, np.arange(n), np.arange(n, 2 * n), nodes)
 
 
 def reference_gauss4_segments(
@@ -226,7 +238,7 @@ def _counted(fvec: Callable, sizes: list) -> Callable:
 def test_gauss4_blocks_keep_the_bits(name, n):
     za, zb = _through_cusp(*_segments(n))
     fvec = INTEGRANDS[name]
-    _same_bits(gauss4_segments(fvec, za, zb), reference_gauss4_segments(fvec, za, zb))
+    _same_bits(gauss4_endpoints(fvec, za, zb), reference_gauss4_segments(fvec, za, zb))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -257,7 +269,7 @@ def test_the_refining_integrands_refine_and_reach_both_depth_caps():
 
 
 # rule, points per segment in the first call of a block
-RULES = [(gauss4_segments, 4), (simpson_segments, 1)]
+RULES = [(gauss4_endpoints, 4), (simpson_segments, 1)]
 
 
 @pytest.mark.parametrize("rule, per_segment", RULES, ids=["gauss4", "simpson"])
@@ -280,7 +292,7 @@ class BlockFailure(Exception):
 
 
 @pytest.mark.parametrize("failing", [(1, 3), (2, 3), (1, 2)])
-@pytest.mark.parametrize("rule", [gauss4_segments, simpson_segments], ids=["gauss4", "simpson"])
+@pytest.mark.parametrize("rule", [gauss4_endpoints, simpson_segments], ids=["gauss4", "simpson"])
 def test_two_threads_raise_the_first_failed_block(rule, failing, monkeypatch):
     # the caller runs blocks 0, 2, the helper 1, 3; the failing blocks each
     # raise their own exception, and the lowest-numbered one is raised
@@ -334,7 +346,7 @@ def _stress_cases():
 _STRESS = {name: (fresh, segments) for name, fresh, segments in _stress_cases()}
 
 
-@pytest.mark.parametrize("rule, reference", [(gauss4_segments, reference_gauss4_segments),
+@pytest.mark.parametrize("rule, reference", [(gauss4_endpoints, reference_gauss4_segments),
                                              (simpson_segments, reference_simpson_segments)],
                          ids=["gauss4", "simpson"])
 @pytest.mark.parametrize("name", sorted(_STRESS))
